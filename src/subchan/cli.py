@@ -172,7 +172,7 @@ def _channel_summary(ch: KrausChannel) -> str:
     eta = "-" if ch.eta is None else _fmt(ch.eta)
     return (
         f"channel: {ch.family} (eta={eta}, dim={ch.dim}, "
-        f"kraus_terms={ch.kraus_truncation}, unitality_defect={ch.tp_defect:.3e})"
+        f"kraus_terms={ch.kraus_truncation}, tp_defect={ch.tp_defect:.3e})"
     )
 
 

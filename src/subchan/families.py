@@ -22,6 +22,9 @@ continuous limit where every state collapses to the vacuum.
 The depolarizing channel acts affinely, x -> p x + (1-p) tr(x) I / n; any
 Kraus realization reproducing that action is equally valid, and the one used
 here is {sqrt(p) I} plus {sqrt((1-p)/n) |k><s|} over all matrix units.
+
+Every family is built in the band form of :mod:`subchan.channels`, one
+diagonal per Kraus operator, with real entries.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from .channels import KrausChannel
+from .channels import KrausChannel, apply_channel
 from .errors import PrecisionLossError
 from .fock import coherent_state, log_binomial, outer
 from .tolerances import COHERENT_DEFICIT_TOL, KRAUS_TAIL_TARGET
@@ -84,7 +87,7 @@ def phase_damping(
         diags[1:, 1:] = np.exp(
             i * log_rate - 0.5 * gammaln(i + 1) + (k**2 * log_eta)[np.newaxis, :]
         )
-    return KrausChannel(diagonals=diags, family="phase-damping", eta=float(eta))
+    return KrausChannel(bands={0: diags}, family="phase-damping", eta=float(eta))
 
 
 def phase_damping_closed(eta: float, k: int, s: int) -> float:
@@ -102,27 +105,30 @@ def phase_damping_closed(eta: float, k: int, s: int) -> float:
 
 
 def amplitude_damping(eta: float, dim: int) -> KrausChannel:
-    """Amplitude damping channel; exactly dim Kraus operators on dim levels."""
+    """Amplitude damping channel; exactly dim Kraus operators on dim levels.
+
+    Operator i lies on offset i: its diagonal holds the values at k = i + j
+    for j < dim - i.
+    """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"amplitude damping requires 0 <= eta <= 1, got {eta}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    stack = np.zeros((dim, dim, dim), dtype=complex)
+    vals = np.zeros((dim, dim))
     if eta == 1.0:
-        stack[0] = np.eye(dim)
+        vals[0] = 1.0
     elif eta == 0.0:
         # Continuous limit: E_i = |0><i|, everything damps to the vacuum.
-        for i in range(dim):
-            stack[i, 0, i] = 1.0
+        vals[:, 0] = 1.0
     else:
         log_eta = np.log(eta)
         log_loss = np.log1p(-eta)
-        for i in range(dim):
-            k = np.arange(i, dim)
-            log_c = gammaln(k + 1) - gammaln(i + 1) - gammaln(k - i + 1)
-            vals = np.exp(0.5 * (log_c + (k - i) * log_eta + i * log_loss))
-            stack[i, k - i, k] = vals
-    return KrausChannel(stack, family="amplitude-damping", eta=float(eta))
+        i = np.arange(dim)[:, np.newaxis]
+        k = i + np.arange(dim)
+        log_c = gammaln(k + 1) - gammaln(i + 1) - gammaln(k - i + 1)
+        vals = np.exp(0.5 * (log_c + (k - i) * log_eta + i * log_loss))
+    bands = {i: vals[i:i + 1, :dim - i] for i in range(dim)}
+    return KrausChannel(bands=bands, family="amplitude-damping", eta=float(eta))
 
 
 def amplitude_damping_closed(eta: float, k: int, s: int, dim: int) -> np.ndarray:
@@ -148,24 +154,13 @@ def amplitude_damping_matrix_form(eta: float, x: np.ndarray) -> np.ndarray:
     """Entrywise amplitude-damping action on a full matrix.
 
     y[k, l] = sum_i sqrt(C(k+i, i) C(l+i, i)) eta^((k+l)/2) (1-eta)^i
-    x[k+i, l+i], with i running while the indices stay on the truncation.
-    Agrees with Kraus application of :func:`amplitude_damping`.
+    x[k+i, l+i], with i running while the indices stay on the truncation:
+    the band form of :func:`amplitude_damping` on x's own truncation.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"amplitude damping requires 0 <= eta <= 1, got {eta}")
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"x must be square, got shape {x.shape}")
-    n = x.shape[0]
-    y = np.zeros_like(x)
-    for k in range(n):
-        for l in range(n):
-            acc = 0.0 + 0.0j
-            for i in range(n - max(k, l)):
-                c = np.exp(0.5 * (log_binomial(k + i, i) + log_binomial(l + i, i)))
-                acc += c * (1.0 - eta) ** i * x[k + i, l + i]
-            y[k, l] = eta ** ((k + l) / 2) * acc
-    return y
+    return apply_channel(amplitude_damping(eta, x.shape[0]), x)
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +169,29 @@ def amplitude_damping_matrix_form(eta: float, x: np.ndarray) -> np.ndarray:
 
 
 def depolarizing(p: float, dim: int) -> KrausChannel:
-    """Depolarizing channel: x -> p x + (1-p) tr(x) I / dim."""
+    """Depolarizing channel: x -> p x + (1-p) tr(x) I / dim.
+
+    Kraus operators in order: sqrt(p) I (when p > 0), then
+    sqrt((1-p)/dim) |k><s| for k, s in row-major order (when p < 1). The
+    unit |k><s| lies on offset s - k, so offset o holds dim - |o| of them.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing requires 0 <= p <= 1, got {p}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    ops = []
-    if p > 0.0:
-        ops.append(np.sqrt(p) * np.eye(dim, dtype=complex))
+    bands, dense_pos = {}, {}
     if p < 1.0:
         w = np.sqrt((1.0 - p) / dim)
-        for k in range(dim):
-            for s in range(dim):
-                op = np.zeros((dim, dim), dtype=complex)
-                op[k, s] = w
-                ops.append(op)
-    return KrausChannel(np.stack(ops), family="depolarizing", eta=float(p))
+        lead = 1 if p > 0.0 else 0
+        for o in range(1 - dim, dim):
+            k = np.arange(dim - abs(o)) + max(0, -o)
+            bands[o] = w * np.eye(dim - abs(o))
+            dense_pos[o] = lead + k * dim + k + o
+    if p > 0.0:
+        bands[0] = np.vstack([np.full((1, dim), np.sqrt(p)), bands.get(0, np.empty((0, dim)))])
+        dense_pos[0] = np.concatenate([[0], dense_pos.get(0, [])]).astype(int)
+    order = np.concatenate([dense_pos[o] for o in sorted(bands)])
+    return KrausChannel(bands=bands, term_order=order, family="depolarizing", eta=float(p))
 
 
 # ---------------------------------------------------------------------------

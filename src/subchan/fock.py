@@ -131,11 +131,6 @@ def hs_norm(op: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return vec / np.linalg.norm(vec)
-
-
 def random_density_matrix(
     dim: int, rng: np.random.Generator, rank: int | None = None
 ) -> np.ndarray:

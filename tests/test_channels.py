@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kraus_reference import dense_adjoint, dense_apply, dense_superoperator, dense_tp_defect
 from subchan.channels import (
     KrausChannel,
+    MAX_KRAUS_BYTES,
     MAX_SUPEROPERATOR_DIM,
     adjoint_apply,
     apply_channel,
@@ -31,7 +33,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             KrausChannel()
         with pytest.raises(ValueError):
-            KrausChannel(np.eye(2)[np.newaxis], diagonals=np.ones((1, 2)))
+            KrausChannel(np.eye(2)[np.newaxis], bands={0: np.ones((1, 2))})
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -52,7 +54,7 @@ class TestConstruction:
         rng = np.random.default_rng(0)
         x = random_hermitian(6, rng)
         assert np.max(np.abs(apply_channel(pd, x) - apply_channel(dense, x))) < 1e-13
-        assert dense.diagonals is not None  # diagonality detected from the stack
+        assert list(dense.bands) == [0]  # diagonality detected from the stack
 
     def test_tp_defect_stored(self):
         ad = amplitude_damping(0.5, 16)
@@ -64,6 +66,45 @@ class TestConstruction:
         ch = amplitude_damping(0.5, 4)
         with pytest.raises(ValueError):
             ch.kraus_ops[0, 0, 0] = 5.0
+
+    def test_multi_offset_operator_keeps_dense_path(self):
+        op = np.array([[1.0, 0.5], [0.0, 0.5]])  # entries on offsets 0 and 1
+        ch = KrausChannel(op)
+        assert ch.bands is None
+        assert ch._diagonals is None
+
+    def test_bands_without_offset_zero(self):
+        # |0><1| and |1><0| as two Kraus operators: populations swap, coherences vanish.
+        ch = KrausChannel(bands={1: [[1.0]], -1: [[1.0]]})
+        ops = ch.kraus_ops
+        assert ch.dim == 2 and ch.tp_defect == 0.0
+        x = random_hermitian(2, np.random.default_rng(8)) + 1j * np.eye(2)
+        assert np.max(np.abs(apply_channel(ch, x) - dense_apply(ops, x))) < 1e-15
+        assert np.max(np.abs(adjoint_apply(ch, x) - dense_adjoint(ops, x))) < 1e-15
+        assert np.max(np.abs(superoperator_of(ch).matrix - dense_superoperator(ops))) < 1e-15
+
+    def test_rejects_inconsistent_bands(self):
+        with pytest.raises(ValueError):
+            KrausChannel(bands={0: np.ones((1, 3)), 1: np.ones((1, 3))})
+        with pytest.raises(ValueError):
+            KrausChannel(bands={})
+        with pytest.raises(ValueError):
+            KrausChannel(bands={0: np.ones((2, 3))}, term_order=[0, 0])
+
+
+class TestKrausSizeGuard:
+    def test_refuses_huge_dense_stack(self, monkeypatch):
+        # (128^2 + 1) x 128^2 complex entries, about 4.3 GB; refused from the
+        # estimate, before anything of that size is allocated.
+        ch = depolarizing(0.5, 128)
+        assert ch.kraus_truncation * 128**2 * 16 > MAX_KRAUS_BYTES
+
+        def no_zeros(*args, **kwargs):
+            raise AssertionError("the dense stack was allocated")
+
+        monkeypatch.setattr(np, "zeros", no_zeros)
+        with pytest.raises(ResourceLimitError):
+            ch.kraus_ops
 
 
 class TestApply:
@@ -239,3 +280,101 @@ class TestSuperoperator:
         # Column stacking: vec picks up columns in order.
         m = np.array([[1, 2], [3, 4]])
         assert np.array_equal(vec(m), [1, 3, 2, 4])
+
+
+# ---------------------------------------------------------------------------
+# Random channels against the dense Kraus-sum references in kraus_reference.py
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def random_channels(draw):
+    """(ops, banded) for a random CPTP Kraus stack on dim <= 8.
+
+    Banded stacks put each operator on one random offset (offset 0 always
+    present, so every column is covered) and rescale the columns so that
+    sum_i E_i^dag E_i = I; the stacked operators then lie on the Stiefel
+    manifold. Other stacks are a random isometry cut into dense operators.
+    """
+    dim = draw(st.integers(min_value=1, max_value=8))
+    terms = draw(st.integers(min_value=1, max_value=5))
+    banded = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if not banded:
+        g = rng.normal(size=(terms * dim, dim)) + 1j * rng.normal(size=(terms * dim, dim))
+        return np.linalg.qr(g)[0].reshape(terms, dim, dim), False
+    offsets = [0] + draw(st.lists(st.integers(min_value=1 - dim, max_value=dim - 1),
+                                  min_size=terms - 1, max_size=terms - 1))
+    ops = np.zeros((terms, dim, dim), dtype=complex)
+    for op, o in zip(ops, offsets):
+        m = dim - abs(o)
+        idx = np.arange(m) + max(0, -o)
+        op[idx, idx + o] = rng.normal(size=m) + 1j * rng.normal(size=m)
+    norms = np.sqrt(np.sum(np.abs(ops) ** 2, axis=(0, 1)))
+    return ops / norms, True
+
+
+def _pair(seed, dim):
+    rng = np.random.default_rng(seed)
+    return random_hermitian(dim, rng), random_hermitian(dim, rng) + 1j * random_hermitian(dim, rng)
+
+
+class TestRandomChannels:
+    @settings(max_examples=60, deadline=None)
+    @given(random_channels(), st.integers(min_value=0, max_value=10**6))
+    def test_apply_and_adjoint_match_dense_sum(self, case, seed):
+        ops, banded = case
+        ch = KrausChannel(ops)
+        assert (ch.bands is not None) == (banded or ch.dim == 1)
+        for x in _pair(seed, ch.dim):
+            assert np.max(np.abs(apply_channel(ch, x) - dense_apply(ops, x))) < 1e-12
+            assert np.max(np.abs(adjoint_apply(ch, x) - dense_adjoint(ops, x))) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_channels(), st.integers(min_value=0, max_value=10**6))
+    def test_adjoint_duality(self, case, seed):
+        ch = KrausChannel(case[0])
+        x1, x2 = _pair(seed, ch.dim)
+        lhs = np.trace(x1 @ adjoint_apply(ch, x2))
+        rhs = np.trace(apply_channel(ch, x1) @ x2)
+        assert abs(lhs - rhs) <= 1e-12 * ch.dim * operator_norm(x1) * operator_norm(x2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_channels(), st.floats(min_value=0.5, max_value=1.5))
+    def test_tp_defect_matches_dense_gram(self, case, scale):
+        ops, _ = case
+        assert KrausChannel(ops).tp_defect < 1e-12
+        # A random rescaling of the columns keeps the bands but breaks trace
+        # preservation by a known amount.
+        cols = np.linspace(scale, 1.0, ops.shape[1])
+        lossy = ops * cols
+        ch = KrausChannel(lossy)
+        assert ch.tp_defect == pytest.approx(dense_tp_defect(lossy), abs=1e-13)
+        for block in range(1, ch.dim + 1):
+            assert tp_defect_on_block(ch, block) == pytest.approx(
+                dense_tp_defect(lossy, block), abs=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_channels())
+    def test_superoperator_matches_kron_sum(self, case):
+        ops, _ = case
+        sup = superoperator_of(KrausChannel(ops))
+        assert np.max(np.abs(sup.matrix - dense_superoperator(ops))) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_channels().filter(lambda case: case[1]))
+    def test_band_storage_rebuilds_the_stack(self, case):
+        # Bands taken from the stack plus the position of each band term
+        # reproduce the operators exactly, in their original order.
+        ops, _ = case
+        offsets = [int(np.flatnonzero(np.any(op != 0, axis=0))[0]
+                       - np.flatnonzero(np.any(op != 0, axis=1))[0]) for op in ops]
+        bands, order = {}, []
+        for o in sorted(set(offsets)):
+            members = [i for i, oi in enumerate(offsets) if oi == o]
+            bands[o] = np.stack([np.diagonal(ops[i], o) for i in members])
+            order += members
+        ch = KrausChannel(bands=bands, term_order=order)
+        assert np.array_equal(ch.kraus_ops, ops)
+        x, _ = _pair(0, ch.dim)
+        assert np.max(np.abs(apply_channel(ch, x) - dense_apply(ops, x))) < 1e-12

@@ -37,13 +37,14 @@ class TestFidelityCommand:
         assert "quadrature" in out
         assert "cross-check gap" in out
 
-    def test_unitality_defect_shown(self, capsys):
+    def test_tp_defect_shown(self, capsys):
         code, out, _ = run(
             capsys, "fidelity", "--channel", "pd", "--eta", "0.5",
             "--levels", "0,1", "--dim", "16",
         )
         assert code == 0
-        assert "unitality_defect" in out
+        assert "tp_defect=" in out
+        assert "unitality_defect" not in out
 
     def test_eta_out_of_range_is_domain_error(self, capsys):
         code, _, err = run(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kraus_reference import dense_apply
 from subchan.channels import apply_channel
 from subchan.errors import PrecisionLossError
 from subchan.families import (
@@ -151,14 +152,14 @@ class TestAmplitudeDamping:
         # y_00 of I/4 at eta = 0.5 sums the geometric pull-down weights.
         out = amplitude_damping_matrix_form(0.5, np.eye(4, dtype=complex) / 4)
         assert out[0, 0] == pytest.approx((1 + 0.5 + 0.25 + 0.125) / 4, abs=1e-14)
-        oracle = apply_channel(amplitude_damping(0.5, 4), np.eye(4, dtype=complex) / 4)
+        oracle = dense_apply(amplitude_damping(0.5, 4).kraus_ops, np.eye(4, dtype=complex) / 4)
         assert np.max(np.abs(out - oracle)) < 1e-13
 
     def test_matrix_form_matches_kraus_on_random_input(self):
         rng = np.random.default_rng(2)
         x = random_hermitian(8, rng)
         out = amplitude_damping_matrix_form(0.3, x)
-        oracle = apply_channel(amplitude_damping(0.3, 8), x)
+        oracle = dense_apply(amplitude_damping(0.3, 8).kraus_ops, x)
         assert np.max(np.abs(out - oracle)) < 1e-12
 
     def test_semigroup(self):
@@ -206,6 +207,31 @@ class TestDepolarizing:
         for bad in (-0.01, 1.01):
             with pytest.raises(ValueError):
                 depolarizing(bad, 4)
+
+    @pytest.mark.parametrize("p", (0.0, 0.4, 1.0))
+    def test_kraus_stack_order(self, p):
+        # sqrt(p) I first (when p > 0), then sqrt((1-p)/n) |k><s| row-major.
+        n = 3
+        ops = depolarizing(p, n).kraus_ops
+        units = [math.sqrt((1 - p) / n) * basis_operator(k, s, n)
+                 for k in range(n) for s in range(n)] if p < 1 else []
+        expect = ([math.sqrt(p) * np.eye(n)] if p > 0 else []) + units
+        assert np.array_equal(ops, np.stack(expect))
+
+
+# eta = 0 lies outside the phase-damping domain.
+FAMILY_CASES = [(family, eta) for family in (phase_damping, amplitude_damping, depolarizing)
+                for eta in (0.0, 0.3, 0.77, 1.0) if (family, eta) != (phase_damping, 0.0)]
+
+
+@pytest.mark.parametrize("family, eta", FAMILY_CASES)
+@pytest.mark.parametrize("dim", (1, 2, 7, 16))
+def test_band_action_matches_dense_kraus_sum(family, eta, dim):
+    ch = family(eta, dim)
+    assert ch.bands is not None
+    rng = np.random.default_rng(dim)
+    x = random_hermitian(dim, rng) + 1j * random_hermitian(dim, rng)
+    assert np.max(np.abs(apply_channel(ch, x) - dense_apply(ch.kraus_ops, x))) < 1e-13
 
 
 class TestCoherentAction:
