@@ -18,7 +18,6 @@ from .channels import (
     verify_channel,
 )
 from .encodings import (
-    EncodingAnsatz,
     OptimizationResult,
     PairFidelity,
     contiguous_pair_sweep,
@@ -31,7 +30,6 @@ from .encodings import (
 from .errors import (
     ConstraintError,
     DimensionMismatchError,
-    OptimizationError,
     PrecisionLossError,
     ResourceLimitError,
     SupportError,
@@ -39,7 +37,6 @@ from .errors import (
 from .families import (
     amplitude_damping,
     amplitude_damping_closed,
-    amplitude_damping_matrix_form,
     coherent_action_closed,
     depolarizing,
     identity_channel,

@@ -26,8 +26,8 @@ family does). Only channels with an operator spanning several offsets keep
 the dense path of batched matrix products.
 
 The dense (terms, dim, dim) stack of a band channel is built only when asked
-for (``kraus_ops``, used by ``save_channel``) and equals the operators the
-bands came from. Its size is estimated first: above MAX_KRAUS_BYTES, the
+for (``kraus_ops``, used by ``save_channel``) and lists the operators the
+bands came from in band order: ascending offset, then row. Its size is estimated first: above MAX_KRAUS_BYTES, the
 byte size of the largest superoperator ``superoperator_of`` builds, it
 raises ResourceLimitError without allocating.
 """
@@ -68,9 +68,6 @@ class KrausChannel:
         ``{offset: terms}`` with ``terms`` of shape (terms_o, dim - |offset|):
         row i holds the diagonal ``np.diagonal(E_i, offset)`` of an operator
         whose other entries are zero. Real terms stay real.
-    term_order : array_like of int, optional
-        Position in ``kraus_ops`` of each band term, taking the terms in
-        ascending offset and then row order; by default that order itself.
     family : str
         One of "phase-damping", "amplitude-damping", "depolarizing",
         "custom".
@@ -97,7 +94,6 @@ class KrausChannel:
         kraus_ops=None,
         *,
         bands: dict[int, np.ndarray] | None = None,
-        term_order=None,
         family: str = "custom",
         eta: float | None = None,
     ):
@@ -127,14 +123,6 @@ class KrausChannel:
             int(self._stack.shape[0]) if self._stack is not None
             else sum(e.shape[0] for e in self.bands.values())
         )
-        self._term_order = None
-        if term_order is not None:
-            if bands is None:
-                raise ValueError("term_order applies to band storage only")
-            order = np.asarray(term_order)
-            if not np.array_equal(np.sort(order), np.arange(self.kraus_truncation)):
-                raise ValueError("term_order must be a permutation of the band terms")
-            self._term_order = order
         # Offset-0 terms of a purely diagonal channel, else None; the
         # benchmark's tracing reads it to size the Kraus storage.
         self._diagonals = (
@@ -148,8 +136,9 @@ class KrausChannel:
     def kraus_ops(self) -> np.ndarray:
         """Dense (terms, dim, dim) stack; read-only.
 
-        Raises ResourceLimitError, before allocating, when a band channel's
-        stack would exceed MAX_KRAUS_BYTES.
+        A band channel lists its terms in band order: ascending offset, then
+        row within the offset. Raises ResourceLimitError, before allocating,
+        when a band channel's stack would exceed MAX_KRAUS_BYTES.
         """
         if self._stack is not None:
             return self._stack
@@ -161,13 +150,12 @@ class KrausChannel:
                 f"({nbytes / 1e9:.2f} GB); limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB. "
                 "Reduce the truncation."
             )
-        order = np.arange(terms) if self._term_order is None else self._term_order
         stack = np.zeros((terms, n, n), dtype=complex)
         first = 0
         for offset, e in self.bands.items():
             rows, cols = _band_slices(offset, n)
-            pos = order[first:first + e.shape[0], np.newaxis]
-            stack[pos, np.arange(rows.start, rows.stop), np.arange(cols.start, cols.stop)] = e
+            stack[first:first + e.shape[0], np.arange(rows.start, rows.stop),
+                  np.arange(cols.start, cols.stop)] = e
             first += e.shape[0]
         stack.flags.writeable = False
         return stack

@@ -34,7 +34,6 @@ from .encodings import (
 from .errors import (
     ConstraintError,
     DimensionMismatchError,
-    OptimizationError,
     PrecisionLossError,
     ResourceLimitError,
     SupportError,
@@ -409,7 +408,6 @@ def main(argv=None) -> int:
         PrecisionLossError,
         ResourceLimitError,
         SupportError,
-        OptimizationError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,12 +1,15 @@
 """Parametrized qubit encodings and derivative-free fidelity maximization.
 
-The search ansatz places two real-amplitude unit vectors on a chosen set of
-Fock levels, parametrized by hyperspherical angles. Orthogonality is handled
-by a quadratic penalty on the raw overlap during the simplex search plus an
-exact Gram-Schmidt projection before any encoding is scored or returned, so
-every reported encoding is feasible. Relative phases are off by default
-(the amplitude-damping objective is invariant under them) but can be enabled
-for exploratory runs.
+The search ansatz places two real-amplitude orthonormal frames on a chosen
+set of n Fock levels. The first, u, is a point on the unit sphere given by
+n - 1 hyperspherical angles. The second is a unit vector orthogonal to e_0
+(n - 2 more angles) carried onto the complement of u by the Householder
+reflection that maps e_0 to -sign(u_0) u, so every parameter vector is a
+feasible encoding: 2n - 3 parameters, with no penalty and no projection.
+All-zero parameters give span{|0>, |1>} on the first two levels. Relative
+phases are off by default (the amplitude-damping objective is invariant
+under them); enabling them multiplies both frames by diag(1, e^{i phi_1},
+..., e^{i phi_{n-1}}), which keeps them orthonormal, at 3n - 4 parameters.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channels import KrausChannel
-from .errors import ConstraintError, OptimizationError
+from .errors import ConstraintError
 from .fidelity import (
     average_fidelity_closed,
     average_fidelity_from_frames,
@@ -31,7 +34,6 @@ INITIAL_SIMPLEX_SCALE = 0.3  # radians added per vertex
 CONVERGENCE_FTOL = 1e-10     # simplex collapses when the fidelity spread is below this
 CONVERGENCE_XTOL = 1e-8
 MAX_EVALUATIONS = 2000
-PENALTY_WEIGHT = 1e3
 
 
 def encoding_from_coefficients(c, d, dim: int, label: str = "custom") -> Subspace:
@@ -103,52 +105,32 @@ def hypersphere_point(angles: np.ndarray) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
-class EncodingAnsatz:
-    """A realized point of the search ansatz: parameters plus the feasible frame."""
-
-    levels: tuple[int, ...]
-    params: np.ndarray
-    constraint_residual: float  # |<u, v>| before Gram-Schmidt projection
-    subspace: Subspace
-
-
 def n_ansatz_params(n_levels: int, allow_phases: bool = False) -> int:
-    base = 2 * (n_levels - 1)
+    base = 2 * n_levels - 3
     return base + (n_levels - 1 if allow_phases else 0)
 
 
-def _projected_frames(
-    params: np.ndarray, n: int, allow_phases: bool
-) -> tuple[np.ndarray, float]:
-    """Feasible (2, n) frame pair for a parameter vector, plus the raw overlap.
+def _frames(params: np.ndarray, n: int, allow_phases: bool) -> np.ndarray:
+    """Orthonormal (2, n) frame pair for a parameter vector.
 
-    The second frame is Gram-Schmidt projected against the first and
-    renormalized, so the result always satisfies the orthonormality
-    constraints; the pre-projection overlap is the returned residual.
+    u comes from the first n - 1 angles. The Householder reflection
+    H_u = I - 2 w w^T / (w^T w), w = u + sign(u_0) e_0, maps e_0 to -sign(u_0) u,
+    so it carries the unit vectors orthogonal to e_0 (the next n - 2 angles)
+    onto the complement of u; w^T w >= 2 keeps it well defined. Optional
+    phases multiply both frames by the unitary diag(1, e^{i phi_1}, ...).
     """
-    u = hypersphere_point(params[: n - 1]).astype(complex)
-    v = hypersphere_point(params[n - 1 : 2 * (n - 1)]).astype(complex)
+    u = hypersphere_point(params[: n - 1])
+    x = np.concatenate([[0.0], hypersphere_point(params[n - 1 : 2 * n - 3])])
+    w = u.copy()
+    w[0] += np.copysign(1.0, u[0])
+    frames = np.stack([u, x - (2.0 * (w @ x) / (w @ w)) * w]).astype(complex)
     if allow_phases:
-        phases = np.concatenate([[0.0], params[2 * (n - 1) :]])
-        v = v * np.exp(1j * phases)
-    residual = abs(complex(np.vdot(u, v)))
-    v_perp = v - np.vdot(u, v) * u
-    norm = float(np.linalg.norm(v_perp))
-    if norm < 1e-8:
-        raise ConstraintError(
-            f"frames are parallel (projection norm {norm:.3e})", residual=residual
-        )
-    return np.stack([u, v_perp / norm]), residual
+        frames *= np.exp(1j * np.concatenate([[0.0], params[2 * n - 3 :]]))
+    return frames
 
 
-def realize_encoding(
-    levels,
-    params,
-    dim: int,
-    allow_phases: bool = False,
-) -> EncodingAnsatz:
-    """Build the feasible encoding for a parameter vector."""
+def realize_encoding(levels, params, dim: int, allow_phases: bool = False) -> Subspace:
+    """The orthonormal encoding a parameter vector places on ``levels``."""
     levels = tuple(levels)
     n = len(levels)
     if any(not 0 <= level < dim for level in levels):
@@ -158,17 +140,12 @@ def realize_encoding(
         raise ValueError(
             f"expected {n_ansatz_params(n, allow_phases)} parameters, got {params.size}"
         )
-    frames, residual = _projected_frames(params, n, allow_phases)
+    frames = _frames(params, n, allow_phases)
     basis = np.zeros((2, dim), dtype=complex)
     for col, level in enumerate(levels):
         basis[:, level] = frames[:, col]
     label = "ansatz levels " + ",".join(map(str, levels))
-    return EncodingAnsatz(
-        levels=levels,
-        params=params,
-        constraint_residual=residual,
-        subspace=Subspace(dim=dim, basis=basis, label=label),
-    )
+    return Subspace(dim=dim, basis=basis, label=label)
 
 
 @dataclass(frozen=True)
@@ -187,8 +164,6 @@ def optimize_encoding(
     seed: int | None = None,
     *,
     allow_phases: bool = False,
-    max_evaluations: int = MAX_EVALUATIONS,
-    penalty_weight: float = PENALTY_WEIGHT,
 ) -> OptimizationResult:
     """Multi-start Nelder-Mead maximization of the average fidelity.
 
@@ -213,15 +188,9 @@ def optimize_encoding(
     process = level_process_tensor(ch, levels)
 
     def objective(p: np.ndarray) -> float:
-        try:
-            frames, residual = _projected_frames(p, len(levels), allow_phases)
-        except ConstraintError:
-            return 2.0  # worse than any -fidelity
-        value = average_fidelity_from_frames(process, frames)
-        return -value + penalty_weight * residual**2
+        return -average_fidelity_from_frames(process, _frames(p, len(levels), allow_phases))
 
-    best: EncodingAnsatz | None = None
-    best_value = -np.inf
+    best_value, best_params, best_encoding = -np.inf, None, None
     history = []
     for _ in range(restarts):
         x0 = rng.uniform(0.0, np.pi, size=n_params)
@@ -232,31 +201,22 @@ def optimize_encoding(
             x0,
             method="Nelder-Mead",
             options={
-                "maxfev": max_evaluations,
+                "maxfev": MAX_EVALUATIONS,
                 "fatol": CONVERGENCE_FTOL,
                 "xatol": CONVERGENCE_XTOL,
                 "initial_simplex": simplex,
             },
         )
-        try:
-            ansatz = realize_encoding(levels, result.x, ch.dim, allow_phases)
-        except ConstraintError:
-            history.append((np.array(result.x), float("nan")))
-            continue
-        value = average_fidelity_closed(ch, ansatz.subspace).value
+        encoding = realize_encoding(levels, result.x, ch.dim, allow_phases)
+        value = average_fidelity_closed(ch, encoding).value
         history.append((np.array(result.x), value))
         if value > best_value:
-            best_value = value
-            best = ansatz
+            best_value, best_params, best_encoding = value, np.array(result.x), encoding
 
-    if best is None:
-        raise OptimizationError(
-            f"all {restarts} restarts ended infeasible; history: {history!r}"
-        )
     return OptimizationResult(
         best_fidelity=best_value,
-        best_params=best.params,
-        best_encoding=best.subspace,
+        best_params=best_params,
+        best_encoding=best_encoding,
         restarts_run=restarts,
         history=history,
     )

@@ -27,7 +27,3 @@ class ConstraintError(ValueError):
 
 class SupportError(ValueError):
     """An operator fed to a restricted map is not supported on its subspace."""
-
-
-class OptimizationError(RuntimeError):
-    """No restart of the encoding search produced a feasible encoding."""

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from .channels import KrausChannel, apply_channel
+from .channels import KrausChannel
 from .errors import PrecisionLossError
 from .fock import coherent_state, log_binomial, outer
 from .tolerances import COHERENT_DEFICIT_TOL, KRAUS_TAIL_TARGET
@@ -150,19 +150,6 @@ def amplitude_damping_closed(eta: float, k: int, s: int, dim: int) -> np.ndarray
     return out
 
 
-def amplitude_damping_matrix_form(eta: float, x: np.ndarray) -> np.ndarray:
-    """Entrywise amplitude-damping action on a full matrix.
-
-    y[k, l] = sum_i sqrt(C(k+i, i) C(l+i, i)) eta^((k+l)/2) (1-eta)^i
-    x[k+i, l+i], with i running while the indices stay on the truncation:
-    the band form of :func:`amplitude_damping` on x's own truncation.
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"x must be square, got shape {x.shape}")
-    return apply_channel(amplitude_damping(eta, x.shape[0]), x)
-
-
 # ---------------------------------------------------------------------------
 # Depolarizing
 # ---------------------------------------------------------------------------
@@ -171,27 +158,22 @@ def amplitude_damping_matrix_form(eta: float, x: np.ndarray) -> np.ndarray:
 def depolarizing(p: float, dim: int) -> KrausChannel:
     """Depolarizing channel: x -> p x + (1-p) tr(x) I / dim.
 
-    Kraus operators in order: sqrt(p) I (when p > 0), then
-    sqrt((1-p)/dim) |k><s| for k, s in row-major order (when p < 1). The
-    unit |k><s| lies on offset s - k, so offset o holds dim - |o| of them.
+    Kraus operators sqrt(p) I (when p > 0) and sqrt((1-p)/dim) |k><s| (when
+    p < 1). The unit |k><s| lies on offset s - k, so offset o holds dim - |o|
+    of them, and ``kraus_ops`` lists the terms in band order: ascending
+    offset, then ascending row k, with sqrt(p) I first on offset 0.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing requires 0 <= p <= 1, got {p}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    bands, dense_pos = {}, {}
+    bands = {}
     if p < 1.0:
         w = np.sqrt((1.0 - p) / dim)
-        lead = 1 if p > 0.0 else 0
-        for o in range(1 - dim, dim):
-            k = np.arange(dim - abs(o)) + max(0, -o)
-            bands[o] = w * np.eye(dim - abs(o))
-            dense_pos[o] = lead + k * dim + k + o
+        bands = {o: w * np.eye(dim - abs(o)) for o in range(1 - dim, dim)}
     if p > 0.0:
         bands[0] = np.vstack([np.full((1, dim), np.sqrt(p)), bands.get(0, np.empty((0, dim)))])
-        dense_pos[0] = np.concatenate([[0], dense_pos.get(0, [])]).astype(int)
-    order = np.concatenate([dense_pos[o] for o in sorted(bands)])
-    return KrausChannel(bands=bands, term_order=order, family="depolarizing", eta=float(p))
+    return KrausChannel(bands=bands, family="depolarizing", eta=float(p))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +231,6 @@ __all__ = [
     "phase_damping_closed",
     "amplitude_damping",
     "amplitude_damping_closed",
-    "amplitude_damping_matrix_form",
     "depolarizing",
     "coherent_action_closed",
 ]

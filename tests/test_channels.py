@@ -88,8 +88,6 @@ class TestConstruction:
             KrausChannel(bands={0: np.ones((1, 3)), 1: np.ones((1, 3))})
         with pytest.raises(ValueError):
             KrausChannel(bands={})
-        with pytest.raises(ValueError):
-            KrausChannel(bands={0: np.ones((2, 3))}, term_order=[0, 0])
 
 
 class TestKrausSizeGuard:
@@ -364,8 +362,8 @@ class TestRandomChannels:
     @settings(max_examples=40, deadline=None)
     @given(random_channels().filter(lambda case: case[1]))
     def test_band_storage_rebuilds_the_stack(self, case):
-        # Bands taken from the stack plus the position of each band term
-        # reproduce the operators exactly, in their original order.
+        # Bands taken from the stack reproduce the operators exactly, in band
+        # order: ascending offset, then original position within an offset.
         ops, _ = case
         offsets = [int(np.flatnonzero(np.any(op != 0, axis=0))[0]
                        - np.flatnonzero(np.any(op != 0, axis=1))[0]) for op in ops]
@@ -374,7 +372,7 @@ class TestRandomChannels:
             members = [i for i, oi in enumerate(offsets) if oi == o]
             bands[o] = np.stack([np.diagonal(ops[i], o) for i in members])
             order += members
-        ch = KrausChannel(bands=bands, term_order=order)
-        assert np.array_equal(ch.kraus_ops, ops)
+        ch = KrausChannel(bands=bands)
+        assert np.array_equal(ch.kraus_ops, ops[order])
         x, _ = _pair(0, ch.dim)
         assert np.max(np.abs(apply_channel(ch, x) - dense_apply(ops, x))) < 1e-12

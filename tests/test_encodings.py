@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subchan.encodings import (
     contiguous_pair_sweep,
@@ -11,7 +12,7 @@ from subchan.encodings import (
     realize_encoding,
     three_level_encoding,
 )
-from subchan.errors import ConstraintError, OptimizationError
+from subchan.errors import ConstraintError
 from subchan.families import amplitude_damping, phase_damping
 from subchan.fidelity import average_fidelity_closed, average_fidelity_quadrature, reference_formula
 from subchan.subspaces import Subspace, subspace_overlap
@@ -82,27 +83,38 @@ class TestRealizeEncoding:
         rng = np.random.default_rng(0)
         for _ in range(20):
             params = rng.uniform(0, np.pi, size=n_ansatz_params(3))
-            ansatz = realize_encoding([0, 1, 2], params, dim=8)
-            b = ansatz.subspace.basis
+            b = realize_encoding([0, 1, 2], params, dim=8).basis
             assert abs(np.linalg.norm(b[0]) - 1) < 1e-12
             assert abs(np.linalg.norm(b[1]) - 1) < 1e-12
             assert abs(np.vdot(b[0], b[1])) < 1e-10
-
-    def test_residual_recorded(self):
-        params = np.zeros(n_ansatz_params(2))  # both frames at angle 0: parallel
-        with pytest.raises(ConstraintError):
-            realize_encoding([0, 1], params, dim=4)
 
     def test_param_count_checked(self):
         with pytest.raises(ValueError):
             realize_encoding([0, 1, 2], [0.1, 0.2], dim=8)
 
     def test_phases_add_params(self):
-        assert n_ansatz_params(3, allow_phases=False) == 4
-        assert n_ansatz_params(3, allow_phases=True) == 6
-        params = np.array([1.2, 0.4, 0.9, 2.0, 0.3, 1.0])
-        ansatz = realize_encoding([0, 1, 2], params, dim=6, allow_phases=True)
-        assert abs(np.vdot(ansatz.subspace.basis[0], ansatz.subspace.basis[1])) < 1e-10
+        assert n_ansatz_params(3, allow_phases=False) == 3
+        assert n_ansatz_params(3, allow_phases=True) == 5
+        params = np.array([1.2, 0.4, 0.9, 2.0, 0.3])
+        sub = realize_encoding([0, 1, 2], params, dim=6, allow_phases=True)
+        assert abs(np.vdot(sub.basis[0], sub.basis[1])) < 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=2, max_value=6), st.booleans(), st.data())
+    def test_frames_orthonormal_for_any_parameters(self, n, phases, data):
+        # Angles next to pi put u next to -e_0, where the sign in w matters.
+        angle = (st.floats(min_value=-1e3, max_value=1e3)
+                 | st.floats(min_value=np.pi - 1e-6, max_value=np.pi + 1e-6))
+        size = n_ansatz_params(n, phases)
+        params = data.draw(st.lists(angle, min_size=size, max_size=size))
+        b = realize_encoding(range(n), params, dim=8, allow_phases=phases).basis
+        assert np.max(np.abs(b @ b.conj().T - np.eye(2))) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_zero_parameters_give_lowest_pair(self, n):
+        sub = realize_encoding(range(n), np.zeros(n_ansatz_params(n)), dim=8)
+        assert subspace_overlap(sub, Subspace.from_levels([0, 1], 8)) == pytest.approx(
+            1.0, abs=1e-15)
 
 
 class TestOptimizer:
@@ -173,17 +185,6 @@ class TestOptimizer:
             optimize_encoding(ch, [0, 1], restarts=0)
         with pytest.raises(ValueError):
             optimize_encoding(ch, [1, 1], restarts=2)
-
-    def test_all_restarts_infeasible_raises(self, monkeypatch):
-        import subchan.encodings as mod
-
-        def always_parallel(params, n, allow_phases):
-            raise ConstraintError("forced", residual=1.0)
-
-        monkeypatch.setattr(mod, "_projected_frames", always_parallel)
-        ch = amplitude_damping(0.5, 6)
-        with pytest.raises(OptimizationError):
-            optimize_encoding(ch, [0, 1], restarts=2, seed=0)
 
 
 class TestPairSweep:

@@ -9,7 +9,6 @@ from subchan.errors import PrecisionLossError
 from subchan.families import (
     amplitude_damping,
     amplitude_damping_closed,
-    amplitude_damping_matrix_form,
     coherent_action_closed,
     depolarizing,
     phase_damping,
@@ -145,22 +144,13 @@ class TestAmplitudeDamping:
                 assert np.max(np.abs(out - amplitude_damping_closed(eta, k, s, n))) < 1e-10
 
     def test_matrix_form_vacuum_fixed(self):
-        out = amplitude_damping_matrix_form(0.5, basis_operator(0, 0, 4))
+        out = apply_channel(amplitude_damping(0.5, 4), basis_operator(0, 0, 4))
         assert np.max(np.abs(out - basis_operator(0, 0, 4))) < 1e-15
 
     def test_matrix_form_mixed_diagonal(self):
         # y_00 of I/4 at eta = 0.5 sums the geometric pull-down weights.
-        out = amplitude_damping_matrix_form(0.5, np.eye(4, dtype=complex) / 4)
-        assert out[0, 0] == pytest.approx((1 + 0.5 + 0.25 + 0.125) / 4, abs=1e-14)
-        oracle = dense_apply(amplitude_damping(0.5, 4).kraus_ops, np.eye(4, dtype=complex) / 4)
-        assert np.max(np.abs(out - oracle)) < 1e-13
-
-    def test_matrix_form_matches_kraus_on_random_input(self):
-        rng = np.random.default_rng(2)
-        x = random_hermitian(8, rng)
-        out = amplitude_damping_matrix_form(0.3, x)
-        oracle = dense_apply(amplitude_damping(0.3, 8).kraus_ops, x)
-        assert np.max(np.abs(out - oracle)) < 1e-12
+        out = apply_channel(amplitude_damping(0.5, 4), np.eye(4, dtype=complex) / 4)
+        assert out[0, 0] == pytest.approx(15 / 32, abs=1e-14)
 
     def test_semigroup(self):
         n = 12
@@ -210,12 +200,17 @@ class TestDepolarizing:
 
     @pytest.mark.parametrize("p", (0.0, 0.4, 1.0))
     def test_kraus_stack_order(self, p):
-        # sqrt(p) I first (when p > 0), then sqrt((1-p)/n) |k><s| row-major.
+        # Band order: offset s - k ascending, then row k; sqrt(p) I (when
+        # p > 0) leads offset 0.
         n = 3
         ops = depolarizing(p, n).kraus_ops
-        units = [math.sqrt((1 - p) / n) * basis_operator(k, s, n)
-                 for k in range(n) for s in range(n)] if p < 1 else []
-        expect = ([math.sqrt(p) * np.eye(n)] if p > 0 else []) + units
+        expect = []
+        for o in range(1 - n, n):
+            if o == 0 and p > 0:
+                expect.append(math.sqrt(p) * np.eye(n))
+            if p < 1:
+                expect += [math.sqrt((1 - p) / n) * basis_operator(k, k + o, n)
+                           for k in range(max(0, -o), n - max(0, o))]
         assert np.array_equal(ops, np.stack(expect))
 
 
