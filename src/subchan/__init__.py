@@ -10,7 +10,6 @@ encodings that maximize it.
 from .channels import (
     ChannelVerification,
     KrausChannel,
-    Superoperator,
     adjoint_apply,
     apply_channel,
     superoperator_of,
@@ -44,7 +43,6 @@ from .families import (
     phase_damping_closed,
 )
 from .fidelity import (
-    EncodedQubit,
     FidelityReport,
     average_fidelity_closed,
     average_fidelity_quadrature,
@@ -52,7 +50,6 @@ from .fidelity import (
     cross_checked_fidelity,
     damping_fidelity_series,
     pure_fidelity,
-    reference_formula,
 )
 from .fileio import load_channel, load_coefficient_rows, save_channel
 from .fock import coherent_state, fock_state, log_binomial

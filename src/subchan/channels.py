@@ -48,6 +48,9 @@ MAX_SUPEROPERATOR_DIM = 64
 COMPLEX_BYTES = 16
 MAX_KRAUS_BYTES = MAX_SUPEROPERATOR_DIM**4 * COMPLEX_BYTES
 
+# Random inputs per verify_channel run: each of hermiticity and positivity.
+VERIFY_SAMPLES = 20
+
 KNOWN_FAMILIES = ("phase-damping", "amplitude-damping", "depolarizing", "custom")
 
 
@@ -310,20 +313,15 @@ class ChannelVerification:
 
 
 def verify_channel(
-    ch: KrausChannel,
-    block: int | None = None,
-    *,
-    samples: int = 20,
-    seed: int = 1234,
-    tp_tol: float = SPECTRAL_TOL,
-    herm_tol: float = STRUCTURAL_TOL,
-    eig_tol: float = SPECTRAL_TOL,
+    ch: KrausChannel, block: int | None = None, *, seed: int = 1234
 ) -> ChannelVerification:
     """Check trace preservation on a block plus hermiticity/positivity on samples.
 
-    Random inputs are density matrices (and hermitian operators) supported on
-    the leading ``block`` levels, drawn from a generator seeded with ``seed``;
-    the seed is recorded in the report.
+    VERIFY_SAMPLES random density matrices (and hermitian operators)
+    supported on the leading ``block`` levels are drawn from a generator
+    seeded with ``seed``; the seed is recorded in the report. Trace
+    preservation and positivity are judged at SPECTRAL_TOL, hermiticity at
+    STRUCTURAL_TOL.
     """
     block = ch.dim if block is None else block
     if not 1 <= block <= ch.dim:
@@ -334,7 +332,7 @@ def verify_channel(
 
     herm = 0.0
     min_eig = np.inf
-    for _ in range(samples):
+    for _ in range(VERIFY_SAMPLES):
         h = np.zeros((ch.dim, ch.dim), dtype=complex)
         h[:block, :block] = random_hermitian(block, rng)
         herm = max(herm, hermiticity_defect(apply_channel(ch, h)))
@@ -349,11 +347,11 @@ def verify_channel(
         tp_defect=tp,
         hermiticity_defect=herm,
         min_eigenvalue=float(min_eig),
-        samples=samples,
+        samples=VERIFY_SAMPLES,
         seed=seed,
-        tp_ok=tp <= tp_tol,
-        hermiticity_ok=herm <= herm_tol,
-        positivity_ok=min_eig >= -eig_tol,
+        tp_ok=tp <= SPECTRAL_TOL,
+        hermiticity_ok=herm <= STRUCTURAL_TOL,
+        positivity_ok=min_eig >= -SPECTRAL_TOL,
     )
 
 
@@ -375,19 +373,8 @@ def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-@dataclass(frozen=True)
-class Superoperator:
-    """dim^2 x dim^2 matrix acting on column-stacked operators."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(x), self.dim)
-
-
-def superoperator_of(ch: KrausChannel) -> Superoperator:
-    """Matrix form sum_i conj(E_i) kron E_i under the column-stacking convention."""
+def superoperator_of(ch: KrausChannel) -> np.ndarray:
+    """dim^2 x dim^2 matrix sum_i conj(E_i) kron E_i acting on :func:`vec` of an operator."""
     n = ch.dim
     if n > MAX_SUPEROPERATOR_DIM:
         raise ResourceLimitError(
@@ -401,9 +388,8 @@ def superoperator_of(ch: KrausChannel) -> Superoperator:
         s = np.zeros((n * n, n * n), dtype=complex)
         for rows, cols, m in ch._band_products:
             s[index[rows, rows], index[cols, cols]] = m
-        return Superoperator(dim=n, matrix=s)
+        return s
     flat = ch.kraus_ops.reshape(ch.kraus_truncation, n * n)
     # G[(a,b),(c,d)] = sum_i conj(E_i[a,b]) E_i[c,d]; regroup to kron layout.
     gram = flat.conj().T @ flat
-    s = gram.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    return Superoperator(dim=n, matrix=s)
+    return gram.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)

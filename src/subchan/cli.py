@@ -26,6 +26,7 @@ import numpy as np
 
 from .channels import KrausChannel, apply_channel, verify_channel
 from .encodings import (
+    DEFAULT_RESTARTS,
     contiguous_pair_sweep,
     encoding_from_coefficients,
     leading_ties,
@@ -39,10 +40,11 @@ from .errors import (
     SupportError,
 )
 from .families import amplitude_damping, depolarizing, phase_damping
-from .fidelity import average_fidelity_closed, average_fidelity_quadrature
+from .fidelity import QUADRATURE_NODES, average_fidelity_closed, average_fidelity_quadrature
 from .fileio import load_channel, load_coefficient_rows
 from .fock import hs_norm
 from .subspaces import Subspace, fixed_point_space, invariant_hull_check
+from .tolerances import FIXED_POINT_TOL
 
 DEFAULT_DIM = 32
 
@@ -188,8 +190,8 @@ def _cmd_fidelity(args) -> int:
     closed = average_fidelity_closed(ch, enc)
     print(f"average fidelity (closed form): {_fmt(closed.value)}")
     if args.quadrature:
-        n_theta = 16 if args.n_theta is None else args.n_theta
-        n_phi = 16 if args.n_phi is None else args.n_phi
+        n_theta = QUADRATURE_NODES if args.n_theta is None else args.n_theta
+        n_phi = QUADRATURE_NODES if args.n_phi is None else args.n_phi
         quad = average_fidelity_quadrature(ch, enc, n_theta, n_phi)
         print(f"average fidelity (quadrature):  {_fmt(quad.value)}")
         print(f"cross-check gap: {abs(closed.value - quad.value):.3e}")
@@ -215,7 +217,7 @@ def _cmd_hull_check(args) -> int:
 
 def _cmd_fixed_points(args) -> int:
     ch = _build_channel(args)
-    tol = 1e-8 if args.tol is None else args.tol
+    tol = FIXED_POINT_TOL if args.tol is None else args.tol
     members = fixed_point_space(ch, tol=tol)
     print(_channel_summary(ch))
     print(f"fixed-operator subspace dimension: {len(members)} (tol {tol:.0e})")
@@ -238,7 +240,7 @@ def _cmd_optimize(args) -> int:
     seed = args.seed
     if seed is None and os.environ.get("SUBCHAN_SEED"):
         seed = int(os.environ["SUBCHAN_SEED"])
-    restarts = 20 if args.restarts is None else args.restarts
+    restarts = DEFAULT_RESTARTS if args.restarts is None else args.restarts
     result = optimize_encoding(ch, levels, restarts=restarts, seed=seed)
     print(_channel_summary(ch))
     print(f"levels: {','.join(map(str, levels))}  restarts: {result.restarts_run}  "
@@ -298,8 +300,7 @@ def _write_sweep_csv(path: str, rows) -> None:
 
 def _cmd_verify(args) -> int:
     ch = _build_channel(args)
-    block = ch.dim if args.block is None else args.block
-    report = verify_channel(ch, block)
+    report = verify_channel(ch, args.block)
     print(_channel_summary(ch))
     print(f"block: {report.block}  samples: {report.samples}  seed: {report.seed}")
     print(f"trace-preservation defect: {report.tp_defect:.3e} "

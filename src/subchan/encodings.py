@@ -6,10 +6,7 @@ n - 1 hyperspherical angles. The second is a unit vector orthogonal to e_0
 (n - 2 more angles) carried onto the complement of u by the Householder
 reflection that maps e_0 to -sign(u_0) u, so every parameter vector is a
 feasible encoding: 2n - 3 parameters, with no penalty and no projection.
-All-zero parameters give span{|0>, |1>} on the first two levels. Relative
-phases are off by default (the amplitude-damping objective is invariant
-under them); enabling them multiplies both frames by diag(1, e^{i phi_1},
-..., e^{i phi_{n-1}}), which keeps them orthonormal, at 3n - 4 parameters.
+All-zero parameters give span{|0>, |1>} on the first two levels.
 """
 
 from __future__ import annotations
@@ -27,7 +24,10 @@ from .fidelity import (
     level_process_tensor,
 )
 from .subspaces import Subspace
-from .tolerances import SPECTRAL_TOL
+from .tolerances import SPECTRAL_TOL, TIE_TOL
+
+# Nelder-Mead starts of optimize_encoding unless the caller asks for others.
+DEFAULT_RESTARTS = 20
 
 # Simplex search defaults, frozen here.
 INITIAL_SIMPLEX_SCALE = 0.3  # radians added per vertex
@@ -105,42 +105,35 @@ def hypersphere_point(angles: np.ndarray) -> np.ndarray:
     return vec
 
 
-def n_ansatz_params(n_levels: int, allow_phases: bool = False) -> int:
-    base = 2 * n_levels - 3
-    return base + (n_levels - 1 if allow_phases else 0)
+def n_ansatz_params(n_levels: int) -> int:
+    return 2 * n_levels - 3
 
 
-def _frames(params: np.ndarray, n: int, allow_phases: bool) -> np.ndarray:
+def _frames(params: np.ndarray, n: int) -> np.ndarray:
     """Orthonormal (2, n) frame pair for a parameter vector.
 
     u comes from the first n - 1 angles. The Householder reflection
     H_u = I - 2 w w^T / (w^T w), w = u + sign(u_0) e_0, maps e_0 to -sign(u_0) u,
     so it carries the unit vectors orthogonal to e_0 (the next n - 2 angles)
-    onto the complement of u; w^T w >= 2 keeps it well defined. Optional
-    phases multiply both frames by the unitary diag(1, e^{i phi_1}, ...).
+    onto the complement of u; w^T w >= 2 keeps it well defined.
     """
     u = hypersphere_point(params[: n - 1])
     x = np.concatenate([[0.0], hypersphere_point(params[n - 1 : 2 * n - 3])])
     w = u.copy()
     w[0] += np.copysign(1.0, u[0])
-    frames = np.stack([u, x - (2.0 * (w @ x) / (w @ w)) * w]).astype(complex)
-    if allow_phases:
-        frames *= np.exp(1j * np.concatenate([[0.0], params[2 * n - 3 :]]))
-    return frames
+    return np.stack([u, x - (2.0 * (w @ x) / (w @ w)) * w]).astype(complex)
 
 
-def realize_encoding(levels, params, dim: int, allow_phases: bool = False) -> Subspace:
+def realize_encoding(levels, params, dim: int) -> Subspace:
     """The orthonormal encoding a parameter vector places on ``levels``."""
     levels = tuple(levels)
     n = len(levels)
     if any(not 0 <= level < dim for level in levels):
         raise ValueError(f"levels {levels} outside [0, {dim})")
     params = np.asarray(params, dtype=float)
-    if params.size != n_ansatz_params(n, allow_phases):
-        raise ValueError(
-            f"expected {n_ansatz_params(n, allow_phases)} parameters, got {params.size}"
-        )
-    frames = _frames(params, n, allow_phases)
+    if params.size != n_ansatz_params(n):
+        raise ValueError(f"expected {n_ansatz_params(n)} parameters, got {params.size}")
+    frames = _frames(params, n)
     basis = np.zeros((2, dim), dtype=complex)
     for col, level in enumerate(levels):
         basis[:, level] = frames[:, col]
@@ -160,10 +153,8 @@ class OptimizationResult:
 def optimize_encoding(
     ch: KrausChannel,
     levels,
-    restarts: int = 20,
+    restarts: int = DEFAULT_RESTARTS,
     seed: int | None = None,
-    *,
-    allow_phases: bool = False,
 ) -> OptimizationResult:
     """Multi-start Nelder-Mead maximization of the average fidelity.
 
@@ -181,14 +172,14 @@ def optimize_encoding(
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
 
-    n_params = n_ansatz_params(len(levels), allow_phases)
+    n_params = n_ansatz_params(len(levels))
     rng = np.random.default_rng(seed)
     # The channel is linear, so its action on the level block can be frozen
     # into a small tensor once and every candidate scored by contraction.
     process = level_process_tensor(ch, levels)
 
     def objective(p: np.ndarray) -> float:
-        return -average_fidelity_from_frames(process, _frames(p, len(levels), allow_phases))
+        return -average_fidelity_from_frames(process, _frames(p, len(levels)))
 
     best_value, best_params, best_encoding = -np.inf, None, None
     history = []
@@ -207,7 +198,7 @@ def optimize_encoding(
                 "initial_simplex": simplex,
             },
         )
-        encoding = realize_encoding(levels, result.x, ch.dim, allow_phases)
+        encoding = realize_encoding(levels, result.x, ch.dim)
         value = average_fidelity_closed(ch, encoding).value
         history.append((np.array(result.x), value))
         if value > best_value:
@@ -249,9 +240,9 @@ def contiguous_pair_sweep(ch: KrausChannel, max_level: int) -> list[PairFidelity
     return sorted(rows, key=lambda r: (-r.value, r.k, r.s))
 
 
-def leading_ties(rows: list[PairFidelity], tol: float = 1e-9) -> list[PairFidelity]:
-    """All rows within ``tol`` of the best one (degenerate optima surface here)."""
+def leading_ties(rows: list[PairFidelity]) -> list[PairFidelity]:
+    """All rows within TIE_TOL of the best one (degenerate optima surface here)."""
     if not rows:
         return []
     top = rows[0].value
-    return [r for r in rows if top - r.value <= tol]
+    return [r for r in rows if top - r.value <= TIE_TOL]

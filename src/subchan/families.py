@@ -49,12 +49,12 @@ def identity_channel(dim: int) -> KrausChannel:
 # ---------------------------------------------------------------------------
 
 
-def phase_damping_terms(eta: float, dim: int, tail: float = KRAUS_TAIL_TARGET) -> int:
-    """Number of Kraus terms keeping every diagonal's Poisson tail below ``tail``."""
+def phase_damping_terms(eta: float, dim: int) -> int:
+    """Number of Kraus terms keeping every diagonal's Poisson tail below KRAUS_TAIL_TARGET."""
     lam = -2.0 * (dim - 1) ** 2 * np.log(eta)
     if lam <= 0:
         return 1
-    return int(poisson.isf(tail, lam)) + 1
+    return int(poisson.isf(KRAUS_TAIL_TARGET, lam)) + 1
 
 
 def phase_damping(
@@ -181,30 +181,24 @@ def depolarizing(p: float, dim: int) -> KrausChannel:
 # ---------------------------------------------------------------------------
 
 
-def coherent_action_closed(
-    eta: float,
-    alpha: complex,
-    beta: complex,
-    dim: int,
-    deficit_tol: float = COHERENT_DEFICIT_TOL,
-) -> np.ndarray:
+def coherent_action_closed(eta: float, alpha: complex, beta: complex, dim: int) -> np.ndarray:
     """Amplitude-damping action on |alpha><beta| built from coherent states.
 
     Returns |sqrt(eta) alpha><sqrt(eta) beta| scaled by
     exp[(1-eta)(-(|alpha|^2 + |beta|^2)/2 + alpha conj(beta))], using
     dim-level truncations of the output coherent states. Requires both input
-    truncation deficits to sit below ``deficit_tol``.
+    truncation deficits to sit below COHERENT_DEFICIT_TOL.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"amplitude damping requires 0 <= eta <= 1, got {eta}")
     alpha, beta = complex(alpha), complex(beta)
     for label, z in (("alpha", alpha), ("beta", beta)):
         _, deficit = coherent_state(z, dim)
-        if deficit > deficit_tol:
-            required = _dim_for_deficit(z, deficit_tol)
+        if deficit > COHERENT_DEFICIT_TOL:
+            required = _dim_for_deficit(z, COHERENT_DEFICIT_TOL)
             raise PrecisionLossError(
                 f"coherent state {label}={z} has truncation deficit {deficit:.3e} "
-                f"at dim={dim}; need dim >= {required} for {deficit_tol:.0e}",
+                f"at dim={dim}; need dim >= {required} for {COHERENT_DEFICIT_TOL:.0e}",
                 required_dim=required,
             )
     root = np.sqrt(eta)

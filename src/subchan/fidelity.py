@@ -16,13 +16,14 @@ Its uniform average over the Bloch sphere is computed two independent ways:
 
 * quadrature: Gauss-Legendre in u = cos(theta) crossed with a uniform
   periodic rule in phi. The integrand has degree <= 2 in u and harmonics
-  |m| <= 2 in phi, so the 16 x 16 default integrates it exactly up to
-  roundoff, making this an independent oracle for the contraction weights.
+  |m| <= 2 in phi, so the QUADRATURE_NODES x QUADRATURE_NODES default
+  (16 x 16) integrates it exactly up to roundoff, making this an independent
+  oracle for the contraction weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -33,21 +34,8 @@ from .fock import log_binomial, outer
 from .subspaces import Subspace
 from .tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
 
-
-@dataclass(frozen=True)
-class EncodedQubit:
-    """A qubit subspace plus Bloch angles selecting one pure state on it."""
-
-    subspace: Subspace
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if self.subspace.d != 2:
-            raise ValueError(f"encoded qubit needs a d=2 subspace, got d={self.subspace.d}")
-
-    def state_vector(self) -> np.ndarray:
-        return bloch_state(self.subspace, self.theta, self.phi)
+# Default quadrature nodes per Bloch angle.
+QUADRATURE_NODES = 16
 
 
 def bloch_state(subspace: Subspace, theta: float, phi: float) -> np.ndarray:
@@ -58,13 +46,13 @@ def bloch_state(subspace: Subspace, theta: float, phi: float) -> np.ndarray:
     return np.cos(theta / 2) * b0 + np.exp(1j * phi) * np.sin(theta / 2) * b1
 
 
-def pure_fidelity(ch: KrausChannel, qubit: EncodedQubit) -> float:
-    """<psi|Phi(|psi><psi|)|psi> for the encoded pure state."""
-    if ch.dim != qubit.subspace.dim:
+def pure_fidelity(ch: KrausChannel, subspace: Subspace, theta: float, phi: float) -> float:
+    """<psi|Phi(|psi><psi|)|psi> for psi = bloch_state(subspace, theta, phi)."""
+    if ch.dim != subspace.dim:
         raise DimensionMismatchError(
-            f"channel dim {ch.dim} does not match encoding dim {qubit.subspace.dim}"
+            f"channel dim {ch.dim} does not match encoding dim {subspace.dim}"
         )
-    psi = qubit.state_vector()
+    psi = bloch_state(subspace, theta, phi)
     out = apply_channel(ch, outer(psi, psi))
     val = complex(np.conj(psi) @ out @ psi)
     if abs(val.imag) > STRUCTURAL_TOL:
@@ -72,10 +60,10 @@ def pure_fidelity(ch: KrausChannel, qubit: EncodedQubit) -> float:
     return _clip_unit(val.real)
 
 
-def _clip_unit(value: float, slack: float = SPECTRAL_TOL) -> float:
-    if -slack <= value < 0.0:
+def _clip_unit(value: float) -> float:
+    if -SPECTRAL_TOL <= value < 0.0:
         return 0.0
-    if 1.0 < value <= 1.0 + slack:
+    if 1.0 < value <= 1.0 + SPECTRAL_TOL:
         return 1.0
     return value
 
@@ -112,6 +100,16 @@ def _report(ch: KrausChannel, subspace: Subspace, value: float, method: str) -> 
     )
 
 
+def _process_tensor(ch: KrausChannel, basis: np.ndarray) -> np.ndarray:
+    """T[i,j,k,l] = <b_k|Phi(|b_i><b_j|)|b_l> over the rows b of ``basis``."""
+    d = basis.shape[0]
+    t = np.zeros((d, d, d, d), dtype=complex)
+    for i, j in product(range(d), repeat=2):
+        image = apply_channel(ch, outer(basis[i], basis[j]))
+        t[i, j] = basis.conj() @ image @ basis.T
+    return t
+
+
 def fidelity_tensor(ch: KrausChannel, subspace: Subspace) -> np.ndarray:
     """T[i,j,k,l] = <psi_k|Phi(|psi_i><psi_j|)|psi_l> for the 2-frame basis."""
     if ch.dim != subspace.dim:
@@ -120,12 +118,7 @@ def fidelity_tensor(ch: KrausChannel, subspace: Subspace) -> np.ndarray:
         )
     if subspace.d != 2:
         raise ValueError(f"need a d=2 subspace, got d={subspace.d}")
-    b = subspace.basis
-    t = np.zeros((2, 2, 2, 2), dtype=complex)
-    for i, j in product(range(2), repeat=2):
-        image = apply_channel(ch, outer(b[i], b[j]))
-        t[i, j] = b.conj() @ image @ b.T
-    return t
+    return _process_tensor(ch, subspace.basis)
 
 
 def contract_bloch_moments(t: np.ndarray) -> float:
@@ -148,16 +141,7 @@ def level_process_tensor(ch: KrausChannel, levels) -> np.ndarray:
     levels = list(levels)
     if max(levels) >= ch.dim:
         raise DimensionMismatchError(f"level {max(levels)} outside channel dim {ch.dim}")
-    n = len(levels)
-    g = np.zeros((n, n, n, n), dtype=complex)
-    basis = np.zeros((ch.dim, ch.dim), dtype=complex)
-    for a, la in enumerate(levels):
-        for b, lb in enumerate(levels):
-            basis[la, lb] = 1.0
-            image = apply_channel(ch, basis)
-            basis[la, lb] = 0.0
-            g[a, b] = image[np.ix_(levels, levels)]
-    return g
+    return _process_tensor(ch, np.eye(ch.dim, dtype=complex)[levels])
 
 
 def average_fidelity_from_frames(g: np.ndarray, frames: np.ndarray) -> float:
@@ -177,8 +161,8 @@ def average_fidelity_closed(ch: KrausChannel, subspace: Subspace) -> FidelityRep
 def average_fidelity_quadrature(
     ch: KrausChannel,
     subspace: Subspace,
-    n_theta: int = 16,
-    n_phi: int = 16,
+    n_theta: int = QUADRATURE_NODES,
+    n_phi: int = QUADRATURE_NODES,
 ) -> FidelityReport:
     """Bloch average by Gauss-Legendre (in cos theta) x periodic-uniform (in phi).
 
@@ -204,42 +188,11 @@ def average_fidelity_quadrature(
     return _report(ch, subspace, _clip_unit(total / (2 * n_phi)), "quadrature")
 
 
-def cross_checked_fidelity(
-    ch: KrausChannel,
-    subspace: Subspace,
-    n_theta: int = 16,
-    n_phi: int = 16,
-) -> FidelityReport:
-    """Closed-form average with the quadrature gap recorded on the report."""
+def cross_checked_fidelity(ch: KrausChannel, subspace: Subspace) -> FidelityReport:
+    """Closed-form average with the default quadrature's gap recorded on the report."""
     closed = average_fidelity_closed(ch, subspace)
-    quad = average_fidelity_quadrature(ch, subspace, n_theta, n_phi)
-    gap = abs(closed.value - quad.value)
-    return FidelityReport(
-        value=closed.value,
-        method="closed-form",
-        channel_family=closed.channel_family,
-        eta=closed.eta,
-        dim=closed.dim,
-        kraus_terms=closed.kraus_terms,
-        channel_tp_defect=closed.channel_tp_defect,
-        encoding=closed.encoding,
-        cross_check_gap=gap,
-    )
-
-
-def reference_formula(family: str, **params) -> float:
-    """Known closed-form averages, kept solely as independent test oracles.
-
-    ``phase-damping`` with (eta, k, s): 2/3 + eta^((k-s)^2) / 3.
-    ``amplitude-damping-01`` with eta (levels 0, 1): 1/2 + eta/6 + sqrt(eta)/3.
-    """
-    if family == "phase-damping":
-        eta, k, s = params["eta"], params["k"], params["s"]
-        return 2.0 / 3.0 + eta ** ((k - s) ** 2) / 3.0
-    if family == "amplitude-damping-01":
-        eta = params["eta"]
-        return 0.5 + eta / 6.0 + np.sqrt(eta) / 3.0
-    raise ValueError(f"unknown reference family {family!r}")
+    quad = average_fidelity_quadrature(ch, subspace)
+    return replace(closed, cross_check_gap=abs(closed.value - quad.value))
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ def norm_defect(vec: np.ndarray) -> float:
     return abs(float(np.sum(np.abs(np.asarray(vec)) ** 2)) - 1.0)
 
 
-def is_normalized(vec: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    return norm_defect(vec) <= tol
+def is_normalized(vec: np.ndarray) -> bool:
+    return norm_defect(vec) <= STRUCTURAL_TOL
 
 
 def hermiticity_defect(op: np.ndarray) -> float:
@@ -96,24 +96,20 @@ def hermiticity_defect(op: np.ndarray) -> float:
     return float(np.max(np.abs(op - op.conj().T))) if op.size else 0.0
 
 
-def is_hermitian(op: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    return hermiticity_defect(op) <= tol
+def is_hermitian(op: np.ndarray) -> bool:
+    return hermiticity_defect(op) <= STRUCTURAL_TOL
 
 
-def is_density_matrix(
-    op: np.ndarray,
-    herm_tol: float = STRUCTURAL_TOL,
-    eig_tol: float = SPECTRAL_TOL,
-    trace_tol: float = SPECTRAL_TOL,
-) -> bool:
-    """Hermitian, positive semidefinite (min eigenvalue >= -eig_tol), unit trace."""
+def is_density_matrix(op: np.ndarray) -> bool:
+    """Hermitian to STRUCTURAL_TOL; unit trace and no eigenvalue below 0, to SPECTRAL_TOL."""
     op = np.asarray(op)
-    if hermiticity_defect(op) > herm_tol:
+    if hermiticity_defect(op) > STRUCTURAL_TOL:
         return False
-    if abs(float(np.trace(op).real) - 1.0) > trace_tol or abs(float(np.trace(op).imag)) > trace_tol:
+    trace = complex(np.trace(op))
+    if abs(trace.real - 1.0) > SPECTRAL_TOL or abs(trace.imag) > SPECTRAL_TOL:
         return False
     min_eig = float(np.linalg.eigvalsh((op + op.conj().T) / 2).min())
-    return min_eig >= -eig_tol
+    return min_eig >= -SPECTRAL_TOL
 
 
 def operator_norm(op: np.ndarray) -> float:
@@ -131,12 +127,9 @@ def hs_norm(op: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def random_density_matrix(
-    dim: int, rng: np.random.Generator, rank: int | None = None
-) -> np.ndarray:
-    """Random mixed state from a Ginibre factor G: rho = G G^dag / tr."""
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank mixed state from a square Ginibre factor G: rho = G G^dag / tr."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

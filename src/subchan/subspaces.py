@@ -28,7 +28,13 @@ import numpy as np
 from .channels import KrausChannel, adjoint_apply, apply_channel, superoperator_of
 from .errors import DimensionMismatchError, SupportError
 from .fock import coherent_state, fock_state, hs_norm, operator_norm, outer
-from .tolerances import FIXED_POINT_TOL, HULL_TOL, SPECTRAL_TOL, UNITALITY_TOL
+from .tolerances import (
+    FIXED_POINT_TOL,
+    HULL_TOL,
+    HULL_TP_PRECONDITION,
+    SPECTRAL_TOL,
+    UNITALITY_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -67,11 +73,6 @@ class Subspace:
             raise ValueError(f"levels must be distinct, got {levels}")
         basis = np.stack([fock_state(k, dim) for k in levels])
         return cls(dim=dim, basis=basis, label="levels " + ",".join(map(str, levels)))
-
-    @classmethod
-    def from_vectors(cls, vectors, dim: int, label: str = "custom") -> "Subspace":
-        return cls(dim=dim, basis=np.stack([np.asarray(v, dtype=complex) for v in vectors]),
-                   label=label)
 
 
 def cat_state_subspace(alpha: complex, dim: int) -> Subspace:
@@ -113,12 +114,12 @@ def subspace_overlap(a: Subspace, b: Subspace) -> float:
 
 @dataclass(frozen=True)
 class RestrictedChannel:
-    """Handle for x -> P Phi(x) P on inputs supported on K."""
+    """Handle for x -> P Phi(x) P on inputs supported on K (to SPECTRAL_TOL)."""
 
     channel: KrausChannel
     subspace: Subspace
 
-    def apply(self, x: np.ndarray, support_tol: float = SPECTRAL_TOL) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.channel.dim, self.channel.dim):
             raise DimensionMismatchError(
@@ -127,9 +128,9 @@ class RestrictedChannel:
         p = projector(self.subspace)
         comp = np.eye(self.channel.dim) - p
         off = operator_norm(comp @ x @ comp)
-        if off > support_tol:
+        if off > SPECTRAL_TOL:
             raise SupportError(
-                f"input has weight {off:.3e} outside the subspace (tol {support_tol:.0e})"
+                f"input has weight {off:.3e} outside the subspace (tol {SPECTRAL_TOL:.0e})"
             )
         return p @ apply_channel(self.channel, x) @ p
 
@@ -164,9 +165,8 @@ class UnitalityReport:
     is_unital: bool
 
 
-def unitality_check(
-    ch: KrausChannel, subspace: Subspace, tol: float = UNITALITY_TOL
-) -> UnitalityReport:
+def unitality_check(ch: KrausChannel, subspace: Subspace) -> UnitalityReport:
+    """Both defects of the restriction to ``subspace``, judged at UNITALITY_TOL."""
     if ch.dim != subspace.dim:
         raise DimensionMismatchError(
             f"channel dim {ch.dim} does not match subspace ambient dim {subspace.dim}"
@@ -176,9 +176,9 @@ def unitality_check(
     unital_defect = operator_norm(p @ apply_channel(ch, p) @ p - p)
     return UnitalityReport(
         trace_defect=trace_defect,
-        is_trace_preserving=trace_defect <= tol,
+        is_trace_preserving=trace_defect <= UNITALITY_TOL,
         unital_defect=unital_defect,
-        is_unital=unital_defect <= tol,
+        is_unital=unital_defect <= UNITALITY_TOL,
     )
 
 
@@ -208,26 +208,21 @@ class HullReport:
     channel_tp_defect: float
 
 
-def invariant_hull_check(
-    ch: KrausChannel,
-    subspace: Subspace,
-    leak_tol: float = HULL_TOL,
-    tp_precondition: float = 1e-8,
-) -> HullReport:
-    """Probe all d^2 basis operators of K's operator span for leakage.
+def invariant_hull_check(ch: KrausChannel, subspace: Subspace) -> HullReport:
+    """Probe all d^2 basis operators of K's operator span for leakage above HULL_TOL.
 
     Requires the channel's own trace-preservation defect to sit below
-    ``tp_precondition``; a leakier truncation would make any verdict
+    HULL_TP_PRECONDITION; a leakier truncation would make any verdict
     meaningless.
     """
     if ch.dim != subspace.dim:
         raise DimensionMismatchError(
             f"channel dim {ch.dim} does not match subspace ambient dim {subspace.dim}"
         )
-    if ch.tp_defect > tp_precondition:
+    if ch.tp_defect > HULL_TP_PRECONDITION:
         raise ValueError(
             f"channel trace-preservation defect {ch.tp_defect:.3e} exceeds "
-            f"{tp_precondition:.0e}; increase the Kraus truncation"
+            f"{HULL_TP_PRECONDITION:.0e}; increase the Kraus truncation"
         )
     p = projector(subspace)
     basis = subspace.basis
@@ -241,7 +236,7 @@ def invariant_hull_check(
             max_hs = max(max_hs, hs_norm(leaked))
     unit = unitality_check(ch, subspace)
     return HullReport(
-        is_invariant_hull=max_op <= leak_tol,
+        is_invariant_hull=max_op <= HULL_TOL,
         max_leakage=max_op,
         max_leakage_hs=max_hs,
         probed_inputs=subspace.d**2,
@@ -265,8 +260,7 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
     eigenvalue matching would be fragile where SVD is not.
     """
     sup = superoperator_of(ch)
-    a = sup.matrix - np.eye(sup.matrix.shape[0])
-    _, svals, vh = np.linalg.svd(a)
+    _, svals, vh = np.linalg.svd(sup - np.eye(sup.shape[0]))
     members = []
     for sigma, row in zip(svals, vh):
         if sigma < tol:

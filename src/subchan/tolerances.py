@@ -2,8 +2,8 @@
 
 Two tiers: identities that hold in exact arithmetic (norms, hermiticity,
 binomial sums) are checked at STRUCTURAL_TOL; anything routed through an
-eigen- or singular-value solver gets the looser SPECTRAL_TOL. Every check
-that uses one of these constants accepts a per-call override.
+eigen- or singular-value solver gets the looser SPECTRAL_TOL. The tiers are
+constants; only ``fixed_point_space(tol)`` takes a cutoff.
 """
 
 # Exact-arithmetic identities (unit norms, hermiticity, closed-form sums).
@@ -14,6 +14,11 @@ SPECTRAL_TOL = 1e-10
 
 # Invariant-hull leakage threshold (operator norm of the out-of-subspace block).
 HULL_TOL = 1e-9
+
+# Largest channel trace-preservation defect at which a hull verdict is given.
+# A truncation that drops more weight than this describes its Kraus tail
+# rather than the channel, so the check asks for a longer truncation instead.
+HULL_TP_PRECONDITION = 1e-8
 
 # Unitality / trace-preservation verdicts for restricted maps.
 UNITALITY_TOL = 1e-9
@@ -32,3 +37,7 @@ KRAUS_TAIL_TARGET = 1e-13
 # Agreement required between the moment-contraction fidelity and the
 # quadrature oracle.
 CROSS_CHECK_TOL = 1e-10
+
+# Pair fidelities this close to the best one are reported as tied with it
+# (degenerate optima), a margin well above the closed form's roundoff.
+TIE_TOL = 1e-9

@@ -1,7 +1,9 @@
-"""Dense Kraus-sum references, one operator at a time, for checking the band form.
+"""Independent references the tests compare the library against.
 
-They read nothing but a (terms, dim, dim) stack, so they share no code with
-the band path in ``subchan.channels``.
+The dense Kraus sums, one operator at a time, check the band form: they read
+nothing but a (terms, dim, dim) stack, so they share no code with the band
+path in ``subchan.channels``. ``reference_formula`` holds known closed-form
+fidelity averages.
 """
 
 import numpy as np
@@ -27,3 +29,18 @@ def dense_tp_defect(ops, block=None):
 def dense_superoperator(ops):
     """sum_i conj(E_i) kron E_i, the column-stacking superoperator."""
     return sum(np.kron(e.conj(), e) for e in ops)
+
+
+def reference_formula(family: str, **params) -> float:
+    """Known closed-form Bloch averages.
+
+    ``phase-damping`` with (eta, k, s): 2/3 + eta^((k-s)^2) / 3.
+    ``amplitude-damping-01`` with eta (levels 0, 1): 1/2 + eta/6 + sqrt(eta)/3.
+    """
+    if family == "phase-damping":
+        eta, k, s = params["eta"], params["k"], params["s"]
+        return 2.0 / 3.0 + eta ** ((k - s) ** 2) / 3.0
+    if family == "amplitude-damping-01":
+        eta = params["eta"]
+        return 0.5 + eta / 6.0 + np.sqrt(eta) / 3.0
+    raise ValueError(f"unknown reference family {family!r}")

@@ -81,7 +81,7 @@ class TestConstruction:
         x = random_hermitian(2, np.random.default_rng(8)) + 1j * np.eye(2)
         assert np.max(np.abs(apply_channel(ch, x) - dense_apply(ops, x))) < 1e-15
         assert np.max(np.abs(adjoint_apply(ch, x) - dense_adjoint(ops, x))) < 1e-15
-        assert np.max(np.abs(superoperator_of(ch).matrix - dense_superoperator(ops))) < 1e-15
+        assert np.max(np.abs(superoperator_of(ch) - dense_superoperator(ops))) < 1e-15
 
     def test_rejects_inconsistent_bands(self):
         with pytest.raises(ValueError):
@@ -238,22 +238,22 @@ class TestVerify:
 class TestSuperoperator:
     def test_identity(self):
         sup = superoperator_of(identity_channel(4))
-        assert np.max(np.abs(sup.matrix - np.eye(16))) < 1e-15
+        assert np.max(np.abs(sup - np.eye(16))) < 1e-15
 
     def test_phase_damping_diagonal(self):
         eta = 0.4
         sup = superoperator_of(phase_damping(eta, 4))
-        off = sup.matrix - np.diag(np.diag(sup.matrix))
+        off = sup - np.diag(np.diag(sup))
         assert np.max(np.abs(off)) == 0.0
         for k in range(4):
             for s in range(4):
-                entry = sup.matrix[s * 4 + k, s * 4 + k]  # vec index (col s, row k)
+                entry = sup[s * 4 + k, s * 4 + k]  # vec index (col s, row k)
                 assert entry == pytest.approx(eta ** ((k - s) ** 2), abs=1e-10)
 
     def test_amplitude_damping_action(self):
         ch = amplitude_damping(0.5, 3)
         sup = superoperator_of(ch)
-        out = unvec(sup.matrix @ vec(basis_operator(1, 1, 3)), 3)
+        out = unvec(sup @ vec(basis_operator(1, 1, 3)), 3)
         expect = 0.5 * basis_operator(1, 1, 3) + 0.5 * basis_operator(0, 0, 3)
         assert np.max(np.abs(out - expect)) < 1e-14
 
@@ -264,7 +264,7 @@ class TestSuperoperator:
             for _ in range(10):
                 rho = random_density_matrix(5, rng)
                 direct = apply_channel(ch, rho)
-                via_matrix = sup.apply(rho)
+                via_matrix = unvec(sup @ vec(rho), 5)
                 assert np.max(np.abs(direct - via_matrix)) < 1e-10
 
     def test_dim_guard(self):
@@ -357,7 +357,7 @@ class TestRandomChannels:
     def test_superoperator_matches_kron_sum(self, case):
         ops, _ = case
         sup = superoperator_of(KrausChannel(ops))
-        assert np.max(np.abs(sup.matrix - dense_superoperator(ops))) < 1e-12
+        assert np.max(np.abs(sup - dense_superoperator(ops))) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(random_channels().filter(lambda case: case[1]))

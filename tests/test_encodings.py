@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kraus_reference import reference_formula
 from subchan.encodings import (
     contiguous_pair_sweep,
     encoding_from_coefficients,
@@ -14,7 +15,7 @@ from subchan.encodings import (
 )
 from subchan.errors import ConstraintError
 from subchan.families import amplitude_damping, phase_damping
-from subchan.fidelity import average_fidelity_closed, average_fidelity_quadrature, reference_formula
+from subchan.fidelity import average_fidelity_closed, average_fidelity_quadrature
 from subchan.subspaces import Subspace, subspace_overlap
 
 
@@ -93,21 +94,17 @@ class TestRealizeEncoding:
             realize_encoding([0, 1, 2], [0.1, 0.2], dim=8)
 
     def test_phases_add_params(self):
-        assert n_ansatz_params(3, allow_phases=False) == 3
-        assert n_ansatz_params(3, allow_phases=True) == 5
-        params = np.array([1.2, 0.4, 0.9, 2.0, 0.3])
-        sub = realize_encoding([0, 1, 2], params, dim=6, allow_phases=True)
-        assert abs(np.vdot(sub.basis[0], sub.basis[1])) < 1e-10
+        assert n_ansatz_params(3) == 3
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=2, max_value=6), st.booleans(), st.data())
-    def test_frames_orthonormal_for_any_parameters(self, n, phases, data):
+    @given(st.integers(min_value=2, max_value=6), st.data())
+    def test_frames_orthonormal_for_any_parameters(self, n, data):
         # Angles next to pi put u next to -e_0, where the sign in w matters.
         angle = (st.floats(min_value=-1e3, max_value=1e3)
                  | st.floats(min_value=np.pi - 1e-6, max_value=np.pi + 1e-6))
-        size = n_ansatz_params(n, phases)
+        size = n_ansatz_params(n)
         params = data.draw(st.lists(angle, min_size=size, max_size=size))
-        b = realize_encoding(range(n), params, dim=8, allow_phases=phases).basis
+        b = realize_encoding(range(n), params, dim=8).basis
         assert np.max(np.abs(b @ b.conj().T - np.eye(2))) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 7))
