@@ -27,9 +27,10 @@ the dense path of batched matrix products.
 
 The dense (terms, dim, dim) stack of a band channel is built only when asked
 for (``kraus_ops``, used by ``save_channel``) and lists the operators the
-bands came from in band order: ascending offset, then row. Its size is estimated first: above MAX_KRAUS_BYTES, the
-byte size of the largest superoperator ``superoperator_of`` builds, it
-raises ResourceLimitError without allocating.
+bands came from in band order: ascending offset, then row. Its size is
+estimated first: above MAX_KRAUS_BYTES, the byte size of the largest
+superoperator ``superoperator_of`` builds, it raises ResourceLimitError
+without allocating.
 """
 
 from __future__ import annotations

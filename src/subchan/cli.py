@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel, verify_channel
+from .channels import MAX_SUPEROPERATOR_DIM, KrausChannel, apply_channel, verify_channel
 from .encodings import (
     DEFAULT_RESTARTS,
     contiguous_pair_sweep,
@@ -356,7 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_hull.add_argument("--encoding-file", default=None)
     p_hull.set_defaults(func=_cmd_hull_check)
 
-    p_fix = sub.add_parser("fixed-points", help="basis of the fixed-operator subspace")
+    p_fix = sub.add_parser(
+        "fixed-points", help="basis of the fixed-operator subspace",
+        description="Basis of {x : Phi(x) = x}. Band channels (pd, ad, dep, and "
+                    "custom channels whose operators each sit on one diagonal) "
+                    "take one SVD per coherence order and run to dim 256; other "
+                    "channels take the SVD of the dense superoperator, up to "
+                    f"dim {MAX_SUPEROPERATOR_DIM}.",
+    )
     _add_channel_flags(p_fix)
     p_fix.add_argument("--tol", type=float, default=None,
                        help="singular-value cutoff (default 1e-8)")

@@ -13,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-from .tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
-
 
 def fock_state(k: int, dim: int) -> np.ndarray:
     """Unit vector for the number state |k> on a dim-level truncation."""
@@ -81,35 +79,10 @@ def log_binomial(k: int, i: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def norm_defect(vec: np.ndarray) -> float:
-    """|sum_k |v_k|^2 - 1| for a would-be unit vector."""
-    return abs(float(np.sum(np.abs(np.asarray(vec)) ** 2)) - 1.0)
-
-
-def is_normalized(vec: np.ndarray) -> bool:
-    return norm_defect(vec) <= STRUCTURAL_TOL
-
-
 def hermiticity_defect(op: np.ndarray) -> float:
     """max |op[k, s] - conj(op[s, k])|."""
     op = np.asarray(op)
     return float(np.max(np.abs(op - op.conj().T))) if op.size else 0.0
-
-
-def is_hermitian(op: np.ndarray) -> bool:
-    return hermiticity_defect(op) <= STRUCTURAL_TOL
-
-
-def is_density_matrix(op: np.ndarray) -> bool:
-    """Hermitian to STRUCTURAL_TOL; unit trace and no eigenvalue below 0, to SPECTRAL_TOL."""
-    op = np.asarray(op)
-    if hermiticity_defect(op) > STRUCTURAL_TOL:
-        return False
-    trace = complex(np.trace(op))
-    if abs(trace.real - 1.0) > SPECTRAL_TOL or abs(trace.imag) > SPECTRAL_TOL:
-        return False
-    min_eig = float(np.linalg.eigvalsh((op + op.conj().T) / 2).min())
-    return min_eig >= -SPECTRAL_TOL
 
 
 def operator_norm(op: np.ndarray) -> float:

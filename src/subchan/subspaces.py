@@ -25,8 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, adjoint_apply, apply_channel, superoperator_of
-from .errors import DimensionMismatchError, SupportError
+from .channels import (
+    COMPLEX_BYTES,
+    MAX_KRAUS_BYTES,
+    KrausChannel,
+    adjoint_apply,
+    apply_channel,
+    superoperator_of,
+)
+from .errors import DimensionMismatchError, ResourceLimitError, SupportError
 from .fock import coherent_state, fock_state, hs_norm, operator_norm, outer
 from .tolerances import (
     FIXED_POINT_TOL,
@@ -252,17 +259,73 @@ def invariant_hull_check(ch: KrausChannel, subspace: Subspace) -> HullReport:
 # ---------------------------------------------------------------------------
 
 
+def _coherence_blocks(ch: KrausChannel):
+    """Yield (q, B_q) for q = 1-dim, ..., dim-1: a band channel on coherence order q.
+
+    A band channel maps the entries x[a, a+q] of diagonal q among themselves:
+    output (a, a+q) reads input (a+o, a+q+o) with weight M_o[a, a+q]. So its
+    superoperator is block diagonal, and block q, of size dim - |q| on the
+    entries of diagonal q by ascending row, has B_q[a, a+o] = M_o[a, a+q]:
+    its diagonal o is diagonal q of M_o. One block is built per step.
+    """
+    n = ch.dim
+    products = ch._band_products
+    dtype = np.result_type(*(m for *_, m in products))
+    for q in range(1 - n, n):
+        size = n - abs(q)
+        block = np.zeros((size, size), dtype=dtype)
+        flat = block.reshape(-1)
+        for rows, cols, m in products:
+            offset = cols.start - rows.start
+            if abs(offset) < size:
+                start = offset if offset >= 0 else -offset * size
+                values = np.diagonal(m, q)
+                flat[start:start + values.size * (size + 1):size + 1] = values
+        yield q, block
+
+
 def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np.ndarray]:
     """Orthonormal (Hilbert-Schmidt) basis of {x : Phi(x) = x}.
 
     Extracted as the right null space of (superoperator - identity) by
-    singular-value thresholding; the superoperator is non-normal, so
-    eigenvalue matching would be fragile where SVD is not.
+    singular-value thresholding (sigma < tol); the superoperator is
+    non-normal, so eigenvalue matching would be fragile where SVD is not.
+
+    A band channel (``ch.bands`` set, every built-in family) commutes with
+    exp(i theta n), so its superoperator splits into 2*dim - 1 coherence-order
+    blocks B_q[a, a+o] = M_o[a, a+q] of size dim - |q|. Each block gets its
+    own SVD, and each null vector is written onto diagonal q of a member:
+    O(dim^4) time and O(dim^2) memory per block. Members come in ascending
+    q, then ascending singular value. Before they are allocated, their
+    count * dim^2 complex entries are checked against MAX_KRAUS_BYTES
+    (ResourceLimitError above it). Other channels take the SVD of the dense
+    dim^2 x dim^2 ``superoperator_of``, so they are limited to
+    dim <= MAX_SUPEROPERATOR_DIM; their members come in descending
+    singular value.
     """
-    sup = superoperator_of(ch)
-    _, svals, vh = np.linalg.svd(sup - np.eye(sup.shape[0]))
-    members = []
-    for sigma, row in zip(svals, vh):
-        if sigma < tol:
-            members.append(row.conj().reshape((ch.dim, ch.dim), order="F"))
-    return members
+    if ch.bands is None:
+        sup = superoperator_of(ch)
+        _, svals, vh = np.linalg.svd(sup - np.eye(sup.shape[0]))
+        return [row.conj().reshape((ch.dim, ch.dim), order="F")
+                for sigma, row in zip(svals, vh) if sigma < tol]
+    found = []
+    for q, block in _coherence_blocks(ch):
+        block.reshape(-1)[::block.shape[0] + 1] -= 1.0
+        _, svals, vh = np.linalg.svd(block)
+        found.append((q, vh[svals < tol][::-1].conj()))
+    n = ch.dim
+    count = sum(len(null) for _, null in found)
+    nbytes = count * n * n * COMPLEX_BYTES
+    if nbytes > MAX_KRAUS_BYTES:
+        raise ResourceLimitError(
+            f"{count} fixed points need {count} x {n}^2 complex entries "
+            f"({nbytes / 1e9:.2f} GB); limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB. "
+            "Reduce the truncation."
+        )
+    members = np.zeros((count, n, n), dtype=complex)
+    first = 0
+    for q, null in found:
+        rows = np.arange(max(0, -q), n - max(0, q))
+        members[first:first + len(null), rows, rows + q] = null
+        first += len(null)
+    return list(members)

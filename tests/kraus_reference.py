@@ -27,8 +27,30 @@ def dense_tp_defect(ops, block=None):
 
 
 def dense_superoperator(ops):
-    """sum_i conj(E_i) kron E_i, the column-stacking superoperator."""
-    return sum(np.kron(e.conj(), e) for e in ops)
+    """sum_i conj(E_i) kron E_i, the column-stacking superoperator.
+
+    Built by realigning the Choi matrix C = sum_i vec(E_i) vec(E_i)^dag, one
+    product over all terms: C[(c, a), (d, b)] = sum_i E_i[a, c] conj(E_i[b, d])
+    is the coefficient of |a><b| in Phi(|c><d|), which the superoperator holds
+    at row b*dim + a, column d*dim + c.
+    """
+    ops = np.asarray(ops)
+    terms, n, _ = ops.shape
+    v = ops.transpose(0, 2, 1).reshape(terms, n * n)  # row i is vec(E_i)
+    choi = v.T @ v.conj()
+    return choi.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
+
+
+def dense_fixed_points(ops, tol):
+    """Members of {x : Phi(x) = x}: right singular vectors of S - I with sigma < tol.
+
+    S is :func:`dense_superoperator`; the members are returned as dim x dim
+    matrices.
+    """
+    sup = dense_superoperator(ops)
+    n = int(round(np.sqrt(sup.shape[0])))
+    _, svals, vh = np.linalg.svd(sup - np.eye(n * n))
+    return [row.conj().reshape((n, n), order="F") for row in vh[svals < tol]]
 
 
 def reference_formula(family: str, **params) -> float:

@@ -1,5 +1,7 @@
 import pytest
+from scipy.stats import unitary_group
 
+from subchan.channels import KrausChannel
 from subchan.cli import main
 from subchan.families import amplitude_damping
 from subchan.fileio import save_channel
@@ -118,12 +120,23 @@ class TestFixedPointsCommand:
         assert "dimension: 1" in out
         assert "|0><0|" in out
 
-    def test_dim_guard(self, capsys):
+    def test_dim_guard(self, capsys, tmp_path):
+        # A dense dim-65 unitary has no band form, so only the dense
+        # superoperator route can take it, and that route stops at dim 64.
+        path = tmp_path / "unitary.txt"
+        save_channel(KrausChannel(unitary_group.rvs(65, random_state=65)), path)
         code, _, err = run(
-            capsys, "fixed-points", "--channel", "ad", "--eta", "0.3", "--dim", "128",
+            capsys, "fixed-points", "--channel", "custom", "--kraus-file", str(path),
         )
         assert code == 1
         assert "superoperator" in err
+
+    def test_band_channel_above_dense_limit(self, capsys):
+        code, out, _ = run(
+            capsys, "fixed-points", "--channel", "ad", "--eta", "0.3", "--dim", "128",
+        )
+        assert code == 0
+        assert "dimension: 1" in out
 
 
 class TestOptimizeCommand:

@@ -1,12 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from subchan.channels import KrausChannel, apply_channel, verify_channel
+from kraus_reference import dense_fixed_points
+from subchan.channels import (
+    MAX_KRAUS_BYTES,
+    MAX_SUPEROPERATOR_DIM,
+    KrausChannel,
+    apply_channel,
+    superoperator_of,
+    verify_channel,
+)
 from subchan.errors import DimensionMismatchError, ResourceLimitError, SupportError
 from subchan.families import amplitude_damping, depolarizing, identity_channel, phase_damping
 from subchan.fock import basis_operator, fock_state, hs_norm, operator_norm
 from subchan.subspaces import (
     Subspace,
+    _coherence_blocks,
     cat_state_subspace,
     fixed_point_space,
     invariant_hull_check,
@@ -15,6 +25,7 @@ from subchan.subspaces import (
     subspace_overlap,
     unitality_check,
 )
+from subchan.tolerances import FIXED_POINT_TOL
 
 
 def _random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -252,5 +263,144 @@ class TestFixedPoints:
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
 
     def test_dim_guard(self):
-        with pytest.raises(ResourceLimitError):
-            fixed_point_space(amplitude_damping(0.5, 65))
+        # A dense unitary spans every offset, so it has no band form and takes
+        # the dense superoperator route, which stops at MAX_SUPEROPERATOR_DIM.
+        dim = MAX_SUPEROPERATOR_DIM + 1
+        ch = KrausChannel(_random_unitary(dim, np.random.default_rng(65)))
+        assert ch.bands is None
+        with pytest.raises(ResourceLimitError, match="superoperator"):
+            fixed_point_space(ch)
+
+    def test_member_size_guard(self, monkeypatch):
+        # The identity fixes all 65^2 matrix units: 65^4 complex entries, about
+        # 286 MB, refused from the estimate before the members are allocated.
+        dim = MAX_SUPEROPERATOR_DIM + 1
+        assert dim**4 * 16 > MAX_KRAUS_BYTES
+        real_zeros = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            if np.prod(shape) > dim**2:
+                raise AssertionError("the fixed-point members were allocated")
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        with pytest.raises(ResourceLimitError, match="fixed points"):
+            fixed_point_space(identity_channel(dim))
+
+
+# ---------------------------------------------------------------------------
+# Coherence-order blocks against the dense route
+# ---------------------------------------------------------------------------
+
+
+def _span_projector(members) -> np.ndarray:
+    """sum_k vec(x_k) vec(x_k)^dag: the projector onto the span of orthonormal members."""
+    v = np.array([x.reshape(-1) for x in members])
+    return v.T @ v.conj()
+
+
+def _assert_same_fixed_space(ch: KrausChannel, ops) -> None:
+    block = fixed_point_space(ch)
+    dense = dense_fixed_points(ops, FIXED_POINT_TOL)
+    assert len(block) == len(dense)
+    gap = np.max(np.abs(_span_projector(block) - _span_projector(dense)))
+    assert gap <= 1e-10
+
+
+FAMILIES = {
+    "pd": phase_damping,
+    "ad": amplitude_damping,
+    "dep": depolarizing,
+}
+
+
+class TestCoherenceBlocks:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17])
+    def test_blocks_are_superoperator_slices(self, family, dim):
+        ch = FAMILIES[family](0.4, dim)
+        sup = superoperator_of(ch)
+        weight = 0.0
+        for q, block in _coherence_blocks(ch):
+            a = np.arange(max(0, -q), dim - max(0, q))
+            index = (a + q) * dim + a  # vec position of x[a, a+q]
+            assert np.array_equal(block, sup[np.ix_(index, index)])
+            weight += np.sum(np.abs(block) ** 2)
+        # Nothing of the superoperator lies outside the blocks.
+        assert weight == pytest.approx(np.sum(np.abs(sup) ** 2), rel=1e-14)
+
+    @pytest.mark.parametrize("eta", [0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("dim", [*range(1, 17), 24, 32])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_families_match_dense_oracle(self, family, dim, eta):
+        ch = FAMILIES[family](eta, dim)
+        _assert_same_fixed_space(ch, ch.kraus_ops)
+
+    def test_members_run_by_coherence_order(self):
+        # Phase damping fixes exactly the diagonal (q = 0); a diagonal unitary
+        # with repeated phases also fixes the coherences between equal phases.
+        members = fixed_point_space(KrausChannel(np.diag([1, 1, -1, 1j, -1])))
+        orders = []
+        for x in members:
+            rows, cols = np.nonzero(x)
+            assert len(set(cols - rows)) == 1  # each member lies on one diagonal
+            orders.append(int(cols[0] - rows[0]))
+        assert orders == sorted(orders)
+        assert len(members) == 2**2 + 2**2 + 1
+
+
+@st.composite
+def band_channels(draw):
+    """Dense stack of a random CPTP band channel on dim <= 8.
+
+    ``dephasing`` draws offset-0 operators whose columns come from a small
+    pool, so levels sharing a column keep their coherences. ``exchange``
+    moves level a to a+s and back with two operators on offsets +-s, so
+    sums such as |a><b| + |a+s><b+s| are fixed. ``shifting`` puts each
+    operator on a random offset, as in the channel tests. Any of them may be
+    mixed with a diagonal unitary whose phases repeat, and the result is
+    conjugated by a random diagonal unitary, which keeps the bands but gives
+    fixed coherences complex relative phases.
+    """
+    dim = draw(st.integers(min_value=1, max_value=8))
+    terms = draw(st.integers(min_value=1, max_value=4))
+    kind = draw(st.sampled_from(["dephasing", "exchange", "shifting"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "exchange" and dim > 1:
+        s = draw(st.integers(min_value=1, max_value=dim - 1))
+        ops = np.zeros((3, dim, dim), dtype=complex)
+        a = np.arange(dim - s)
+        ops[0, a, a + s] = 1.0
+        ops[1, a + s, a] = 1.0
+        # Levels neither operator reads (s > dim / 2) stay where they are.
+        ops[2] = np.diag(np.sum(np.abs(ops[:2]) ** 2, axis=(0, 1)) == 0)
+    elif kind == "shifting":
+        ops = np.zeros((terms, dim, dim), dtype=complex)
+        offsets = [0] + draw(st.lists(st.integers(min_value=1 - dim, max_value=dim - 1),
+                                      min_size=terms - 1, max_size=terms - 1))
+        for op, o in zip(ops, offsets):
+            idx = np.arange(dim - abs(o)) + max(0, -o)
+            op[idx, idx + o] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+    else:
+        pool = rng.normal(size=(terms, dim)) + 1j * rng.normal(size=(terms, dim))
+        columns = pool[:, draw(st.lists(st.integers(min_value=0, max_value=dim - 1),
+                                        min_size=dim, max_size=dim))]
+        ops = np.zeros((terms, dim, dim), dtype=complex)
+        ops[:, np.arange(dim), np.arange(dim)] = columns
+    ops /= np.sqrt(np.sum(np.abs(ops) ** 2, axis=(0, 1)))
+    weight = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    if weight < 1.0:
+        phases = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=dim, max_size=dim))
+        unitary = np.diag(np.exp(1j * np.pi * np.array(phases)))
+        ops = np.concatenate([np.sqrt(weight) * ops, np.sqrt(1 - weight) * unitary[None]])
+    v = np.exp(2j * np.pi * rng.random(dim))
+    return ops * np.outer(v, v.conj())
+
+
+class TestRandomBandChannels:
+    @settings(max_examples=80, deadline=None)
+    @given(band_channels())
+    def test_matches_dense_oracle(self, ops):
+        ch = KrausChannel(ops)
+        assert ch.bands is not None and ch.tp_defect <= 1e-12
+        _assert_same_fixed_space(ch, ops)
