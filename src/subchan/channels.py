@@ -1,4 +1,4 @@
-"""Completely positive maps in Kraus form on a truncated Fock space.
+"""Completely positive maps on a truncated Fock space.
 
 A channel is a finite list of operators {E_i} acting as
 Phi(x) = sum_i E_i x E_i^dag. Its conjugate (adjoint under the trace
@@ -10,24 +10,38 @@ code: vec(x) stacks COLUMNS (x.flatten(order="F")), so vec(A x B) equals
 (B^T kron A) vec(x) and the superoperator of Phi is sum_i conj(E_i) kron E_i.
 
 Storage. A Kraus operator whose nonzero entries all lie on one diagonal,
-E[a, a+o] for a fixed offset o, is kept as that diagonal alone. Grouping
+E[a, a+o] for a fixed offset o, acts through that diagonal e alone. Summing
 such operators by offset gives the band form
 
     Phi(x)[a, b] = sum_o M_o[a, b] x[a+o, b+o],  M_o = sum_{i on o} e_i e_i^dag,
 
-so applying the channel is one elementwise product per offset, and
-Phi*(I) = sum_i E_i^dag E_i is diagonal, which makes the trace-preservation
-defect a maximum over column norms. Every built-in family is of this kind:
-phase damping on offset 0, amplitude damping operator i on offset i,
-depolarizing |k><s| on offset s-k. Families pass ``bands`` directly; a dense
-stack passed as ``kraus_ops`` is inspected, and takes the band form when
-each operator sits on one offset (a reloaded channel file of a built-in
-family does). Only channels with an operator spanning several offsets keep
-the dense path of batched matrix products.
+and the positive semidefinite Schur multipliers M_o describe the channel
+completely: a Schur multiplier is completely positive exactly when its
+matrix is PSD (Paulsen, Completely Bounded Maps and Operator Algebras,
+ch. 8), and a Kraus family is one factorization of the M_o. A band channel
+stores the M_o, and every kernel reads them: applying it is one elementwise
+product per offset, and Phi*(I) is diagonal, which makes the
+trace-preservation defect a maximum over its entries.
+
+A diagonal multiplier only moves populations, Phi(x)[a, a] picks up
+M_o[a, a] x[a+o, a+o]. All of them, on every offset, are kept together as
+one population-transfer matrix T[a, a+o] = M_o[a, a] (``transfer``) and
+applied as one product T @ diag(x). Band terms that are all single matrix
+units go there, as do multipliers passed as their diagonal.
+
+Every built-in family is a band channel: phase damping is the closed-form
+M_0[a, b] = eta^((a-b)^2), amplitude damping has one rank-one multiplier
+per offset, depolarizing is p J on offset 0 plus T = (1-p)/dim everywhere.
+A dense stack passed as ``kraus_ops`` is inspected, and takes the band form
+when each operator sits on one offset (a reloaded channel file of a
+built-in family does). Only channels with an operator spanning several
+offsets keep the dense path of batched matrix products.
 
 The dense (terms, dim, dim) stack of a band channel is built only when asked
-for (``kraus_ops``, used by ``save_channel``) and lists the operators the
-bands came from in band order: ascending offset, then row. Its size is
+for (``kraus_ops``, used by ``save_channel``) by factoring the multipliers:
+offset by offset, ascending, the rows of a pivoted Cholesky factor of M_o,
+then one scaled matrix unit per nonzero entry of T on that offset, by row.
+Its term count ``kraus_truncation`` is fixed at construction. Its size is
 estimated first: above MAX_KRAUS_BYTES, the byte size of the largest
 superoperator ``superoperator_of`` builds, it raises ResourceLimitError
 without allocating.
@@ -62,16 +76,22 @@ def _band_slices(offset: int, dim: int) -> tuple[slice, slice]:
 
 
 class KrausChannel:
-    """Immutable bundle of Kraus operators plus family metadata.
+    """Immutable channel with family metadata; a band channel keeps only its multipliers.
 
     Parameters
     ----------
     kraus_ops : array_like, optional
-        Stack of shape (terms, dim, dim). Mutually exclusive with ``bands``.
+        Stack of shape (terms, dim, dim). Excludes ``bands`` and
+        ``multipliers``.
     bands : dict, optional
         ``{offset: terms}`` with ``terms`` of shape (terms_o, dim - |offset|):
         row i holds the diagonal ``np.diagonal(E_i, offset)`` of an operator
         whose other entries are zero. Real terms stay real.
+    multipliers : dict, optional
+        ``{offset: M_o}``: a positive semidefinite (dim - |offset|) square
+        matrix, taken as it is (PSD is not checked), or a real nonnegative
+        vector holding the diagonal of a diagonal multiplier. May be given
+        together with ``bands``; the channel is then their sum.
     family : str
         One of "phase-damping", "amplitude-damping", "depolarizing",
         "custom".
@@ -83,10 +103,16 @@ class KrausChannel:
     ----------
     dim : int
     kraus_truncation : int
-        Number of Kraus terms kept.
-    bands : dict or None
-        Band storage by ascending offset (read-only arrays); None when some
-        operator spans several offsets.
+        Number of Kraus terms, the rows of ``kraus_ops``: the stack's
+        length; else per square multiplier the band terms it was summed from
+        (its size when passed as a matrix), plus the nonzero entries of
+        ``transfer`` (unit terms on one entry merge).
+    multipliers : dict or None
+        Square multipliers M_o by ascending offset (read-only arrays); None
+        when some operator spans several offsets.
+    transfer : ndarray or None
+        Real (dim, dim) population-transfer matrix T of the diagonal
+        multipliers, read-only; None when there are none.
     tp_defect : float
         Operator norm of (sum_i E_i^dag E_i - I) on the full truncated
         space, computed at construction. The honest error measure for
@@ -98,20 +124,19 @@ class KrausChannel:
         kraus_ops=None,
         *,
         bands: dict[int, np.ndarray] | None = None,
+        multipliers: dict[int, np.ndarray] | None = None,
         family: str = "custom",
         eta: float | None = None,
     ):
-        if (kraus_ops is None) == (bands is None):
-            raise ValueError("provide exactly one of kraus_ops or bands")
+        if (kraus_ops is None) == (bands is None and multipliers is None):
+            raise ValueError("provide kraus_ops, or bands and/or multipliers")
         if family not in KNOWN_FAMILIES:
             raise ValueError(f"unknown channel family {family!r}")
         self.family = family
         self.eta = eta
 
-        if bands is not None:
-            self.bands, self.dim = _checked_bands(bands)
-            self._stack: np.ndarray | None = None
-        else:
+        self._stack: np.ndarray | None = None
+        if kraus_ops is not None:
             stack = np.array(kraus_ops, dtype=complex, order="C")
             if stack.ndim == 2:
                 stack = stack[np.newaxis]
@@ -121,17 +146,22 @@ class KrausChannel:
                 )
             stack.flags.writeable = False
             self._stack = stack
-            self.dim = int(stack.shape[1])
-            self.bands = _detect_bands(stack)
-        self.kraus_truncation = (
-            int(self._stack.shape[0]) if self._stack is not None
-            else sum(e.shape[0] for e in self.bands.values())
-        )
-        # Offset-0 terms of a purely diagonal channel, else None; the
-        # benchmark's tracing reads it to size the Kraus storage.
-        self._diagonals = (
-            self.bands[0] if self.bands is not None and list(self.bands) == [0] else None
-        )
+            bands = _detect_bands(stack)
+        if bands is None and multipliers is None:
+            self.dim = int(self._stack.shape[1])
+            self.multipliers = self.transfer = None
+        else:
+            self.dim, self.multipliers, self._ranks, self.transfer = _fold(
+                bands or {}, multipliers or {})
+        if self._stack is not None:
+            self.kraus_truncation = int(self._stack.shape[0])
+        else:
+            units = 0 if self.transfer is None else int(np.count_nonzero(self.transfer))
+            self.kraus_truncation = sum(self._ranks.values()) + units
+        # The multiplier of a channel stored on offset 0 alone, else None;
+        # the benchmark's tracing reads it to size the Kraus storage.
+        self._diagonals = (self.multipliers[0] if self.transfer is None
+                           and list(self.multipliers or ()) == [0] else None)
         self.tp_defect = tp_defect_on_block(self, self.dim)
 
     # -- storage ------------------------------------------------------------
@@ -140,8 +170,9 @@ class KrausChannel:
     def kraus_ops(self) -> np.ndarray:
         """Dense (terms, dim, dim) stack; read-only.
 
-        A band channel lists its terms in band order: ascending offset, then
-        row within the offset. Raises ResourceLimitError, before allocating,
+        A band channel factors its multipliers, offset by offset: the rows
+        of a pivoted Cholesky factor of M_o, then the scaled matrix units of
+        ``transfer`` by row. Raises ResourceLimitError, before allocating,
         when a band channel's stack would exceed MAX_KRAUS_BYTES.
         """
         if self._stack is not None:
@@ -156,38 +187,41 @@ class KrausChannel:
             )
         stack = np.zeros((terms, n, n), dtype=complex)
         first = 0
-        for offset, e in self.bands.items():
-            rows, cols = _band_slices(offset, n)
-            stack[first:first + e.shape[0], np.arange(rows.start, rows.stop),
-                  np.arange(cols.start, cols.stop)] = e
-            first += e.shape[0]
+        for offset in range(1 - n, n):
+            rows = np.arange(n)[_band_slices(offset, n)[0]]
+            if offset in self.multipliers:
+                factor = _factor(self.multipliers[offset], self._ranks[offset])
+                stack[first:first + len(factor), rows, rows + offset] = factor
+                first += len(factor)
+            if self.transfer is not None:
+                weights = np.diagonal(self.transfer, offset)
+                (hit,) = np.nonzero(weights)
+                stack[first + np.arange(hit.size), rows[hit], rows[hit] + offset] = (
+                    np.sqrt(weights[hit]))
+                first += hit.size
         stack.flags.writeable = False
         return stack
 
     @cached_property
-    def _band_products(self) -> list[tuple[slice, slice, np.ndarray]]:
+    def _products(self) -> list[tuple[slice, slice, np.ndarray]]:
         """(rows, cols, M_o) per offset, so Phi(x)[rows, rows] += M_o * x[cols, cols].
 
-        M_o[a, b] = sum_i e_i[a] conj(e_i[b]): the Kraus sum with the
-        structural zeros skipped, one GEMM per offset (a real one for real
-        terms). Offset 0 comes first and is always present (M_0 = 0 when
-        no operator lies on it), so its full-size product can start the sum.
+        Offset 0 comes first and is always present (M_0 = 0 when no square
+        multiplier lies on it), so its full-size product can start the sum.
         """
         n = self.dim
-        products = [] if 0 in self.bands else [(slice(0, n), slice(0, n), np.zeros((n, n)))]
-        for offset in sorted(self.bands, key=abs):
-            e = self.bands[offset]
-            m = e.T @ e.conj()
-            m.flags.writeable = False
-            products.append((*_band_slices(offset, n), m))
-        return products
+        zero = [] if 0 in self.multipliers else [(slice(0, n), slice(0, n), np.zeros((n, n)))]
+        return zero + [(*_band_slices(offset, n), m)
+                       for offset, m in sorted(self.multipliers.items(), key=lambda i: abs(i[0]))]
 
     @cached_property
     def _adjoint_identity(self) -> np.ndarray:
         """Diagonal of Phi*(I) = sum_i E_i^dag E_i, which is diagonal for band channels."""
         col = np.zeros(self.dim)
-        for offset, e in self.bands.items():
-            col[_band_slices(offset, self.dim)[1]] += np.einsum("ij,ij->j", e.conj(), e).real
+        for _, cols, m in self._products:
+            col[cols] += m.diagonal().real
+        if self.transfer is not None:
+            col += self.transfer.sum(axis=0)
         return col
 
     def __repr__(self) -> str:
@@ -198,25 +232,80 @@ class KrausChannel:
         )
 
 
-def _checked_bands(bands) -> tuple[dict[int, np.ndarray], int]:
-    """Read-only copies of the band terms by ascending offset, and the dim they imply."""
-    if not bands:
-        raise ValueError("bands must hold at least one offset")
-    out, dims = {}, set()
-    for offset in sorted(bands):
-        e = np.array(bands[offset], order="C")
-        if e.dtype.kind not in "fc":
-            e = e.astype(float)
-        if e.ndim != 2 or e.shape[0] < 1 or e.shape[1] < 1:
-            raise ValueError(
-                f"band {offset} must have shape (terms, dim - |offset|), got {e.shape}"
-            )
-        e.flags.writeable = False
-        out[int(offset)] = e
-        dims.add(e.shape[1] + abs(int(offset)))
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _fold(bands, multipliers):
+    """(dim, square multipliers by ascending offset, their term counts, T or None).
+
+    A band whose terms each hold exactly one nonzero entry goes into T, one
+    entry per term; any other band becomes the square multiplier e^T conj(e)
+    (one GEMM, a real one for real terms) and counts its terms. A square
+    multiplier counts its size, a diagonal one goes into T.
+    """
+    parts = [("band", int(o), _float_or_complex(e)) for o, e in bands.items()]
+    parts += [("multiplier", int(o), _float_or_complex(m)) for o, m in multipliers.items()]
+    for kind, offset, a in parts:
+        square = a.ndim == 2 and a.shape[0] == a.shape[1]
+        if 0 in a.shape or not (a.ndim == 2 if kind == "band" else a.ndim == 1 or square):
+            raise ValueError(f"{kind} {offset} has shape {a.shape}")
+        if kind == "multiplier" and a.ndim == 1 and (a.dtype.kind == "c" or np.any(a < 0)):
+            raise ValueError(f"diagonal multiplier {offset} must be real and nonnegative")
+    dims = {a.shape[-1] + abs(offset) for _, offset, a in parts}
+    if not dims:
+        raise ValueError("band storage needs at least one offset")
     if len(dims) != 1:
         raise ValueError(f"band lengths imply different dims {sorted(dims)}")
-    return out, dims.pop()
+    n = dims.pop()
+    full, ranks = {}, {}
+    transfer = np.zeros((n, n))
+    for kind, offset, a in parts:
+        first = _band_slices(offset, n)[0].start
+        if kind == "band" and np.all(np.count_nonzero(a, axis=1) == 1):
+            at = np.argmax(a != 0, axis=1)
+            np.add.at(transfer, (first + at, first + at + offset),
+                      np.abs(a[np.arange(len(a)), at]) ** 2)
+        elif a.ndim == 1:
+            at = first + np.arange(a.size)
+            transfer[at, at + offset] += a
+        else:
+            m = a.T @ a.conj() if kind == "band" else a.copy()
+            full[offset] = full[offset] + m if offset in full else m
+            ranks[offset] = ranks.get(offset, 0) + a.shape[0]
+    full = {o: _readonly(full[o]) for o in sorted(full)}
+    return n, full, ranks, _readonly(transfer) if np.any(transfer) else None
+
+
+def _float_or_complex(a) -> np.ndarray:
+    a = np.asarray(a)
+    return a if a.dtype.kind in "fc" else a.astype(float)
+
+
+def _factor(m: np.ndarray, terms: int) -> np.ndarray:
+    """``terms`` rows e_i with sum_i e_i[a] conj(e_i[b]) = m[a, b]: a pivoted Cholesky factor.
+
+    Each step pivots on the largest remaining diagonal entry; once all of
+    them are at most size * eps times the largest diagonal entry of ``m``
+    the rest of the rows stay zero. Pivoting is what lets the exact phase
+    damping multiplier through: it is positive definite but numerically
+    singular for eta near 1, where a plain Cholesky fails. A row is scaled
+    as (column / pivot) * sqrt(pivot), so a multiplier c J, J all ones,
+    yields sqrt(c) exactly.
+    """
+    size = m.shape[0]
+    rows = np.zeros((terms, size), dtype=m.dtype)
+    residual = np.array(m)
+    floor = size * np.finfo(float).eps * max(float(residual.diagonal().real.max()), 0.0)
+    for row in rows[:size]:
+        diag = residual.diagonal().real
+        pivot = int(np.argmax(diag))
+        if diag[pivot] <= floor:
+            break
+        row[:] = residual[:, pivot] / diag[pivot] * np.sqrt(diag[pivot])
+        residual -= np.outer(row, row.conj())
+    return rows
 
 
 def _detect_bands(stack: np.ndarray) -> dict[int, np.ndarray] | None:
@@ -234,13 +323,8 @@ def _detect_bands(stack: np.ndarray) -> dict[int, np.ndarray] | None:
     if np.any((lo != hi) & ~empty):
         return None
     offsets = np.where(empty, 0, lo)
-    bands = {}
-    for o in np.unique(offsets):
-        terms = np.diagonal(stack[offsets == o], offset=int(o), axis1=1, axis2=2)
-        terms = np.ascontiguousarray(terms)
-        terms.flags.writeable = False
-        bands[int(o)] = terms
-    return bands
+    return {int(o): np.diagonal(stack[offsets == o], offset=int(o), axis1=1, axis2=2)
+            for o in np.unique(offsets)}
 
 
 def _check_dims(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -255,13 +339,15 @@ def _check_dims(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
 def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     """Phi(x) = sum_i E_i x E_i^dag."""
     x = _check_dims(ch, x)
-    if ch.bands is None:
+    if ch.multipliers is None:
         e = ch.kraus_ops
         return ((e @ x) @ e.conj().transpose(0, 2, 1)).sum(axis=0)
-    (_, _, m0), *shifted = ch._band_products
+    (_, _, m0), *shifted = ch._products
     out = m0 * x
     for rows, cols, m in shifted:
         out[rows, rows] += m * x[cols, cols]
+    if ch.transfer is not None:
+        out.reshape(-1)[::ch.dim + 1] += ch.transfer @ x.diagonal()
     return out
 
 
@@ -272,13 +358,15 @@ def adjoint_apply(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     trace-preserving.
     """
     x = _check_dims(ch, x)
-    if ch.bands is None:
+    if ch.multipliers is None:
         e = ch.kraus_ops
         return ((e.conj().transpose(0, 2, 1) @ x) @ e).sum(axis=0)
-    (_, _, m0), *shifted = ch._band_products
+    (_, _, m0), *shifted = ch._products
     out = m0.conj() * x
     for rows, cols, m in shifted:
         out[cols, cols] += m.conj() * x[rows, rows]
+    if ch.transfer is not None:
+        out.reshape(-1)[::ch.dim + 1] += x.diagonal() @ ch.transfer
     return out
 
 
@@ -286,7 +374,7 @@ def tp_defect_on_block(ch: KrausChannel, block: int) -> float:
     """Operator norm of (sum_i E_i^dag E_i - I) restricted to the leading block."""
     if not 1 <= block <= ch.dim:
         raise ValueError(f"block must be in [1, {ch.dim}], got {block}")
-    if ch.bands is not None:
+    if ch.multipliers is not None:
         return float(np.max(np.abs(ch._adjoint_identity[:block] - 1.0)))
     flat = ch.kraus_ops[:, :, :block].reshape(-1, block)
     gram = flat.conj().T @ flat
@@ -382,13 +470,17 @@ def superoperator_of(ch: KrausChannel) -> np.ndarray:
             f"superoperator needs {n}^4 = {n**4} complex entries; "
             f"limit is dim <= {MAX_SUPEROPERATOR_DIM}. Reduce the truncation."
         )
-    if ch.bands is not None:
+    if ch.multipliers is not None:
         # Phi(x)[a, b] picks up M_o[a, b] x[a+o, b+o]; vec(x)[b n + a] = x[a, b].
         grid = np.arange(n)
         index = grid[np.newaxis, :] * n + grid[:, np.newaxis]
         s = np.zeros((n * n, n * n), dtype=complex)
-        for rows, cols, m in ch._band_products:
+        for rows, cols, m in ch._products:
             s[index[rows, rows], index[cols, cols]] = m
+        if ch.transfer is not None:
+            # Phi(x)[a, a] picks up T[a, c] x[c, c].
+            diagonal = np.diagonal(index)
+            s[np.ix_(diagonal, diagonal)] += ch.transfer
         return s
     flat = ch.kraus_ops.reshape(ch.kraus_truncation, n * n)
     # G[(a,b),(c,d)] = sum_i conj(E_i[a,b]) E_i[c,d]; regroup to kron layout.

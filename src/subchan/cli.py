@@ -115,7 +115,8 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, default=None,
                         help=f"truncation level (default {DEFAULT_DIM})")
     parser.add_argument("--kraus-terms", type=int, default=None,
-                        help="override the pd Kraus truncation")
+                        help="pd only: keep this many terms of the Poisson Kraus "
+                             "family instead of the exact channel")
     parser.add_argument("--kraus-file", default=None,
                         help="channel file for --channel custom")
     parser.add_argument("--config", default=None,
@@ -170,9 +171,10 @@ def _build_encoding(args: argparse.Namespace, dim: int, want_pair: bool) -> Subs
 
 
 def _channel_summary(ch: KrausChannel) -> str:
-    eta = "-" if ch.eta is None else _fmt(ch.eta)
+    param = "p" if ch.family == "depolarizing" else "eta"
+    value = "-" if ch.eta is None else _fmt(ch.eta)
     return (
-        f"channel: {ch.family} (eta={eta}, dim={ch.dim}, "
+        f"channel: {ch.family} ({param}={value}, dim={ch.dim}, "
         f"kraus_terms={ch.kraus_truncation}, tp_defect={ch.tp_defect:.3e})"
     )
 

@@ -1,15 +1,18 @@
 """Constructors and closed-form actions for the standard channel families.
 
-Phase damping (retention eta in (0, 1]) has diagonal Kraus operators
+Phase damping (retention eta in (0, 1]) contracts the coherence between
+levels a and b by eta^((a-b)^2) and fixes every |k><k|. That is the Schur
+multiplier M_0[a, b] = eta^((a-b)^2), exact on every truncation, and the
+channel is built from it in closed form. Its classic Kraus family
 
-    E_i[k, k] = (k * sqrt(-2 ln eta))^i / sqrt(i!) * eta^(k^2),
+    E_i[k, k] = (k * sqrt(-2 ln eta))^i / sqrt(i!) * eta^(k^2)
 
-an infinite family truncated here by a Poisson tail bound: the squared
-entries at level k follow a Poisson(-2 k^2 ln eta) law in i, so the number
-of retained terms is chosen to push every diagonal's missing mass below
-KRAUS_TAIL_TARGET. Entries are evaluated in log space because k^i overflows
-while eta^(k^2) underflows long before their product leaves float range.
-Its action contracts coherences as eta^((k-s)^2) and fixes every |k><k|.
+is infinite; it serves only an explicit truncation (``kraus_truncation=``),
+which keeps that many terms and records its honest trace-preservation
+defect, and ``phase_damping_terms`` gives the count a Poisson tail bound
+needs: the squared entries at level k follow a Poisson(-2 k^2 ln eta) law
+in i. Entries are evaluated in log space because k^i overflows while
+eta^(k^2) underflows long before their product leaves float range.
 
 Amplitude damping (retention eta in [0, 1]) needs exactly dim operators on a
 dim-level truncation,
@@ -21,10 +24,12 @@ continuous limit where every state collapses to the vacuum.
 
 The depolarizing channel acts affinely, x -> p x + (1-p) tr(x) I / n; any
 Kraus realization reproducing that action is equally valid, and the one used
-here is {sqrt(p) I} plus {sqrt((1-p)/n) |k><s|} over all matrix units.
+here is {sqrt(p) I} plus {sqrt((1-p)/n) |k><s|} over all matrix units: the
+multiplier p J on offset 0 (J all ones) and the population-transfer matrix
+T = (1-p)/n on every entry.
 
-Every family is built in the band form of :mod:`subchan.channels`, one
-diagonal per Kraus operator, with real entries.
+Every family is built in the band form of :mod:`subchan.channels`, with real
+entries.
 """
 
 from __future__ import annotations
@@ -50,7 +55,9 @@ def identity_channel(dim: int) -> KrausChannel:
 
 
 def phase_damping_terms(eta: float, dim: int) -> int:
-    """Number of Kraus terms keeping every diagonal's Poisson tail below KRAUS_TAIL_TARGET."""
+    """Kraus terms an explicit phase-damping truncation needs to keep every
+    diagonal's Poisson tail below KRAUS_TAIL_TARGET (a ``kraus_truncation=``
+    value; the default channel is exact and needs none)."""
     lam = -2.0 * (dim - 1) ** 2 * np.log(eta)
     if lam <= 0:
         return 1
@@ -60,18 +67,24 @@ def phase_damping_terms(eta: float, dim: int) -> int:
 def phase_damping(
     eta: float, dim: int, kraus_truncation: int | None = None
 ) -> KrausChannel:
-    """Phase damping channel with diagonal Kraus operators on dim levels.
+    """Phase damping channel on dim levels.
 
-    eta = 1 gives exactly {I}. eta <= 0 is rejected (the log diverges).
-    When ``kraus_truncation`` is not given the Poisson tail bound picks it;
-    the achieved trace-preservation defect is stored on the channel either
-    way.
+    By default the exact multiplier M_0[a, b] = eta^((a-b)^2), one dim x dim
+    exp: its trace-preservation defect is 0 and its Kraus form (dim terms)
+    is factored only on demand. eta = 1 gives exactly {I}. eta <= 0 is
+    rejected (the log diverges). ``kraus_truncation`` instead builds the
+    first that many terms of the Poisson Kraus family; the defect of that
+    truncation is stored on the channel.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"phase damping requires 0 < eta <= 1, got {eta}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    terms = phase_damping_terms(eta, dim) if kraus_truncation is None else kraus_truncation
+    if kraus_truncation is None and eta < 1.0:
+        level = np.arange(dim)
+        m0 = np.exp(np.subtract.outer(level, level) ** 2 * np.log(eta))
+        return KrausChannel(multipliers={0: m0}, family="phase-damping", eta=float(eta))
+    terms = 1 if kraus_truncation is None else kraus_truncation
     if terms < 1:
         raise ValueError(f"kraus_truncation must be >= 1, got {terms}")
 
@@ -159,21 +172,20 @@ def depolarizing(p: float, dim: int) -> KrausChannel:
     """Depolarizing channel: x -> p x + (1-p) tr(x) I / dim.
 
     Kraus operators sqrt(p) I (when p > 0) and sqrt((1-p)/dim) |k><s| (when
-    p < 1). The unit |k><s| lies on offset s - k, so offset o holds dim - |o|
-    of them, and ``kraus_ops`` lists the terms in band order: ascending
-    offset, then ascending row k, with sqrt(p) I first on offset 0.
+    p < 1), stored as the multiplier p J on offset 0 and the population
+    transfer T = (1-p)/dim on every entry: O(dim^2) in all. ``kraus_ops``
+    lists them in band order: ascending offset s - k, then ascending row k,
+    with sqrt(p) I first on offset 0.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing requires 0 <= p <= 1, got {p}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    bands = {}
-    if p < 1.0:
-        w = np.sqrt((1.0 - p) / dim)
-        bands = {o: w * np.eye(dim - abs(o)) for o in range(1 - dim, dim)}
-    if p > 0.0:
-        bands[0] = np.vstack([np.full((1, dim), np.sqrt(p)), bands.get(0, np.empty((0, dim)))])
-    return KrausChannel(bands=bands, family="depolarizing", eta=float(p))
+    identity = {0: np.full((1, dim), np.sqrt(p))} if p > 0.0 else None
+    replacement = ({o: np.full(dim - abs(o), (1.0 - p) / dim) for o in range(1 - dim, dim)}
+                   if p < 1.0 else None)
+    return KrausChannel(bands=identity, multipliers=replacement,
+                        family="depolarizing", eta=float(p))
 
 
 # ---------------------------------------------------------------------------

@@ -266,11 +266,13 @@ def _coherence_blocks(ch: KrausChannel):
     output (a, a+q) reads input (a+o, a+q+o) with weight M_o[a, a+q]. So its
     superoperator is block diagonal, and block q, of size dim - |q| on the
     entries of diagonal q by ascending row, has B_q[a, a+o] = M_o[a, a+q]:
-    its diagonal o is diagonal q of M_o. One block is built per step.
+    its diagonal o is diagonal q of M_o. The population-transfer matrix adds
+    to block 0, B_0 = T + (diagonals of the M_o). One block is built per step.
     """
     n = ch.dim
-    products = ch._band_products
-    dtype = np.result_type(*(m for *_, m in products))
+    products = ch._products
+    extra = () if ch.transfer is None else (ch.transfer,)
+    dtype = np.result_type(*(m for *_, m in products), *extra)
     for q in range(1 - n, n):
         size = n - abs(q)
         block = np.zeros((size, size), dtype=dtype)
@@ -281,6 +283,8 @@ def _coherence_blocks(ch: KrausChannel):
                 start = offset if offset >= 0 else -offset * size
                 values = np.diagonal(m, q)
                 flat[start:start + values.size * (size + 1):size + 1] = values
+        if q == 0 and ch.transfer is not None:
+            block += ch.transfer
         yield q, block
 
 
@@ -291,9 +295,10 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
     singular-value thresholding (sigma < tol); the superoperator is
     non-normal, so eigenvalue matching would be fragile where SVD is not.
 
-    A band channel (``ch.bands`` set, every built-in family) commutes with
-    exp(i theta n), so its superoperator splits into 2*dim - 1 coherence-order
-    blocks B_q[a, a+o] = M_o[a, a+q] of size dim - |q|. Each block gets its
+    A band channel (``ch.multipliers`` set, every built-in family) commutes
+    with exp(i theta n), so its superoperator splits into 2*dim - 1
+    coherence-order blocks B_q[a, a+o] = M_o[a, a+q] of size dim - |q|, with
+    the population-transfer matrix added to B_0. Each block gets its
     own SVD, and each null vector is written onto diagonal q of a member:
     O(dim^4) time and O(dim^2) memory per block. Members come in ascending
     q, then ascending singular value. Before they are allocated, their
@@ -303,7 +308,7 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
     dim <= MAX_SUPEROPERATOR_DIM; their members come in descending
     singular value.
     """
-    if ch.bands is None:
+    if ch.multipliers is None:
         sup = superoperator_of(ch)
         _, svals, vh = np.linalg.svd(sup - np.eye(sup.shape[0]))
         return [row.conj().reshape((ch.dim, ch.dim), order="F")

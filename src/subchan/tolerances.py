@@ -30,8 +30,10 @@ FIXED_POINT_TOL = 1e-8
 # coherent action; above this the truncated outer product is too lossy.
 COHERENT_DEFICIT_TOL = 1e-8
 
-# Per-entry tail target when truncating an infinite Kraus family. Chosen a
-# decade under the 1e-12 trace-preservation goal to leave accumulation margin.
+# Per-entry tail target of an explicit truncation of the infinite Poisson
+# Kraus family of phase damping (phase_damping_terms); the default channel is
+# the exact multiplier and needs none. Chosen a decade under the 1e-12
+# trace-preservation goal to leave accumulation margin.
 KRAUS_TAIL_TARGET = 1e-13
 
 # Agreement required between the moment-contraction fidelity and the

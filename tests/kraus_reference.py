@@ -2,11 +2,16 @@
 
 The dense Kraus sums, one operator at a time, check the band form: they read
 nothing but a (terms, dim, dim) stack, so they share no code with the band
-path in ``subchan.channels``. ``reference_formula`` holds known closed-form
-fidelity averages.
+path in ``subchan.channels``. ``poisson_phase_damping`` sums the Poisson Kraus
+family of phase damping term by term, independently of the closed-form
+multiplier in ``subchan.families``. ``reference_formula`` holds known
+closed-form fidelity averages.
 """
 
+import math
+
 import numpy as np
+from scipy.stats import poisson
 
 
 def dense_apply(ops, x):
@@ -53,6 +58,12 @@ def dense_fixed_points(ops, tol):
     return [row.conj().reshape((n, n), order="F") for row in vh[svals < tol]]
 
 
+def span_projector(members):
+    """sum_k vec(x_k) vec(x_k)^dag: the projector onto the span of orthonormal members."""
+    v = np.array([np.asarray(x).reshape(-1) for x in members])
+    return v.T @ v.conj()
+
+
 def reference_formula(family: str, **params) -> float:
     """Known closed-form Bloch averages.
 
@@ -66,3 +77,35 @@ def reference_formula(family: str, **params) -> float:
         eta = params["eta"]
         return 0.5 + eta / 6.0 + np.sqrt(eta) / 3.0
     raise ValueError(f"unknown reference family {family!r}")
+
+
+def poisson_phase_damping(eta, dim):
+    """Diagonals of the Poisson Kraus family of phase damping, and their defect.
+
+    E_i[k, k] = (k sqrt(-2 ln eta))^i / sqrt(i!) eta^(k^2), evaluated in log
+    space. The squared entries at level k follow a Poisson(-2 k^2 ln eta)
+    law in i, so terms run until the top level's tail is below 1e-15.
+    Returns (diagonals of shape (terms, dim), max_k |1 - sum_i E_i[k, k]^2|):
+    the sum's own trace-preservation defect, its missing mass plus its
+    rounding, which sizes how far its multiplier can sit from the exact one.
+    """
+    lam = -2.0 * (dim - 1) ** 2 * math.log(eta)
+    terms = int(poisson.isf(1e-15, lam)) + 1 if lam > 0 else 1
+    i = np.arange(terms)[:, None]
+    k = np.arange(dim)[None, :]
+    log_fact = np.cumsum(np.log(np.maximum(np.arange(terms), 1)))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_rate = np.log(k * math.sqrt(-2.0 * math.log(eta)))
+        log_power = np.where(i == 0, 0.0, i * log_rate)
+    diags = np.exp(log_power - 0.5 * log_fact + k * k * math.log(eta))
+    return diags, float(np.max(np.abs(1.0 - np.sum(diags**2, axis=0))))
+
+
+def diagonal_kraus_apply(diags, x):
+    """Phi(x) = sum_i E_i x E_i^dag for diagonal E_i = diag(diags[i]), one term at a time."""
+    return sum(e[:, None] * x * e.conj()[None, :] for e in diags)
+
+
+def diagonal_kraus_adjoint(diags, x):
+    """Phi*(x) = sum_i E_i^dag x E_i for diagonal E_i = diag(diags[i])."""
+    return sum(e.conj()[:, None] * x * e[None, :] for e in diags)

@@ -54,7 +54,7 @@ class TestConstruction:
         rng = np.random.default_rng(0)
         x = random_hermitian(6, rng)
         assert np.max(np.abs(apply_channel(pd, x) - apply_channel(dense, x))) < 1e-13
-        assert list(dense.bands) == [0]  # diagonality detected from the stack
+        assert list(dense.multipliers) == [0]  # diagonality detected from the stack
 
     def test_tp_defect_stored(self):
         ad = amplitude_damping(0.5, 16)
@@ -70,7 +70,7 @@ class TestConstruction:
     def test_multi_offset_operator_keeps_dense_path(self):
         op = np.array([[1.0, 0.5], [0.0, 0.5]])  # entries on offsets 0 and 1
         ch = KrausChannel(op)
-        assert ch.bands is None
+        assert ch.multipliers is None
         assert ch._diagonals is None
 
     def test_bands_without_offset_zero(self):
@@ -323,7 +323,7 @@ class TestRandomChannels:
     def test_apply_and_adjoint_match_dense_sum(self, case, seed):
         ops, banded = case
         ch = KrausChannel(ops)
-        assert (ch.bands is not None) == (banded or ch.dim == 1)
+        assert (ch.multipliers is not None) == (banded or ch.dim == 1)
         for x in _pair(seed, ch.dim):
             assert np.max(np.abs(apply_channel(ch, x) - dense_apply(ops, x))) < 1e-12
             assert np.max(np.abs(adjoint_apply(ch, x) - dense_adjoint(ops, x))) < 1e-12
@@ -362,17 +362,17 @@ class TestRandomChannels:
     @settings(max_examples=40, deadline=None)
     @given(random_channels().filter(lambda case: case[1]))
     def test_band_storage_rebuilds_the_stack(self, case):
-        # Bands taken from the stack reproduce the operators exactly, in band
-        # order: ascending offset, then original position within an offset.
+        # Bands taken from the stack fold into multipliers; the stack factored
+        # back from them is a Kraus family of the same channel, one operator
+        # per counted term.
         ops, _ = case
         offsets = [int(np.flatnonzero(np.any(op != 0, axis=0))[0]
                        - np.flatnonzero(np.any(op != 0, axis=1))[0]) for op in ops]
-        bands, order = {}, []
-        for o in sorted(set(offsets)):
-            members = [i for i, oi in enumerate(offsets) if oi == o]
-            bands[o] = np.stack([np.diagonal(ops[i], o) for i in members])
-            order += members
+        bands = {o: np.stack([np.diagonal(op, o) for op, oi in zip(ops, offsets) if oi == o])
+                 for o in set(offsets)}
         ch = KrausChannel(bands=bands)
-        assert np.array_equal(ch.kraus_ops, ops[order])
+        rebuilt = ch.kraus_ops
+        assert rebuilt.shape == (ch.kraus_truncation, ch.dim, ch.dim)
+        assert np.max(np.abs(dense_superoperator(rebuilt) - dense_superoperator(ops))) < 1e-13
         x, _ = _pair(0, ch.dim)
         assert np.max(np.abs(apply_channel(ch, x) - dense_apply(ops, x))) < 1e-12

@@ -138,6 +138,14 @@ class TestFixedPointsCommand:
         assert code == 0
         assert "dimension: 1" in out
 
+    def test_depolarizing_labels_its_parameter_p(self, capsys):
+        code, out, _ = run(
+            capsys, "fixed-points", "--channel", "dep", "--p", "0.3", "--dim", "16",
+        )
+        assert code == 0
+        assert "channel: depolarizing (p=0.3," in out
+        assert "dimension: 1" in out
+
 
 class TestOptimizeCommand:
     def test_recovers_reference(self, capsys):
@@ -256,6 +264,11 @@ class TestVerifyCommand:
         assert code == 0
         assert "trace-preservation defect" in out
         assert "ok" in out
+
+    def test_phase_damping_exact_at_256(self, capsys):
+        code, out, _ = run(capsys, "verify", "--channel", "pd", "--eta", "0.5", "--dim", "256")
+        assert code == 0
+        assert "trace-preservation defect: 0.000e+00 (ok)" in out
 
 
 class TestPairsCommand:

@@ -49,22 +49,24 @@ class TestPhaseDamping:
 
     def test_kraus_entries_match_direct_formula(self):
         # E_i[k, k] = (k sqrt(-2 ln eta))^i / sqrt(i!) * eta^(k^2), small cases
-        # computed with plain floats.
+        # computed with plain floats; an explicit truncation stores their
+        # multiplier M_0 = sum_i e_i e_i^T.
         eta = 0.6
-        ch = phase_damping(eta, 4)
+        ch = phase_damping(eta, 4, kraus_truncation=4)
         rate = math.sqrt(-2 * math.log(eta))
-        for i in range(4):
-            for k in range(4):
-                direct = (k * rate) ** i / math.sqrt(math.factorial(i)) * eta ** (k * k)
-                assert ch.kraus_ops[i][k, k] == pytest.approx(direct, rel=1e-12, abs=1e-14)
+        direct = np.array([[(k * rate) ** i / math.sqrt(math.factorial(i)) * eta ** (k * k)
+                            for k in range(4)] for i in range(4)])
+        assert np.max(np.abs(ch.multipliers[0] - direct.T @ direct)) < 1e-12
 
     def test_truncation_override_and_defect(self):
         full = phase_damping(0.5, 8)
         short = phase_damping(0.5, 8, kraus_truncation=8)
         assert short.kraus_truncation == 8
         assert short.tp_defect > 1e-3       # way too few terms for the top level
-        assert full.tp_defect < 1e-12
-        assert full.kraus_truncation == phase_damping_terms(0.5, 8)
+        assert full.tp_defect == 0.0        # the exact multiplier
+        assert full.kraus_truncation == 8   # one Cholesky row per level
+        tail = phase_damping(0.5, 8, kraus_truncation=phase_damping_terms(0.5, 8))
+        assert tail.tp_defect < 1e-12
 
     def test_closed_form_values(self):
         assert phase_damping_closed(0.5, 1, 1) == 1.0
@@ -223,7 +225,7 @@ FAMILY_CASES = [(family, eta) for family in (phase_damping, amplitude_damping, d
 @pytest.mark.parametrize("dim", (1, 2, 7, 16))
 def test_band_action_matches_dense_kraus_sum(family, eta, dim):
     ch = family(eta, dim)
-    assert ch.bands is not None
+    assert ch.multipliers is not None
     rng = np.random.default_rng(dim)
     x = random_hermitian(dim, rng) + 1j * random_hermitian(dim, rng)
     assert np.max(np.abs(apply_channel(ch, x) - dense_apply(ch.kraus_ops, x))) < 1e-13

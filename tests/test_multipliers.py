@@ -1,0 +1,212 @@
+"""Multiplier storage against independent references.
+
+Band channels are stored by their Schur multipliers M_o and the
+population-transfer matrix T of the diagonal ones. Every kernel that reads
+them is checked here against dense Kraus sums, one operator at a time, and
+the closed-form phase damping multiplier against the Poisson Kraus family
+summed term by term.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kraus_reference import (
+    dense_adjoint,
+    dense_apply,
+    dense_fixed_points,
+    dense_superoperator,
+    dense_tp_defect,
+    diagonal_kraus_adjoint,
+    diagonal_kraus_apply,
+    poisson_phase_damping,
+    span_projector,
+)
+from subchan.channels import (
+    KrausChannel,
+    adjoint_apply,
+    apply_channel,
+    superoperator_of,
+    tp_defect_on_block,
+)
+from subchan.families import depolarizing, phase_damping
+from subchan.fock import random_hermitian
+from subchan.subspaces import fixed_point_space
+from subchan.tolerances import FIXED_POINT_TOL
+
+
+def _probe(dim, seed):
+    rng = np.random.default_rng(seed)
+    return random_hermitian(dim, rng) + 1j * random_hermitian(dim, rng)
+
+
+def _stored_bytes(ch):
+    transfer = 0 if ch.transfer is None else ch.transfer.nbytes
+    return sum(m.nbytes for m in ch.multipliers.values()) + transfer
+
+
+class TestPhaseDampingMultiplier:
+    @pytest.mark.parametrize("eta", [0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("dim", range(1, 33))
+    def test_matches_poisson_kraus_sum(self, dim, eta):
+        diags, defect = poisson_phase_damping(eta, dim)
+        ch = phase_damping(eta, dim)
+        x = _probe(dim, dim)
+        # The sum's multiplier sits within about its own defect of the exact
+        # one, entry by entry, and a multiplier acts entry by entry.
+        bound = (2 * defect + 1e-15) * np.max(np.abs(x))
+        assert np.max(np.abs(apply_channel(ch, x) - diagonal_kraus_apply(diags, x))) <= bound
+        assert np.max(np.abs(adjoint_apply(ch, x) - diagonal_kraus_adjoint(diags, x))) <= bound
+
+    @pytest.mark.parametrize("eta", [0.1, 0.5, 0.9, 0.999])
+    def test_exact_trace_preservation_up_to_256(self, eta):
+        assert max(phase_damping(eta, dim).tp_defect for dim in range(1, 257)) <= 1e-15
+
+    def test_numerically_singular_multiplier_factors(self):
+        # At eta near 1 the exact multiplier is positive definite but far below
+        # double precision in most directions; the pivoted factor still has
+        # one row per level and reproduces the action.
+        ch = phase_damping(0.999, 64)
+        ops = ch.kraus_ops
+        assert ops.shape == (64, 64, 64)
+        x = _probe(64, 3)
+        assert np.max(np.abs(dense_apply(ops, x) - apply_channel(ch, x))) <= 1e-13
+
+    def test_storage_at_256(self):
+        # Before multiplier storage: 189 MB of Poisson terms (phase damping)
+        # and about 90 MB of dense bands (depolarizing).
+        assert _stored_bytes(phase_damping(0.5, 256)) * 10 <= 189e6
+        assert _stored_bytes(depolarizing(0.5, 256)) * 10 <= 90e6
+
+
+class TestDepolarizingTransfer:
+    def test_stored_as_identity_multiplier_and_transfer(self):
+        ch = depolarizing(0.3, 5)
+        assert list(ch.multipliers) == [0]
+        assert np.array_equal(ch.multipliers[0], np.full((5, 5), np.sqrt(0.3) ** 2))
+        assert np.array_equal(ch.transfer, np.full((5, 5), 0.7 / 5))
+        assert ch.kraus_truncation == 1 + 5**2
+
+    def test_reloaded_stack_folds_units_into_transfer(self):
+        # A reloaded channel file holds sqrt(p) I and every scaled matrix unit.
+        # Off offset 0 the units go into the transfer matrix; offset 0 mixes
+        # them with sqrt(p) I, so they join its square multiplier.
+        family = depolarizing(0.3, 5)
+        reloaded = KrausChannel(family.kraus_ops)
+        assert list(reloaded.multipliers) == [0]
+        off_diagonal = ~np.eye(5, dtype=bool)
+        assert np.array_equal(reloaded.transfer[off_diagonal], family.transfer[off_diagonal])
+        assert not np.any(np.diagonal(reloaded.transfer))
+        assert reloaded.kraus_truncation == family.kraus_truncation
+        assert np.max(np.abs(superoperator_of(reloaded) - superoperator_of(family))) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Random band channels mixing square and diagonal multipliers
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def multiplier_channels(draw):
+    """(ops, full, units) for a random band channel on dim <= 7.
+
+    ``full`` maps offsets to Kraus diagonals (terms, dim - |o|), ``units``
+    maps offsets to the weights of the matrix units |a><a+o| (some zero), and
+    ``ops`` is the dense stack of both, one operator per diagonal and per
+    nonzero weight. Offset 0 always holds a dense term, so every column is
+    covered. ``replacement`` adds a weight on every entry, as the matrix
+    units of a reloaded depolarizing file do. The columns are then scaled to
+    trace preservation, or, for ``lossy`` channels, off it at random.
+    """
+    dim = draw(st.integers(min_value=1, max_value=7))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    offsets = {0} | set(draw(st.lists(st.integers(min_value=1 - dim, max_value=dim - 1),
+                                      max_size=4)))
+    full, units = {}, {}
+    for o in sorted(offsets):
+        m = dim - abs(o)
+        if o == 0 or draw(st.booleans()):
+            terms = draw(st.integers(min_value=1, max_value=3))
+            full[o] = rng.normal(size=(terms, m)) + 1j * rng.normal(size=(terms, m))
+        else:
+            units[o] = rng.random(m) * (rng.random(m) < 0.7)
+    if draw(st.booleans()):
+        for o in range(1 - dim, dim):
+            units[o] = units.get(o, 0.0) + np.full(dim - abs(o), rng.random())
+    column_mass = np.zeros(dim)
+    for o in offsets | set(units):
+        cols = np.arange(dim - abs(o)) + max(0, o)
+        column_mass[cols] += np.sum(np.abs(full[o]) ** 2, axis=0) if o in full else 0.0
+        column_mass[cols] += units.get(o, 0.0)
+    scale = 1.0 / np.sqrt(column_mass)
+    if draw(st.booleans()):
+        scale *= rng.uniform(0.5, 1.5, size=dim)
+    ops = []
+    for o in range(1 - dim, dim):
+        rows = np.arange(dim - abs(o)) + max(0, -o)
+        if o in full:
+            full[o] = full[o] * scale[rows + o]
+            for e in full[o]:
+                op = np.zeros((dim, dim), dtype=complex)
+                op[rows, rows + o] = e
+                ops.append(op)
+        if o in units:
+            units[o] = units[o] * scale[rows + o] ** 2
+            for a in np.flatnonzero(units[o]):
+                op = np.zeros((dim, dim), dtype=complex)
+                op[rows[a], rows[a] + o] = np.sqrt(units[o][a])
+                ops.append(op)
+    return np.array(ops), full, units
+
+
+def _constructions(ops, full, units):
+    """The same channel from its dense stack, its bands and diagonal weights,
+    and its square and diagonal multipliers."""
+    square = {o: e.T @ e.conj() for o, e in full.items()}
+    for o in set(square) & set(units):
+        square[o] = square[o] + np.diag(units[o])
+    return [KrausChannel(ops),
+            KrausChannel(bands=full, multipliers=units or None),
+            KrausChannel(multipliers={**units, **square})]
+
+
+class TestRandomMultiplierChannels:
+    @settings(max_examples=60, deadline=None)
+    @given(multiplier_channels(), st.integers(min_value=0, max_value=10**6))
+    def test_kernels_match_dense_kraus_sum(self, case, seed):
+        ops, full, units = case
+        x = _probe(ops.shape[1], seed)
+        for ch in _constructions(ops, full, units):
+            assert ch.multipliers is not None
+            assert np.max(np.abs(apply_channel(ch, x) - dense_apply(ops, x))) < 1e-12
+            assert np.max(np.abs(adjoint_apply(ch, x) - dense_adjoint(ops, x))) < 1e-12
+            assert ch.tp_defect == pytest.approx(dense_tp_defect(ops), abs=1e-13)
+            for block in range(1, ch.dim + 1):
+                assert tp_defect_on_block(ch, block) == pytest.approx(
+                    dense_tp_defect(ops, block), abs=1e-13)
+            assert np.max(np.abs(superoperator_of(ch) - dense_superoperator(ops))) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(multiplier_channels())
+    def test_fixed_points_match_dense_oracle(self, case):
+        ops, full, units = case
+        dense = dense_fixed_points(ops, FIXED_POINT_TOL)
+        for ch in _constructions(ops, full, units):
+            members = fixed_point_space(ch)
+            assert len(members) == len(dense)
+            gap = np.max(np.abs(span_projector(members) - span_projector(dense)), initial=0.0)
+            assert gap <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(multiplier_channels(), st.integers(min_value=0, max_value=10**6))
+    def test_kraus_form_reproduces_the_action(self, case, seed):
+        ops, full, units = case
+        stacked, banded, square = _constructions(ops, full, units)
+        assert np.array_equal(stacked.kraus_ops, ops)
+        # Single-entry terms on one entry merge, as at dim 1.
+        assert banded.kraus_truncation <= len(ops)
+        x = _probe(ops.shape[1], seed)
+        for ch in (banded, square):
+            rebuilt = ch.kraus_ops
+            assert rebuilt.shape == (ch.kraus_truncation, ch.dim, ch.dim)
+            assert np.max(np.abs(dense_apply(rebuilt, x) - apply_channel(ch, x))) < 1e-13

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kraus_reference import dense_fixed_points
+from kraus_reference import dense_fixed_points, span_projector
 from subchan.channels import (
     MAX_KRAUS_BYTES,
     MAX_SUPEROPERATOR_DIM,
@@ -267,7 +267,7 @@ class TestFixedPoints:
         # the dense superoperator route, which stops at MAX_SUPEROPERATOR_DIM.
         dim = MAX_SUPEROPERATOR_DIM + 1
         ch = KrausChannel(_random_unitary(dim, np.random.default_rng(65)))
-        assert ch.bands is None
+        assert ch.multipliers is None
         with pytest.raises(ResourceLimitError, match="superoperator"):
             fixed_point_space(ch)
 
@@ -293,17 +293,11 @@ class TestFixedPoints:
 # ---------------------------------------------------------------------------
 
 
-def _span_projector(members) -> np.ndarray:
-    """sum_k vec(x_k) vec(x_k)^dag: the projector onto the span of orthonormal members."""
-    v = np.array([x.reshape(-1) for x in members])
-    return v.T @ v.conj()
-
-
 def _assert_same_fixed_space(ch: KrausChannel, ops) -> None:
     block = fixed_point_space(ch)
     dense = dense_fixed_points(ops, FIXED_POINT_TOL)
     assert len(block) == len(dense)
-    gap = np.max(np.abs(_span_projector(block) - _span_projector(dense)))
+    gap = np.max(np.abs(span_projector(block) - span_projector(dense)))
     assert gap <= 1e-10
 
 
@@ -402,5 +396,5 @@ class TestRandomBandChannels:
     @given(band_channels())
     def test_matches_dense_oracle(self, ops):
         ch = KrausChannel(ops)
-        assert ch.bands is not None and ch.tp_defect <= 1e-12
+        assert ch.multipliers is not None and ch.tp_defect <= 1e-12
         _assert_same_fixed_space(ch, ops)
