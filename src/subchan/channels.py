@@ -23,6 +23,16 @@ stores the M_o, and every kernel reads them: applying it is one elementwise
 product per offset, and Phi*(I) is diagonal, which makes the
 trace-preservation defect a maximum over its entries.
 
+Support window. An encoded state sits on a few low levels of a much larger
+truncation, so most of each shifted product multiplies zeros. When a
+channel stores a multiplier off offset 0, ``apply_channel`` and
+``adjoint_apply`` first find [lo, hi), the smallest index range holding
+every nonzero row and column of x (one O(dim^2) pass). Each shifted product
+is then cut to the rows whose source lies in that range, a + o for Phi and
+a for Phi*, and offsets that miss it are skipped. The offset-0 product and
+the transfer matvec stay full size. Only exact zero terms are dropped, so
+the result equals the full-size sum entry for entry.
+
 A diagonal multiplier only moves populations, Phi(x)[a, a] picks up
 M_o[a, a] x[a+o, a+o]. All of them, on every offset, are kept together as
 one population-transfer matrix T[a, a+o] = M_o[a, a] (``transfer``) and
@@ -243,7 +253,10 @@ def _fold(bands, multipliers):
     A band whose terms each hold exactly one nonzero entry goes into T, one
     entry per term; any other band becomes the square multiplier e^T conj(e)
     (one GEMM, a real one for real terms) and counts its terms. A square
-    multiplier counts its size, a diagonal one goes into T.
+    multiplier counts its size, a diagonal one goes into T. The entries of T
+    are gathered part by part and summed into it by one bincount, in the
+    order the parts are given (bands first), so a repeated entry adds up as
+    it would term by term.
     """
     parts = [("band", int(o), _float_or_complex(e)) for o, e in bands.items()]
     parts += [("multiplier", int(o), _float_or_complex(m)) for o, m in multipliers.items()]
@@ -251,7 +264,7 @@ def _fold(bands, multipliers):
         square = a.ndim == 2 and a.shape[0] == a.shape[1]
         if 0 in a.shape or not (a.ndim == 2 if kind == "band" else a.ndim == 1 or square):
             raise ValueError(f"{kind} {offset} has shape {a.shape}")
-        if kind == "multiplier" and a.ndim == 1 and (a.dtype.kind == "c" or np.any(a < 0)):
+        if kind == "multiplier" and a.ndim == 1 and a.dtype.kind == "c":
             raise ValueError(f"diagonal multiplier {offset} must be real and nonnegative")
     dims = {a.shape[-1] + abs(offset) for _, offset, a in parts}
     if not dims:
@@ -260,21 +273,35 @@ def _fold(bands, multipliers):
         raise ValueError(f"band lengths imply different dims {sorted(dims)}")
     n = dims.pop()
     full, ranks = {}, {}
-    transfer = np.zeros((n, n))
+    units, diagonals = [], []
     for kind, offset, a in parts:
-        first = _band_slices(offset, n)[0].start
+        first = max(0, -offset)
         if kind == "band" and np.all(np.count_nonzero(a, axis=1) == 1):
             at = np.argmax(a != 0, axis=1)
-            np.add.at(transfer, (first + at, first + at + offset),
-                      np.abs(a[np.arange(len(a)), at]) ** 2)
+            units.append(((first + at) * (n + 1) + offset, np.abs(a[np.arange(len(a)), at]) ** 2))
         elif a.ndim == 1:
-            at = first + np.arange(a.size)
-            transfer[at, at + offset] += a
+            diagonals.append((first * (n + 1) + offset, a))
         else:
             m = a.T @ a.conj() if kind == "band" else a.copy()
             full[offset] = full[offset] + m if offset in full else m
             ranks[offset] = ranks.get(offset, 0) + a.shape[0]
     full = {o: _readonly(full[o]) for o in sorted(full)}
+    if not units and not diagonals:
+        return n, full, ranks, None
+    # Diagonal o from row `first` holds the flat entries start + j (n + 1),
+    # start = first (n + 1) + o.
+    lengths = np.array([a.size for _, a in diagonals], dtype=int)
+    weights = np.concatenate([w for _, w in units] + [a for _, a in diagonals])
+    if np.any(weights < 0):  # unit weights are squares, so a diagonal is negative
+        offset = next(o for _, o, a in parts if a.ndim == 1 and np.any(a < 0))
+        raise ValueError(f"diagonal multiplier {offset} must be real and nonnegative")
+    # Entry k of the concatenated diagonals, the j-th of its own, sits at
+    # start + j (n + 1) = (start - (k - j) (n + 1)) + k (n + 1).
+    starts = np.array([start for start, _ in diagonals], dtype=int)
+    shifts = np.repeat(starts - (np.cumsum(lengths) - lengths) * (n + 1), lengths)
+    flat = np.concatenate([at for at, _ in units]
+                          + [shifts + np.arange(lengths.sum()) * (n + 1)])
+    transfer = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
     return n, full, ranks, _readonly(transfer) if np.any(transfer) else None
 
 
@@ -336,16 +363,43 @@ def _check_dims(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _shifted(ch: KrausChannel, x: np.ndarray, adjoint: bool):
+    """(target, source, M_o block) per shifted product, cut to sources in the support of x.
+
+    The support window [lo, hi) is the smallest index range holding every
+    nonzero row and column of x. A product's source is x[cols, cols] for
+    Phi and x[rows, rows] for Phi*; only the entries whose source index lies
+    in [lo, hi) are kept, and offsets that miss it yield nothing. A channel
+    on offset 0 alone has no shifted product and skips the pass.
+    """
+    shifted = ch._products[1:]
+    if not shifted:
+        return
+    (used,) = np.nonzero(x.any(axis=0) | x.any(axis=1))
+    lo, hi = (int(used[0]), int(used[-1]) + 1) if used.size else (0, 0)
+    for rows, cols, m in shifted:
+        target, source = (cols, rows) if adjoint else (rows, cols)
+        start, stop = max(lo, source.start), min(hi, source.stop)
+        if start < stop:
+            first, last = start - source.start, stop - source.start
+            yield (slice(target.start + first, target.start + last), slice(start, stop),
+                   m[first:last, first:last])
+
+
 def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
-    """Phi(x) = sum_i E_i x E_i^dag."""
+    """Phi(x) = sum_i E_i x E_i^dag.
+
+    A band channel with multipliers off offset 0 keeps, in each shifted
+    product, only the rows a whose source a + o lies in the support window
+    of x; the terms it drops are exact zeros.
+    """
     x = _check_dims(ch, x)
     if ch.multipliers is None:
         e = ch.kraus_ops
         return ((e @ x) @ e.conj().transpose(0, 2, 1)).sum(axis=0)
-    (_, _, m0), *shifted = ch._products
-    out = m0 * x
-    for rows, cols, m in shifted:
-        out[rows, rows] += m * x[cols, cols]
+    out = ch._products[0][2] * x
+    for target, source, m in _shifted(ch, x, adjoint=False):
+        out[target, target] += m * x[source, source]
     if ch.transfer is not None:
         out.reshape(-1)[::ch.dim + 1] += ch.transfer @ x.diagonal()
     return out
@@ -355,16 +409,16 @@ def adjoint_apply(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     """Conjugate map Phi*(x) = sum_i E_i^dag x E_i.
 
     Satisfies tr(x1 Phi*(x2)) = tr(Phi(x1) x2); unital exactly when Phi is
-    trace-preserving.
+    trace-preserving. Shifted products keep only the rows a that lie in the
+    support window of x, as in :func:`apply_channel`.
     """
     x = _check_dims(ch, x)
     if ch.multipliers is None:
         e = ch.kraus_ops
         return ((e.conj().transpose(0, 2, 1) @ x) @ e).sum(axis=0)
-    (_, _, m0), *shifted = ch._products
-    out = m0.conj() * x
-    for rows, cols, m in shifted:
-        out[cols, cols] += m.conj() * x[rows, rows]
+    out = ch._products[0][2].conj() * x
+    for target, source, m in _shifted(ch, x, adjoint=True):
+        out[target, target] += m.conj() * x[source, source]
     if ch.transfer is not None:
         out.reshape(-1)[::ch.dim + 1] += x.diagonal() @ ch.transfer
     return out

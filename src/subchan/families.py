@@ -182,8 +182,8 @@ def depolarizing(p: float, dim: int) -> KrausChannel:
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     identity = {0: np.full((1, dim), np.sqrt(p))} if p > 0.0 else None
-    replacement = ({o: np.full(dim - abs(o), (1.0 - p) / dim) for o in range(1 - dim, dim)}
-                   if p < 1.0 else None)
+    weights = np.full(dim, (1.0 - p) / dim)
+    replacement = {o: weights[abs(o):] for o in range(1 - dim, dim)} if p < 1.0 else None
     return KrausChannel(bands=identity, multipliers=replacement,
                         family="depolarizing", eta=float(p))
 

@@ -18,7 +18,9 @@ Its uniform average over the Bloch sphere is computed two independent ways:
   periodic rule in phi. The integrand has degree <= 2 in u and harmonics
   |m| <= 2 in phi, so the QUADRATURE_NODES x QUADRATURE_NODES default
   (16 x 16) integrates it exactly up to roundoff, making this an independent
-  oracle for the contraction weights.
+  oracle for the contraction weights. The node states' amplitudes are built
+  together as one array; the channel is still applied once per node, to the
+  plain density matrix |psi><psi|.
 """
 
 from __future__ import annotations
@@ -166,8 +168,12 @@ def average_fidelity_quadrature(
 ) -> FidelityReport:
     """Bloch average by Gauss-Legendre (in cos theta) x periodic-uniform (in phi).
 
-    Deliberately evaluates f node by node through plain channel application,
-    sharing nothing with the moment contraction beyond the channel itself.
+    The node states' amplitudes on the two code words, all n_theta * n_phi
+    of them, theta major, are built in one vectorized step. Each node lifts
+    its pair to psi with one small product (a (nodes, dim) array of states
+    would raise the peak memory at large dim) and is scored as tr(x Phi(x))
+    with x = |psi><psi|: one plain channel application per node, sharing
+    nothing with the moment contraction beyond the channel itself.
     """
     if n_theta < 8 or n_phi < 8:
         raise ValueError(f"need n_theta >= 8 and n_phi >= 8, got {n_theta}, {n_phi}")
@@ -175,16 +181,19 @@ def average_fidelity_quadrature(
         raise DimensionMismatchError(
             f"channel dim {ch.dim} does not match encoding dim {subspace.dim}"
         )
+    if subspace.d != 2:
+        raise ValueError(f"need a d=2 subspace, got d={subspace.d}")
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-    phis = 2 * np.pi * np.arange(n_phi) / n_phi
-    total = 0.0
-    for u, w in zip(nodes, weights):
-        theta = float(np.arccos(u))
-        for phi in phis:
-            psi = bloch_state(subspace, theta, float(phi))
-            image = apply_channel(ch, outer(psi, psi))
-            total += w * float((np.conj(psi) @ image @ psi).real)
+    half = np.arccos(nodes)[:, np.newaxis] / 2
+    phase = np.exp(2j * np.pi * np.arange(n_phi) / n_phi)
+    amplitudes = np.stack(np.broadcast_arrays(np.cos(half), phase * np.sin(half)), axis=-1)
+    scores = np.empty(n_theta * n_phi)
+    for node, amplitude in enumerate(amplitudes.reshape(-1, 2)):
+        psi = amplitude @ subspace.basis
+        x = outer(psi, psi)
+        scores[node] = np.vdot(x, apply_channel(ch, x)).real
     # (1 / 4pi) * sum_ij w_i (2pi / n_phi) f_ij
+    total = weights @ scores.reshape(n_theta, n_phi).sum(axis=1)
     return _report(ch, subspace, _clip_unit(total / (2 * n_phi)), "quadrature")
 
 

@@ -6,6 +6,11 @@ path in ``subchan.channels``. ``poisson_phase_damping`` sums the Poisson Kraus
 family of phase damping term by term, independently of the closed-form
 multiplier in ``subchan.families``. ``reference_formula`` holds known
 closed-form fidelity averages.
+
+``full_band_apply`` is the band form summed over the whole truncation, with
+no support window: it reads only a channel's public ``multipliers`` and
+``transfer``. ``node_quadrature`` is the Bloch quadrature evaluated node by
+node, each state built on its own.
 """
 
 import math
@@ -22,6 +27,29 @@ def dense_apply(ops, x):
 def dense_adjoint(ops, x):
     """Phi*(x) = sum_i E_i^dag x E_i."""
     return sum(e.conj().T @ x @ e for e in ops)
+
+
+def full_band_apply(ch, x, adjoint=False):
+    """Phi(x), or Phi*(x), from the multipliers of a band channel, every product full size.
+
+    Offset 0 comes first, then ascending |o|, then the transfer matrix: the
+    order the library sums them in, so wherever its support window drops
+    only exact zeros the two results are equal entry for entry.
+    """
+    n, ms = ch.dim, ch.multipliers
+    out = (ms[0].conj() if adjoint else ms[0]) * x if 0 in ms else np.zeros((n, n)) * x
+    for o in sorted((o for o in ms if o), key=abs):
+        rows = slice(max(0, -o), n - max(0, o))
+        cols = slice(rows.start + o, rows.stop + o)
+        if adjoint:
+            out[cols, cols] += ms[o].conj() * x[rows, rows]
+        else:
+            out[rows, rows] += ms[o] * x[cols, cols]
+    if ch.transfer is not None:
+        populations = np.diagonal(x)
+        out[np.diag_indices(n)] += (populations @ ch.transfer if adjoint
+                                    else ch.transfer @ populations)
+    return out
 
 
 def dense_tp_defect(ops, block=None):
@@ -62,6 +90,27 @@ def span_projector(members):
     """sum_k vec(x_k) vec(x_k)^dag: the projector onto the span of orthonormal members."""
     v = np.array([np.asarray(x).reshape(-1) for x in members])
     return v.T @ v.conj()
+
+
+def node_quadrature(apply, basis, n_theta, n_phi):
+    """Bloch average of <psi|Phi(|psi><psi|)|psi>, one node at a time.
+
+    ``apply`` maps an operator x to Phi(x), ``basis`` holds the two code
+    words as rows. Gauss-Legendre in u = cos(theta), theta by theta, crossed
+    with the uniform periodic rule in phi; each node builds
+    cos(theta/2) b_0 + e^{i phi} sin(theta/2) b_1 and reads the image as
+    conj(psi) @ image @ psi.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    total = 0.0
+    for u, w in zip(nodes, weights):
+        theta = float(np.arccos(u))
+        for phi in 2 * np.pi * np.arange(n_phi) / n_phi:
+            psi = np.cos(theta / 2) * basis[0] + np.exp(1j * phi) * np.sin(theta / 2) * basis[1]
+            image = apply(np.outer(psi, psi.conj()))
+            total += w * float((np.conj(psi) @ image @ psi).real)
+    # (1 / 4pi) * sum_ij w_i (2pi / n_phi) f_ij
+    return total / (2 * n_phi)
 
 
 def reference_formula(family: str, **params) -> float:

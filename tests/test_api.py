@@ -55,3 +55,17 @@ def test_no_sample_tail_rank_or_phase_options():
     offenders = sorted(f"{name}({p})" for name, sig in _public_signatures().items()
                        for p in sig.parameters if p in removed)
     assert offenders == []
+
+
+def test_kernels_and_quadrature_keep_their_parameters():
+    # The support window of the band kernels and the vectorized quadrature
+    # nodes are internal: neither adds an option.
+    signatures = _public_signatures()
+    params = {name: list(signatures[f"subchan.{name}"].parameters) for name in (
+        "channels.apply_channel", "channels.adjoint_apply",
+        "fidelity.average_fidelity_quadrature")}
+    assert params == {
+        "channels.apply_channel": ["ch", "x"],
+        "channels.adjoint_apply": ["ch", "x"],
+        "fidelity.average_fidelity_quadrature": ["ch", "subspace", "n_theta", "n_phi"],
+    }

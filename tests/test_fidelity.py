@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kraus_reference import reference_formula
+from kraus_reference import node_quadrature, reference_formula
+from subchan.channels import apply_channel
 from subchan.errors import DimensionMismatchError
-from subchan.families import amplitude_damping, identity_channel, phase_damping
+from subchan.families import amplitude_damping, depolarizing, identity_channel, phase_damping
 from subchan.fidelity import (
     FidelityReport,
     average_fidelity_closed,
@@ -112,6 +113,24 @@ class TestQuadrature:
             average_fidelity_quadrature(ch, _pair(0, 1, 8), n_theta=4)
         with pytest.raises(ValueError):
             average_fidelity_quadrature(ch, _pair(0, 1, 8), n_phi=4)
+
+    def test_encoded_qubit_requires_two_dims(self):
+        with pytest.raises(ValueError):
+            average_fidelity_quadrature(phase_damping(0.5, 8), Subspace.from_levels([0, 1, 2], 8))
+
+    @pytest.mark.parametrize("grid", [(16, 16), (8, 12), (13, 9)])
+    @pytest.mark.parametrize("maker", [phase_damping, amplitude_damping, depolarizing])
+    def test_matches_node_by_node_oracle(self, maker, grid):
+        # Unequal node counts pair each theta weight with the wrong nodes if
+        # the vectorized grid is transposed or its weights repeated wrongly.
+        dim = 10
+        ch = maker(0.45, dim)
+        rng = np.random.default_rng(7)
+        code, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
+        for sub in (_pair(1, 4, dim), Subspace(dim=dim, basis=code.T)):
+            oracle = node_quadrature(lambda x: apply_channel(ch, x), sub.basis, *grid)
+            value = average_fidelity_quadrature(ch, sub, *grid).value
+            assert abs(value - oracle) <= 1e-14
 
     def test_cross_check_matrix(self):
         # The decisive validation of the frozen contraction weights.

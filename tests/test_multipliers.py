@@ -4,7 +4,9 @@ Band channels are stored by their Schur multipliers M_o and the
 population-transfer matrix T of the diagonal ones. Every kernel that reads
 them is checked here against dense Kraus sums, one operator at a time, and
 the closed-form phase damping multiplier against the Poisson Kraus family
-summed term by term.
+summed term by term. Inputs supported on a few levels check the support
+window of ``apply_channel`` and ``adjoint_apply`` against the same sums and
+against the full-size products.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from kraus_reference import (
     dense_tp_defect,
     diagonal_kraus_adjoint,
     diagonal_kraus_apply,
+    full_band_apply,
     poisson_phase_damping,
     span_projector,
 )
@@ -29,7 +32,7 @@ from subchan.channels import (
     superoperator_of,
     tp_defect_on_block,
 )
-from subchan.families import depolarizing, phase_damping
+from subchan.families import amplitude_damping, depolarizing, phase_damping
 from subchan.fock import random_hermitian
 from subchan.subspaces import fixed_point_space
 from subchan.tolerances import FIXED_POINT_TOL
@@ -99,6 +102,18 @@ class TestDepolarizingTransfer:
         assert not np.any(np.diagonal(reloaded.transfer))
         assert reloaded.kraus_truncation == family.kraus_truncation
         assert np.max(np.abs(superoperator_of(reloaded) - superoperator_of(family))) < 1e-15
+
+    def test_diagonal_multipliers_must_be_real_and_nonnegative(self):
+        with pytest.raises(ValueError, match="diagonal multiplier -1 must be"):
+            KrausChannel(multipliers={0: np.ones(3), -1: [0.5, -0.1], 1: [-1.0, 0.0]})
+        with pytest.raises(ValueError, match="diagonal multiplier 1 must be"):
+            KrausChannel(multipliers={0: np.ones(3), 1: np.array([0.5, 1j])})
+
+    def test_unit_bands_and_diagonals_add_on_shared_entries(self):
+        ch = KrausChannel(bands={1: [[0.0, 2.0]]}, multipliers={1: [0.5, 0.25], 0: [1.0, 0, 0]})
+        expect = np.zeros((3, 3))
+        expect[0, 0], expect[0, 1], expect[1, 2] = 1.0, 0.5, 4.0 + 0.25
+        assert np.array_equal(ch.transfer, expect)
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +225,62 @@ class TestRandomMultiplierChannels:
             rebuilt = ch.kraus_ops
             assert rebuilt.shape == (ch.kraus_truncation, ch.dim, ch.dim)
             assert np.max(np.abs(dense_apply(rebuilt, x) - apply_channel(ch, x))) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Inputs supported on a few levels: the support window
+# ---------------------------------------------------------------------------
+
+SUPPORTS = ("window", "corner", "ends", "last", "zero")
+
+
+def _supported(dim, support, lo, hi, seed):
+    """A random complex operator whose nonzero rows and columns are those of ``support``.
+
+    "window": every entry on levels lo..hi-1; "corner": the one entry
+    x[lo, hi-1]; "ends": levels 0 and min(5, dim-1), nothing between;
+    "last": the top level alone; "zero": nothing.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.zeros((dim, dim), dtype=complex)
+    levels = {"window": np.arange(lo, hi), "ends": np.unique([0, min(5, dim - 1)]),
+              "last": np.array([dim - 1])}.get(support)
+    if support == "corner":
+        x[lo, hi - 1] = rng.normal() + 1j * rng.normal()
+    elif levels is not None:
+        block = np.ix_(levels, levels)
+        x[block] = rng.normal(size=x[block].shape) + 1j * rng.normal(size=x[block].shape)
+    return x
+
+
+def _check_supported(ch, ops, x):
+    for adjoint, kernel, dense in ((False, apply_channel, dense_apply),
+                                   (True, adjoint_apply, dense_adjoint)):
+        out = kernel(ch, x)
+        assert np.max(np.abs(out - dense(ops, x))) <= 1e-13
+        assert np.array_equal(out, full_band_apply(ch, x, adjoint))
+
+
+class TestSupportWindow:
+    @settings(max_examples=150, deadline=None)
+    @given(multiplier_channels(), st.sampled_from(SUPPORTS), st.data())
+    def test_matches_dense_sum_and_full_products(self, case, support, data):
+        ops, full, units = case
+        dim = ops.shape[1]
+        lo = data.draw(st.integers(min_value=0, max_value=dim - 1))
+        hi = data.draw(st.integers(min_value=lo + 1, max_value=dim))
+        x = _supported(dim, support, lo, hi, data.draw(st.integers(0, 10**6)))
+        for ch in _constructions(ops, full, units):
+            _check_supported(ch, ops, x)
+
+    @pytest.mark.parametrize("support", SUPPORTS)
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_negative_offsets(self, dim, support):
+        # Transposed amplitude damping: operator i lies on offset -i, so every
+        # shifted product reads levels lower than the ones it writes.
+        ops = amplitude_damping(0.6, dim).kraus_ops.transpose(0, 2, 1)
+        ch = KrausChannel(ops)
+        assert all(o <= 0 for o in ch.multipliers)
+        for lo in range(dim):
+            for hi in range(lo + 1, dim + 1):
+                _check_supported(ch, ops, _supported(dim, support, lo, hi, 10 * lo + hi))
