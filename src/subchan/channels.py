@@ -55,6 +55,13 @@ Its term count ``kraus_truncation`` is fixed at construction. Its size is
 estimated first: above MAX_KRAUS_BYTES, the byte size of the largest
 superoperator ``superoperator_of`` builds, it raises ResourceLimitError
 without allocating.
+
+Coherence-order blocks. A band channel's superoperator is block diagonal,
+one block per diagonal q of x (Holevo, Quantum Systems, Channels,
+Information). ``_coherence_blocks`` yields them, or one whole block for a
+channel with no band form, and both ``superoperator_of`` and
+``subspaces.fixed_point_space`` read them. Diagonal o of an n x n array is
+addressed as one strided slice of its flattening, ``_diagonal(o, n)``.
 """
 
 from __future__ import annotations
@@ -79,10 +86,11 @@ VERIFY_SAMPLES = 20
 KNOWN_FAMILIES = ("phase-damping", "amplitude-damping", "depolarizing", "custom")
 
 
-def _band_slices(offset: int, dim: int) -> tuple[slice, slice]:
-    """Rows a of E[a, a+offset] that lie on the truncation, and the columns a+offset."""
-    rows = slice(max(0, -offset), dim - max(0, offset))
-    return rows, slice(rows.start + offset, rows.stop + offset)
+def _diagonal(offset: int, n: int) -> slice:
+    """Flat positions of diagonal ``offset`` of a C-ordered n x n array, by ascending row."""
+    if offset >= 0:
+        return slice(offset, n * (n - offset), n + 1)
+    return slice(-offset * n, n * n, n + 1)
 
 
 class KrausChannel:
@@ -196,18 +204,19 @@ class KrausChannel:
                 "Reduce the truncation."
             )
         stack = np.zeros((terms, n, n), dtype=complex)
+        flat = stack.reshape(terms, n * n)
         first = 0
         for offset in range(1 - n, n):
-            rows = np.arange(n)[_band_slices(offset, n)[0]]
+            diagonal = _diagonal(offset, n)
             if offset in self.multipliers:
                 factor = _factor(self.multipliers[offset], self._ranks[offset])
-                stack[first:first + len(factor), rows, rows + offset] = factor
+                flat[first:first + len(factor), diagonal] = factor
                 first += len(factor)
             if self.transfer is not None:
-                weights = np.diagonal(self.transfer, offset)
+                weights = self.transfer.reshape(-1)[diagonal]
                 (hit,) = np.nonzero(weights)
-                stack[first + np.arange(hit.size), rows[hit], rows[hit] + offset] = (
-                    np.sqrt(weights[hit]))
+                units = flat[first:first + hit.size, diagonal]
+                units[np.arange(hit.size), hit] = np.sqrt(weights[hit])
                 first += hit.size
         stack.flags.writeable = False
         return stack
@@ -216,13 +225,15 @@ class KrausChannel:
     def _products(self) -> list[tuple[slice, slice, np.ndarray]]:
         """(rows, cols, M_o) per offset, so Phi(x)[rows, rows] += M_o * x[cols, cols].
 
-        Offset 0 comes first and is always present (M_0 = 0 when no square
-        multiplier lies on it), so its full-size product can start the sum.
+        The rows a of E[a, a+o] on the truncation, and the columns a+o, by
+        ascending |o|. Offset 0 comes first and is always present (M_0 = 0
+        when no square multiplier lies on it), so its full-size product can
+        start the sum.
         """
         n = self.dim
-        zero = [] if 0 in self.multipliers else [(slice(0, n), slice(0, n), np.zeros((n, n)))]
-        return zero + [(*_band_slices(offset, n), m)
-                       for offset, m in sorted(self.multipliers.items(), key=lambda i: abs(i[0]))]
+        zero = {} if 0 in self.multipliers else {0: np.zeros((n, n))}
+        return [(slice(max(0, -o), n - max(0, o)), slice(max(0, o), n - max(0, -o)), m)
+                for o, m in sorted({**zero, **self.multipliers}.items(), key=lambda i: abs(i[0]))]
 
     @cached_property
     def _adjoint_identity(self) -> np.ndarray:
@@ -250,13 +261,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _fold(bands, multipliers):
     """(dim, square multipliers by ascending offset, their term counts, T or None).
 
-    A band whose terms each hold exactly one nonzero entry goes into T, one
-    entry per term; any other band becomes the square multiplier e^T conj(e)
-    (one GEMM, a real one for real terms) and counts its terms. A square
-    multiplier counts its size, a diagonal one goes into T. The entries of T
-    are gathered part by part and summed into it by one bincount, in the
-    order the parts are given (bands first), so a repeated entry adds up as
-    it would term by term.
+    A band whose terms each hold exactly one nonzero entry goes into T, its
+    squared entries summed per position; any other band becomes the square
+    multiplier e^T conj(e) (one GEMM, a real one for real terms) and counts
+    its terms. A square multiplier counts its size, a diagonal one goes into
+    T. Diagonal multipliers lie on distinct offsets, so each is written onto
+    its diagonal of T; one sign check over T follows, then the unit bands
+    are added.
     """
     parts = [("band", int(o), _float_or_complex(e)) for o, e in bands.items()]
     parts += [("multiplier", int(o), _float_or_complex(m)) for o, m in multipliers.items()]
@@ -272,15 +283,12 @@ def _fold(bands, multipliers):
     if len(dims) != 1:
         raise ValueError(f"band lengths imply different dims {sorted(dims)}")
     n = dims.pop()
-    full, ranks = {}, {}
-    units, diagonals = [], []
+    full, ranks, diagonals, units = {}, {}, [], []
     for kind, offset, a in parts:
-        first = max(0, -offset)
         if kind == "band" and np.all(np.count_nonzero(a, axis=1) == 1):
-            at = np.argmax(a != 0, axis=1)
-            units.append(((first + at) * (n + 1) + offset, np.abs(a[np.arange(len(a)), at]) ** 2))
+            units.append((offset, (np.abs(a) ** 2).sum(axis=0)))
         elif a.ndim == 1:
-            diagonals.append((first * (n + 1) + offset, a))
+            diagonals.append((offset, a))
         else:
             m = a.T @ a.conj() if kind == "band" else a.copy()
             full[offset] = full[offset] + m if offset in full else m
@@ -288,20 +296,15 @@ def _fold(bands, multipliers):
     full = {o: _readonly(full[o]) for o in sorted(full)}
     if not units and not diagonals:
         return n, full, ranks, None
-    # Diagonal o from row `first` holds the flat entries start + j (n + 1),
-    # start = first (n + 1) + o.
-    lengths = np.array([a.size for _, a in diagonals], dtype=int)
-    weights = np.concatenate([w for _, w in units] + [a for _, a in diagonals])
-    if np.any(weights < 0):  # unit weights are squares, so a diagonal is negative
-        offset = next(o for _, o, a in parts if a.ndim == 1 and np.any(a < 0))
+    transfer = np.zeros((n, n))
+    flat = transfer.reshape(-1)
+    for offset, w in diagonals:
+        flat[_diagonal(offset, n)] = w
+    if transfer.min() < 0:
+        offset = next(o for o, w in diagonals if np.any(w < 0))
         raise ValueError(f"diagonal multiplier {offset} must be real and nonnegative")
-    # Entry k of the concatenated diagonals, the j-th of its own, sits at
-    # start + j (n + 1) = (start - (k - j) (n + 1)) + k (n + 1).
-    starts = np.array([start for start, _ in diagonals], dtype=int)
-    shifts = np.repeat(starts - (np.cumsum(lengths) - lengths) * (n + 1), lengths)
-    flat = np.concatenate([at for at, _ in units]
-                          + [shifts + np.arange(lengths.sum()) * (n + 1)])
-    transfer = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+    for offset, w in units:
+        flat[_diagonal(offset, n)] += w
     return n, full, ranks, _readonly(transfer) if np.any(transfer) else None
 
 
@@ -517,7 +520,10 @@ def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
 
 
 def superoperator_of(ch: KrausChannel) -> np.ndarray:
-    """dim^2 x dim^2 matrix sum_i conj(E_i) kron E_i acting on :func:`vec` of an operator."""
+    """dim^2 x dim^2 matrix sum_i conj(E_i) kron E_i acting on :func:`vec` of an operator.
+
+    A band channel's is its coherence-order blocks written into place.
+    """
     n = ch.dim
     if n > MAX_SUPEROPERATOR_DIM:
         raise ResourceLimitError(
@@ -525,18 +531,36 @@ def superoperator_of(ch: KrausChannel) -> np.ndarray:
             f"limit is dim <= {MAX_SUPEROPERATOR_DIM}. Reduce the truncation."
         )
     if ch.multipliers is not None:
-        # Phi(x)[a, b] picks up M_o[a, b] x[a+o, b+o]; vec(x)[b n + a] = x[a, b].
-        grid = np.arange(n)
-        index = grid[np.newaxis, :] * n + grid[:, np.newaxis]
         s = np.zeros((n * n, n * n), dtype=complex)
-        for rows, cols, m in ch._products:
-            s[index[rows, rows], index[cols, cols]] = m
-        if ch.transfer is not None:
-            # Phi(x)[a, a] picks up T[a, c] x[c, c].
-            diagonal = np.diagonal(index)
-            s[np.ix_(diagonal, diagonal)] += ch.transfer
+        for positions, block in _coherence_blocks(ch):
+            s[positions, positions] = block
         return s
     flat = ch.kraus_ops.reshape(ch.kraus_truncation, n * n)
     # G[(a,b),(c,d)] = sum_i conj(E_i[a,b]) E_i[c,d]; regroup to kron layout.
     gram = flat.conj().T @ flat
     return gram.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _coherence_blocks(ch: KrausChannel):
+    """Yield (positions, block): the superoperator on a slice of :func:`vec` positions.
+
+    For a band channel, one block per coherence order q = 1-dim, ..., dim-1,
+    built when reached: output x[a, a+q] reads input x[a+o, a+q+o] with
+    weight M_o[a, a+q], so diagonal o of B_q is diagonal q of M_o, and T adds
+    to B_0. vec(x) flattens x^T, so diagonal q of x sits at the flat
+    positions of diagonal -q. A channel with no band form is one block.
+    """
+    n = ch.dim
+    if ch.multipliers is None:
+        yield slice(None), superoperator_of(ch)
+        return
+    dtype = np.result_type(float, *ch.multipliers.values())
+    for q in range(1 - n, n):
+        size = n - abs(q)
+        block = np.zeros((size, size), dtype=dtype)
+        for offset, m in ch.multipliers.items():
+            if abs(offset) < size:
+                block.reshape(-1)[_diagonal(offset, size)] = np.diagonal(m, q)
+        if q == 0 and ch.transfer is not None:
+            block += ch.transfer
+        yield _diagonal(-q, n), block

@@ -131,6 +131,8 @@ def _build_channel(args: argparse.Namespace) -> KrausChannel:
             f"unknown channel {args.channel!r}; choose from {sorted(CHANNEL_ALIASES)}"
         )
     tag = CHANNEL_ALIASES[args.channel]
+    if args.kraus_terms is not None and tag != "pd":
+        raise ValueError(f"--kraus-terms applies only to --channel pd, not {args.channel}")
     dim = DEFAULT_DIM if args.dim is None else args.dim
     if tag == "pd":
         if args.eta is None:

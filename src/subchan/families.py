@@ -38,8 +38,8 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from .channels import KrausChannel
-from .errors import PrecisionLossError
+from .channels import MAX_KRAUS_BYTES, KrausChannel
+from .errors import PrecisionLossError, ResourceLimitError
 from .fock import coherent_state, log_binomial, outer
 from .tolerances import COHERENT_DEFICIT_TOL, KRAUS_TAIL_TARGET
 
@@ -74,7 +74,9 @@ def phase_damping(
     is factored only on demand. eta = 1 gives exactly {I}. eta <= 0 is
     rejected (the log diverges). ``kraus_truncation`` instead builds the
     first that many terms of the Poisson Kraus family; the defect of that
-    truncation is stored on the channel.
+    truncation is stored on the channel. Their terms x dim real diagonals
+    are sized first: above MAX_KRAUS_BYTES it raises ResourceLimitError
+    without allocating.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"phase damping requires 0 < eta <= 1, got {eta}")
@@ -87,6 +89,10 @@ def phase_damping(
     terms = 1 if kraus_truncation is None else kraus_truncation
     if terms < 1:
         raise ValueError(f"kraus_truncation must be >= 1, got {terms}")
+    if terms * dim * 8 > MAX_KRAUS_BYTES:  # the float64 diagonals
+        raise ResourceLimitError(
+            f"phase-damping truncation needs {terms} x {dim} real entries "
+            f"({terms * dim * 8 / 1e9:.2f} GB); limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB.")
 
     log_eta = np.log(eta)
     diags = np.zeros((terms, dim), dtype=float)

@@ -29,9 +29,9 @@ from .channels import (
     COMPLEX_BYTES,
     MAX_KRAUS_BYTES,
     KrausChannel,
+    _coherence_blocks,
     adjoint_apply,
     apply_channel,
-    superoperator_of,
 )
 from .errors import DimensionMismatchError, ResourceLimitError, SupportError
 from .fock import coherent_state, fock_state, hs_norm, operator_norm, outer
@@ -259,35 +259,6 @@ def invariant_hull_check(ch: KrausChannel, subspace: Subspace) -> HullReport:
 # ---------------------------------------------------------------------------
 
 
-def _coherence_blocks(ch: KrausChannel):
-    """Yield (q, B_q) for q = 1-dim, ..., dim-1: a band channel on coherence order q.
-
-    A band channel maps the entries x[a, a+q] of diagonal q among themselves:
-    output (a, a+q) reads input (a+o, a+q+o) with weight M_o[a, a+q]. So its
-    superoperator is block diagonal, and block q, of size dim - |q| on the
-    entries of diagonal q by ascending row, has B_q[a, a+o] = M_o[a, a+q]:
-    its diagonal o is diagonal q of M_o. The population-transfer matrix adds
-    to block 0, B_0 = T + (diagonals of the M_o). One block is built per step.
-    """
-    n = ch.dim
-    products = ch._products
-    extra = () if ch.transfer is None else (ch.transfer,)
-    dtype = np.result_type(*(m for *_, m in products), *extra)
-    for q in range(1 - n, n):
-        size = n - abs(q)
-        block = np.zeros((size, size), dtype=dtype)
-        flat = block.reshape(-1)
-        for rows, cols, m in products:
-            offset = cols.start - rows.start
-            if abs(offset) < size:
-                start = offset if offset >= 0 else -offset * size
-                values = np.diagonal(m, q)
-                flat[start:start + values.size * (size + 1):size + 1] = values
-        if q == 0 and ch.transfer is not None:
-            block += ch.transfer
-        yield q, block
-
-
 def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np.ndarray]:
     """Orthonormal (Hilbert-Schmidt) basis of {x : Phi(x) = x}.
 
@@ -295,29 +266,22 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
     singular-value thresholding (sigma < tol); the superoperator is
     non-normal, so eigenvalue matching would be fragile where SVD is not.
 
-    A band channel (``ch.multipliers`` set, every built-in family) commutes
-    with exp(i theta n), so its superoperator splits into 2*dim - 1
-    coherence-order blocks B_q[a, a+o] = M_o[a, a+q] of size dim - |q|, with
-    the population-transfer matrix added to B_0. Each block gets its
-    own SVD, and each null vector is written onto diagonal q of a member:
-    O(dim^4) time and O(dim^2) memory per block. Members come in ascending
-    q, then ascending singular value. Before they are allocated, their
-    count * dim^2 complex entries are checked against MAX_KRAUS_BYTES
-    (ResourceLimitError above it). Other channels take the SVD of the dense
-    dim^2 x dim^2 ``superoperator_of``, so they are limited to
-    dim <= MAX_SUPEROPERATOR_DIM; their members come in descending
-    singular value.
+    Each block of the superoperator gets its own SVD. A band channel
+    (``ch.multipliers`` set, every built-in family) commutes with
+    exp(i theta n), so its superoperator splits into 2*dim - 1
+    coherence-order blocks of size dim - |q|, and each null vector lies on
+    diagonal q of a member: O(dim^4) time and O(dim^2) memory per block.
+    Any other channel is one block, the dense dim^2 x dim^2
+    ``superoperator_of``, so it is limited to dim <= MAX_SUPEROPERATOR_DIM.
+    Members come in block order (ascending q), then ascending singular
+    value. Before they are allocated, their count * dim^2 complex entries
+    are checked against MAX_KRAUS_BYTES (ResourceLimitError above it).
     """
-    if ch.multipliers is None:
-        sup = superoperator_of(ch)
-        _, svals, vh = np.linalg.svd(sup - np.eye(sup.shape[0]))
-        return [row.conj().reshape((ch.dim, ch.dim), order="F")
-                for sigma, row in zip(svals, vh) if sigma < tol]
     found = []
-    for q, block in _coherence_blocks(ch):
+    for positions, block in _coherence_blocks(ch):
         block.reshape(-1)[::block.shape[0] + 1] -= 1.0
         _, svals, vh = np.linalg.svd(block)
-        found.append((q, vh[svals < tol][::-1].conj()))
+        found.append((positions, vh[svals < tol][::-1].conj()))
     n = ch.dim
     count = sum(len(null) for _, null in found)
     nbytes = count * n * n * COMPLEX_BYTES
@@ -327,10 +291,10 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
             f"({nbytes / 1e9:.2f} GB); limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB. "
             "Reduce the truncation."
         )
-    members = np.zeros((count, n, n), dtype=complex)
+    # Row k holds vec(x_k), so x_k is its reshape, transposed.
+    members = np.zeros((count, n * n), dtype=complex)
     first = 0
-    for q, null in found:
-        rows = np.arange(max(0, -q), n - max(0, q))
-        members[first:first + len(null), rows, rows + q] = null
+    for positions, null in found:
+        members[first:first + len(null), positions] = null
         first += len(null)
-    return list(members)
+    return list(members.reshape(count, n, n).transpose(0, 2, 1))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
@@ -55,6 +56,28 @@ class TestFidelityCommand:
         )
         assert code == 1
         assert "eta" in err
+
+    @pytest.mark.parametrize("channel, value", [("ad", "--eta"), ("dep", "--p")])
+    def test_kraus_terms_only_for_phase_damping(self, capsys, channel, value):
+        code, out, err = run(
+            capsys, "fidelity", "--channel", channel, value, "0.5",
+            "--levels", "0,1", "--kraus-terms", "3", "--dim", "8",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--kraus-terms" in err
+
+    def test_oversized_kraus_terms_refused(self, capsys, monkeypatch):
+        def refuse(shape, *args, **kwargs):
+            raise MemoryError(f"allocated {shape}")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        code, _, err = run(
+            capsys, "fidelity", "--channel", "pd", "--eta", "0.5",
+            "--levels", "0,1", "--kraus-terms", "100000000000", "--dim", "8",
+        )
+        assert code == 1
+        assert "phase-damping truncation" in err
 
     def test_missing_encoding_is_domain_error(self, capsys):
         code, _, err = run(capsys, "fidelity", "--channel", "pd", "--eta", "0.5")
@@ -249,6 +272,14 @@ class TestConfigFile:
         code, _, err = run(capsys, "fidelity", "--config", str(cfg))
         assert code == 1
         assert "unknown config key" in err
+
+    def test_kraus_terms_key_only_for_phase_damping(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("channel=ad\neta=0.5\ndim=8\nlevels=0,1\nkraus-terms=3\n")
+        code, out, err = run(capsys, "fidelity", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "--kraus-terms" in err
 
     def test_malformed_line_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kraus_reference import dense_fixed_points, span_projector
+from kraus_reference import dense_fixed_points, dense_superoperator, span_projector
 from subchan.channels import (
     MAX_KRAUS_BYTES,
     MAX_SUPEROPERATOR_DIM,
     KrausChannel,
+    _coherence_blocks,
     apply_channel,
-    superoperator_of,
     verify_channel,
 )
 from subchan.errors import DimensionMismatchError, ResourceLimitError, SupportError
@@ -16,7 +16,6 @@ from subchan.families import amplitude_damping, depolarizing, identity_channel, 
 from subchan.fock import basis_operator, fock_state, hs_norm, operator_norm
 from subchan.subspaces import (
     Subspace,
-    _coherence_blocks,
     cat_state_subspace,
     fixed_point_space,
     invariant_hull_check,
@@ -312,16 +311,21 @@ class TestCoherenceBlocks:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17])
     def test_blocks_are_superoperator_slices(self, family, dim):
+        # ``superoperator_of`` is built from the blocks, so they are checked
+        # against the Kraus sum of the factored stack instead.
         ch = FAMILIES[family](0.4, dim)
-        sup = superoperator_of(ch)
+        sup = dense_superoperator(ch.kraus_ops)
         weight = 0.0
-        for q, block in _coherence_blocks(ch):
+        blocks = list(_coherence_blocks(ch))
+        assert len(blocks) == 2 * dim - 1
+        for q, (positions, block) in zip(range(1 - dim, dim), blocks):
             a = np.arange(max(0, -q), dim - max(0, q))
             index = (a + q) * dim + a  # vec position of x[a, a+q]
-            assert np.array_equal(block, sup[np.ix_(index, index)])
+            assert np.array_equal(np.arange(dim * dim)[positions], index)
+            assert np.max(np.abs(block - sup[np.ix_(index, index)])) < 1e-12
             weight += np.sum(np.abs(block) ** 2)
         # Nothing of the superoperator lies outside the blocks.
-        assert weight == pytest.approx(np.sum(np.abs(sup) ** 2), rel=1e-14)
+        assert weight == pytest.approx(np.sum(np.abs(sup) ** 2), rel=1e-12)
 
     @pytest.mark.parametrize("eta", [0.3, 0.7, 0.95])
     @pytest.mark.parametrize("dim", [*range(1, 17), 24, 32])
@@ -329,6 +333,25 @@ class TestCoherenceBlocks:
     def test_families_match_dense_oracle(self, family, dim, eta):
         ch = FAMILIES[family](eta, dim)
         _assert_same_fixed_space(ch, ch.kraus_ops)
+
+    @pytest.mark.parametrize("dim", [2, 5, 8, 12])
+    def test_dense_channel_matches_dense_oracle(self, dim):
+        # {sqrt(w) V D V^dag, sqrt(1-w) I} is unital, so it fixes exactly the
+        # commutant of V D V^dag: one full block per repeated phase of D.
+        rng = np.random.default_rng(dim)
+        phases = rng.choice([1, -1, 1j], size=dim)
+        v = _random_unitary(dim, rng)
+        u = v @ np.diag(phases) @ v.conj().T
+        ops = np.stack([np.sqrt(0.7) * u, np.sqrt(0.3) * np.eye(dim)])
+        ch = KrausChannel(ops)
+        assert ch.multipliers is None
+        members = fixed_point_space(ch)
+        _, multiplicity = np.unique(phases, return_counts=True)
+        assert len(members) == np.sum(multiplicity**2)
+        dense = dense_fixed_points(ops, FIXED_POINT_TOL)
+        assert np.max(np.abs(span_projector(members) - span_projector(dense))) <= 1e-10
+        gram = np.array([[np.vdot(x, y) for y in members] for x in members])
+        assert np.max(np.abs(gram - np.eye(len(members)))) < 1e-10
 
     def test_members_run_by_coherence_order(self):
         # Phase damping fixes exactly the diagonal (q = 0); a diagonal unitary
