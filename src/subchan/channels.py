@@ -93,6 +93,17 @@ def _diagonal(offset: int, n: int) -> slice:
     return slice(-offset * n, n * n, n + 1)
 
 
+def _check_stack_size(what: str, count: int, n: int) -> None:
+    """Raise ResourceLimitError, before allocating, when count x n^2 complex entries
+    exceed MAX_KRAUS_BYTES; ``what`` names the stack and its verb ("... needs")."""
+    nbytes = count * n * n * COMPLEX_BYTES
+    if nbytes > MAX_KRAUS_BYTES:
+        raise ResourceLimitError(
+            f"{what} {count} x {n}^2 complex entries ({nbytes / 1e9:.2f} GB); "
+            f"limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB. Reduce the truncation."
+        )
+
+
 class KrausChannel:
     """Immutable channel with family metadata; a band channel keeps only its multipliers.
 
@@ -110,6 +121,8 @@ class KrausChannel:
         matrix, taken as it is (PSD is not checked), or a real nonnegative
         vector holding the diagonal of a diagonal multiplier. May be given
         together with ``bands``; the channel is then their sum.
+
+        A NaN or inf entry in any of the three raises ValueError.
     family : str
         One of "phase-damping", "amplitude-damping", "depolarizing",
         "custom".
@@ -133,8 +146,9 @@ class KrausChannel:
         multipliers, read-only; None when there are none.
     tp_defect : float
         Operator norm of (sum_i E_i^dag E_i - I) on the full truncated
-        space, computed at construction. The honest error measure for
-        families whose exact Kraus sum is infinite.
+        space, computed at construction: 0 for the exact built-in families
+        up to roundoff, and how far a loaded or hand-built channel is from
+        trace preservation.
     """
 
     def __init__(
@@ -162,6 +176,8 @@ class KrausChannel:
                 raise ValueError(
                     f"kraus_ops must stack square matrices, got shape {stack.shape}"
                 )
+            if not np.isfinite(stack).all():
+                raise ValueError("kraus_ops holds a non-finite entry")
             stack.flags.writeable = False
             self._stack = stack
             bands = _detect_bands(stack)
@@ -196,13 +212,7 @@ class KrausChannel:
         if self._stack is not None:
             return self._stack
         n, terms = self.dim, self.kraus_truncation
-        nbytes = terms * n * n * COMPLEX_BYTES
-        if nbytes > MAX_KRAUS_BYTES:
-            raise ResourceLimitError(
-                f"dense Kraus stack needs {terms} x {n}^2 complex entries "
-                f"({nbytes / 1e9:.2f} GB); limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB. "
-                "Reduce the truncation."
-            )
+        _check_stack_size("dense Kraus stack needs", terms, n)
         stack = np.zeros((terms, n, n), dtype=complex)
         flat = stack.reshape(terms, n * n)
         first = 0
@@ -283,6 +293,10 @@ def _fold(bands, multipliers):
     if len(dims) != 1:
         raise ValueError(f"band lengths imply different dims {sorted(dims)}")
     n = dims.pop()
+    # One check over all parts: per part, its fixed cost would exceed the fold.
+    if not np.isfinite(np.concatenate([a.ravel() for _, _, a in parts])).all():
+        kind, offset, _ = next(part for part in parts if not np.isfinite(part[2]).all())
+        raise ValueError(f"{kind} {offset} holds a non-finite entry")
     full, ranks, diagonals, units = {}, {}, [], []
     for kind, offset, a in parts:
         if kind == "band" and np.all(np.count_nonzero(a, axis=1) == 1):
@@ -476,23 +490,24 @@ def verify_channel(
 
     tp = tp_defect_on_block(ch, block)
 
-    herm = 0.0
-    min_eig = np.inf
+    herms, eigs = [], []
     for _ in range(VERIFY_SAMPLES):
         h = np.zeros((ch.dim, ch.dim), dtype=complex)
         h[:block, :block] = random_hermitian(block, rng)
-        herm = max(herm, hermiticity_defect(apply_channel(ch, h)))
+        herms.append(hermiticity_defect(apply_channel(ch, h)))
 
         rho = np.zeros((ch.dim, ch.dim), dtype=complex)
         rho[:block, :block] = random_density_matrix(block, rng)
         out = apply_channel(ch, rho)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh((out + out.conj().T) / 2).min()))
+        eigs.append(np.linalg.eigvalsh((out + out.conj().T) / 2).min())
+    # np.max and np.min propagate NaN, which Python's max and min would drop.
+    herm, min_eig = float(np.max(herms)), float(np.min(eigs))
 
     return ChannelVerification(
         block=block,
         tp_defect=tp,
         hermiticity_defect=herm,
-        min_eigenvalue=float(min_eig),
+        min_eigenvalue=min_eig,
         samples=VERIFY_SAMPLES,
         seed=seed,
         tp_ok=tp <= SPECTRAL_TOL,

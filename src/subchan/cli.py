@@ -1,6 +1,7 @@
 """Command-line frontend.
 
-Subcommands: fidelity, hull-check, fixed-points, optimize, sweep, verify.
+Subcommands: fidelity, hull-check, fixed-points, optimize, sweep, verify,
+pairs.
 All math routes through the library; this layer only parses flags, builds
 channels and encodings, and formats output. Human-readable summaries go to
 stdout; machine CSV is written only when --out is given, with fixed 12
@@ -44,9 +45,10 @@ from .fidelity import QUADRATURE_NODES, average_fidelity_closed, average_fidelit
 from .fileio import load_channel, load_coefficient_rows
 from .fock import hs_norm
 from .subspaces import Subspace, fixed_point_space, invariant_hull_check
-from .tolerances import FIXED_POINT_TOL
+from .tolerances import FIXED_POINT_TOL, TIE_TOL
 
 DEFAULT_DIM = 32
+DEFAULT_STEPS = 11
 
 CHANNEL_ALIASES = {
     "pd": "pd", "phase-damping": "pd",
@@ -56,7 +58,7 @@ CHANNEL_ALIASES = {
 }
 
 _CONFIG_CONVERTERS = {
-    "channel": str, "eta": float, "p": float, "dim": int, "kraus-terms": int,
+    "channel": str, "eta": float, "p": float, "dim": int,
     "kraus-file": str, "levels": str, "encoding-file": str, "out": str,
     "eta-start": float, "eta-end": float, "steps": int, "restarts": int,
     "seed": int, "max-level": int, "block": int, "tol": float,
@@ -66,6 +68,12 @@ _CONFIG_CONVERTERS = {
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _fmt_tol(x: float) -> str:
+    """A one-digit tolerance with its exponent unpadded: 1e-08 -> 1e-8."""
+    mantissa, _, exponent = format(x, ".0e").partition("e")
+    return f"{mantissa}e{int(exponent)}"
 
 
 def _parse_bool(raw: str) -> bool:
@@ -114,9 +122,6 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
                         help="retention probability for dep")
     parser.add_argument("--dim", type=int, default=None,
                         help=f"truncation level (default {DEFAULT_DIM})")
-    parser.add_argument("--kraus-terms", type=int, default=None,
-                        help="pd only: keep this many terms of the Poisson Kraus "
-                             "family instead of the exact channel")
     parser.add_argument("--kraus-file", default=None,
                         help="channel file for --channel custom")
     parser.add_argument("--config", default=None,
@@ -131,13 +136,11 @@ def _build_channel(args: argparse.Namespace) -> KrausChannel:
             f"unknown channel {args.channel!r}; choose from {sorted(CHANNEL_ALIASES)}"
         )
     tag = CHANNEL_ALIASES[args.channel]
-    if args.kraus_terms is not None and tag != "pd":
-        raise ValueError(f"--kraus-terms applies only to --channel pd, not {args.channel}")
     dim = DEFAULT_DIM if args.dim is None else args.dim
     if tag == "pd":
         if args.eta is None:
             raise ValueError("phase damping needs --eta")
-        return phase_damping(args.eta, dim, kraus_truncation=args.kraus_terms)
+        return phase_damping(args.eta, dim)
     if tag == "ad":
         if args.eta is None:
             raise ValueError("amplitude damping needs --eta")
@@ -260,7 +263,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.eta_start is None or args.eta_end is None:
         raise ValueError("sweep needs --eta-start and --eta-end")
-    steps = 11 if args.steps is None else args.steps
+    steps = DEFAULT_STEPS if args.steps is None else args.steps
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not 0.0 <= args.eta_start <= args.eta_end <= 1.0:
@@ -327,7 +330,7 @@ def _cmd_pairs(args) -> int:
     ties = leading_ties(rows)
     if len(ties) > 1:
         tie_list = " ".join(f"({r.k},{r.s})" for r in ties)
-        print(f"tied at the top (within 1e-9): {tie_list}")
+        print(f"tied at the top (within {_fmt_tol(TIE_TOL)}): {tie_list}")
     return 0
 
 
@@ -369,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
                     f"dim {MAX_SUPEROPERATOR_DIM}.",
     )
     _add_channel_flags(p_fix)
-    p_fix.add_argument("--tol", type=float, default=None,
-                       help="singular-value cutoff (default 1e-8)")
+    p_fix.add_argument(
+        "--tol", type=float, default=None,
+        help=f"singular-value cutoff (default {_fmt_tol(FIXED_POINT_TOL)})")
     p_fix.set_defaults(func=_cmd_fixed_points)
 
     p_opt = sub.add_parser("optimize", help="search encodings for maximal fidelity")
@@ -387,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--encoding-file", default=None)
     p_sweep.add_argument("--eta-start", type=float, default=None)
     p_sweep.add_argument("--eta-end", type=float, default=None)
-    p_sweep.add_argument("--steps", type=int, default=None, help="grid points (default 11)")
+    p_sweep.add_argument("--steps", type=int, default=None,
+                         help=f"grid points (default {DEFAULT_STEPS})")
     p_sweep.add_argument("--out", default=None, help="CSV output path")
     p_sweep.set_defaults(func=_cmd_sweep)
 

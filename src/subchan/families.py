@@ -3,16 +3,8 @@
 Phase damping (retention eta in (0, 1]) contracts the coherence between
 levels a and b by eta^((a-b)^2) and fixes every |k><k|. That is the Schur
 multiplier M_0[a, b] = eta^((a-b)^2), exact on every truncation, and the
-channel is built from it in closed form. Its classic Kraus family
-
-    E_i[k, k] = (k * sqrt(-2 ln eta))^i / sqrt(i!) * eta^(k^2)
-
-is infinite; it serves only an explicit truncation (``kraus_truncation=``),
-which keeps that many terms and records its honest trace-preservation
-defect, and ``phase_damping_terms`` gives the count a Poisson tail bound
-needs: the squared entries at level k follow a Poisson(-2 k^2 ln eta) law
-in i. Entries are evaluated in log space because k^i overflows while
-eta^(k^2) underflows long before their product leaves float range.
+channel is built from it in closed form. (Its classic Kraus family is
+infinite on the Fock space; ``kraus_ops`` factors M_0 into dim terms.)
 
 Amplitude damping (retention eta in [0, 1]) needs exactly dim operators on a
 dim-level truncation,
@@ -38,10 +30,10 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from .channels import MAX_KRAUS_BYTES, KrausChannel
-from .errors import PrecisionLossError, ResourceLimitError
+from .channels import KrausChannel
+from .errors import PrecisionLossError
 from .fock import coherent_state, log_binomial, outer
-from .tolerances import COHERENT_DEFICIT_TOL, KRAUS_TAIL_TARGET
+from .tolerances import COHERENT_DEFICIT_TOL
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -54,59 +46,22 @@ def identity_channel(dim: int) -> KrausChannel:
 # ---------------------------------------------------------------------------
 
 
-def phase_damping_terms(eta: float, dim: int) -> int:
-    """Kraus terms an explicit phase-damping truncation needs to keep every
-    diagonal's Poisson tail below KRAUS_TAIL_TARGET (a ``kraus_truncation=``
-    value; the default channel is exact and needs none)."""
-    lam = -2.0 * (dim - 1) ** 2 * np.log(eta)
-    if lam <= 0:
-        return 1
-    return int(poisson.isf(KRAUS_TAIL_TARGET, lam)) + 1
+def phase_damping(eta: float, dim: int) -> KrausChannel:
+    """Phase damping channel on dim levels: the exact multiplier M_0[a, b] = eta^((a-b)^2).
 
-
-def phase_damping(
-    eta: float, dim: int, kraus_truncation: int | None = None
-) -> KrausChannel:
-    """Phase damping channel on dim levels.
-
-    By default the exact multiplier M_0[a, b] = eta^((a-b)^2), one dim x dim
-    exp: its trace-preservation defect is 0 and its Kraus form (dim terms)
-    is factored only on demand. eta = 1 gives exactly {I}. eta <= 0 is
-    rejected (the log diverges). ``kraus_truncation`` instead builds the
-    first that many terms of the Poisson Kraus family; the defect of that
-    truncation is stored on the channel. Their terms x dim real diagonals
-    are sized first: above MAX_KRAUS_BYTES it raises ResourceLimitError
-    without allocating.
+    One dim x dim exp: its trace-preservation defect is 0 and its Kraus form
+    (dim terms) is factored only on demand. eta = 1 gives exactly {I}.
+    eta <= 0 is rejected (the log diverges).
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"phase damping requires 0 < eta <= 1, got {eta}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    if kraus_truncation is None and eta < 1.0:
-        level = np.arange(dim)
-        m0 = np.exp(np.subtract.outer(level, level) ** 2 * np.log(eta))
-        return KrausChannel(multipliers={0: m0}, family="phase-damping", eta=float(eta))
-    terms = 1 if kraus_truncation is None else kraus_truncation
-    if terms < 1:
-        raise ValueError(f"kraus_truncation must be >= 1, got {terms}")
-    if terms * dim * 8 > MAX_KRAUS_BYTES:  # the float64 diagonals
-        raise ResourceLimitError(
-            f"phase-damping truncation needs {terms} x {dim} real entries "
-            f"({terms * dim * 8 / 1e9:.2f} GB); limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB.")
-
-    log_eta = np.log(eta)
-    diags = np.zeros((terms, dim), dtype=float)
-    k = np.arange(1, dim)
-    # i = 0 row: (k sqrt(-2 ln eta))^0 = 1, leaving eta^(k^2).
-    diags[0, 0] = 1.0
-    diags[0, 1:] = np.exp(k**2 * log_eta)
-    if terms > 1 and dim > 1 and eta < 1.0:
-        i = np.arange(1, terms)[:, np.newaxis]
-        log_rate = np.log(k * np.sqrt(-2.0 * log_eta))[np.newaxis, :]
-        diags[1:, 1:] = np.exp(
-            i * log_rate - 0.5 * gammaln(i + 1) + (k**2 * log_eta)[np.newaxis, :]
-        )
-    return KrausChannel(bands={0: diags}, family="phase-damping", eta=float(eta))
+    if eta == 1.0:
+        return KrausChannel(bands={0: np.ones((1, dim))}, family="phase-damping", eta=1.0)
+    level = np.arange(dim)
+    m0 = np.exp(np.subtract.outer(level, level) ** 2 * np.log(eta))
+    return KrausChannel(multipliers={0: m0}, family="phase-damping", eta=float(eta))
 
 
 def phase_damping_closed(eta: float, k: int, s: int) -> float:
@@ -239,7 +194,6 @@ def _dim_for_deficit(alpha: complex, tol: float) -> int:
 __all__ = [
     "identity_channel",
     "phase_damping",
-    "phase_damping_terms",
     "phase_damping_closed",
     "amplitude_damping",
     "amplitude_damping_closed",

@@ -26,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    COMPLEX_BYTES,
-    MAX_KRAUS_BYTES,
     KrausChannel,
+    _check_stack_size,
     _coherence_blocks,
     adjoint_apply,
     apply_channel,
 )
-from .errors import DimensionMismatchError, ResourceLimitError, SupportError
+from .errors import DimensionMismatchError, SupportError
 from .fock import coherent_state, fock_state, hs_norm, operator_norm, outer
 from .tolerances import (
     FIXED_POINT_TOL,
@@ -62,7 +61,7 @@ class Subspace:
             raise ValueError("more basis vectors than ambient dimensions")
         gram = basis @ basis.conj().T
         defect = float(np.max(np.abs(gram - np.eye(basis.shape[0]))))
-        if defect > SPECTRAL_TOL:
+        if not defect <= SPECTRAL_TOL:  # NaN fails too
             raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e})")
         basis = basis.copy()
         basis.flags.writeable = False
@@ -87,12 +86,15 @@ def cat_state_subspace(alpha: complex, dim: int) -> Subspace:
 
     The unnormalized combinations |alpha> +- |-alpha> occupy disjoint (even
     vs odd) number levels, so they stay exactly orthogonal under truncation;
-    only their norms need fixing.
+    only their norms need fixing. Raises ValueError where the odd one is
+    zero (alpha = 0, or dim = 1).
     """
     plus_amps, _ = coherent_state(alpha, dim)
     minus_amps, _ = coherent_state(-alpha, dim)
     even = plus_amps + minus_amps
     odd = plus_amps - minus_amps
+    if not np.any(odd):
+        raise ValueError(f"the odd cat state vanishes at alpha={alpha}, dim={dim}")
     even = even / np.linalg.norm(even)
     odd = odd / np.linalg.norm(odd)
     return Subspace(dim=dim, basis=np.stack([even, odd]), label=f"cat alpha={alpha}")
@@ -219,8 +221,8 @@ def invariant_hull_check(ch: KrausChannel, subspace: Subspace) -> HullReport:
     """Probe all d^2 basis operators of K's operator span for leakage above HULL_TOL.
 
     Requires the channel's own trace-preservation defect to sit below
-    HULL_TP_PRECONDITION; a leakier truncation would make any verdict
-    meaningless.
+    HULL_TP_PRECONDITION; on a map that is not trace-preserving a verdict
+    would be meaningless.
     """
     if ch.dim != subspace.dim:
         raise DimensionMismatchError(
@@ -229,7 +231,7 @@ def invariant_hull_check(ch: KrausChannel, subspace: Subspace) -> HullReport:
     if ch.tp_defect > HULL_TP_PRECONDITION:
         raise ValueError(
             f"channel trace-preservation defect {ch.tp_defect:.3e} exceeds "
-            f"{HULL_TP_PRECONDITION:.0e}; increase the Kraus truncation"
+            f"{HULL_TP_PRECONDITION:.0e}; a hull verdict needs a trace-preserving channel"
         )
     p = projector(subspace)
     basis = subspace.basis
@@ -284,13 +286,7 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
         found.append((positions, vh[svals < tol][::-1].conj()))
     n = ch.dim
     count = sum(len(null) for _, null in found)
-    nbytes = count * n * n * COMPLEX_BYTES
-    if nbytes > MAX_KRAUS_BYTES:
-        raise ResourceLimitError(
-            f"{count} fixed points need {count} x {n}^2 complex entries "
-            f"({nbytes / 1e9:.2f} GB); limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB. "
-            "Reduce the truncation."
-        )
+    _check_stack_size(f"{count} fixed points need", count, n)
     # Row k holds vec(x_k), so x_k is its reshape, transposed.
     members = np.zeros((count, n * n), dtype=complex)
     first = 0

@@ -16,8 +16,8 @@ SPECTRAL_TOL = 1e-10
 HULL_TOL = 1e-9
 
 # Largest channel trace-preservation defect at which a hull verdict is given.
-# A truncation that drops more weight than this describes its Kraus tail
-# rather than the channel, so the check asks for a longer truncation instead.
+# A map that loses or gains more trace than this (a lossy channel file, say)
+# is not a channel, so the check refuses it instead of judging it.
 HULL_TP_PRECONDITION = 1e-8
 
 # Unitality / trace-preservation verdicts for restricted maps.
@@ -29,12 +29,6 @@ FIXED_POINT_TOL = 1e-8
 # Largest coherent-state truncation deficit accepted by the closed-form
 # coherent action; above this the truncated outer product is too lossy.
 COHERENT_DEFICIT_TOL = 1e-8
-
-# Per-entry tail target of an explicit truncation of the infinite Poisson
-# Kraus family of phase damping (phase_damping_terms); the default channel is
-# the exact multiplier and needs none. Chosen a decade under the 1e-12
-# trace-preservation goal to leave accumulation margin.
-KRAUS_TAIL_TARGET = 1e-13
 
 # Agreement required between the moment-contraction fidelity and the
 # quadrature oracle.

@@ -69,3 +69,12 @@ def test_kernels_and_quadrature_keep_their_parameters():
         "channels.adjoint_apply": ["ch", "x"],
         "fidelity.average_fidelity_quadrature": ["ch", "subspace", "n_theta", "n_phi"],
     }
+
+
+def test_phase_damping_has_no_truncation_option():
+    # Phase damping is the exact multiplier: no Kraus truncation is selectable.
+    signatures = _public_signatures()
+    offenders = sorted(name for name, sig in signatures.items()
+                       if "kraus_truncation" in sig.parameters)
+    assert offenders == []
+    assert list(signatures["subchan.families.phase_damping"].parameters) == ["eta", "dim"]

@@ -89,6 +89,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             KrausChannel(bands={})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        stack = np.eye(3, dtype=complex)[np.newaxis].copy()
+        stack[0, 1, 1] = bad
+        with pytest.raises(ValueError, match="kraus_ops holds a non-finite entry"):
+            KrausChannel(stack)
+        with pytest.raises(ValueError, match="band 0 holds a non-finite entry"):
+            KrausChannel(bands={0: [[1.0, bad, 1.0]]})
+        with pytest.raises(ValueError, match="multiplier 1 holds a non-finite entry"):
+            KrausChannel(multipliers={0: np.eye(3), 1: [[1.0, 0.0], [0.0, bad]]})
+        with pytest.raises(ValueError, match="multiplier -1 holds a non-finite entry"):
+            # A diagonal multiplier must be real: a complex one is refused for that.
+            KrausChannel(bands={0: [[1.0, 1.0, 1.0]]}, multipliers={-1: [abs(bad), 0.5]})
+
 
 class TestKrausSizeGuard:
     def test_refuses_huge_dense_stack(self, monkeypatch):
@@ -209,6 +223,15 @@ class TestVerify:
     def test_depolarizing(self):
         report = verify_channel(depolarizing(0.3, 4), block=4)
         assert report.tp_defect <= 1e-12
+
+    def test_nan_output_fails_the_checks(self):
+        # Finite Kraus data whose multiplier overflows: M_0[0, 0] = inf, so an
+        # input with x[0, 0] = 0 comes out with NaN there.
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_channel(KrausChannel(bands={0: [[1e200, 1.0]]}))
+        assert np.isnan(report.hermiticity_defect)
+        assert not report.hermiticity_ok
+        assert not (report.tp_ok or report.positivity_ok)
 
     def test_defects_reported_not_thrown(self):
         lossy = KrausChannel(0.5 * np.eye(3)[np.newaxis])

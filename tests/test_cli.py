@@ -57,28 +57,6 @@ class TestFidelityCommand:
         assert code == 1
         assert "eta" in err
 
-    @pytest.mark.parametrize("channel, value", [("ad", "--eta"), ("dep", "--p")])
-    def test_kraus_terms_only_for_phase_damping(self, capsys, channel, value):
-        code, out, err = run(
-            capsys, "fidelity", "--channel", channel, value, "0.5",
-            "--levels", "0,1", "--kraus-terms", "3", "--dim", "8",
-        )
-        assert code == 1
-        assert out == ""
-        assert "--kraus-terms" in err
-
-    def test_oversized_kraus_terms_refused(self, capsys, monkeypatch):
-        def refuse(shape, *args, **kwargs):
-            raise MemoryError(f"allocated {shape}")
-
-        monkeypatch.setattr(np, "zeros", refuse)
-        code, _, err = run(
-            capsys, "fidelity", "--channel", "pd", "--eta", "0.5",
-            "--levels", "0,1", "--kraus-terms", "100000000000", "--dim", "8",
-        )
-        assert code == 1
-        assert "phase-damping truncation" in err
-
     def test_missing_encoding_is_domain_error(self, capsys):
         code, _, err = run(capsys, "fidelity", "--channel", "pd", "--eta", "0.5")
         assert code == 1
@@ -92,6 +70,12 @@ class TestFidelityCommand:
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fidelity", "--warp", "9"])
+        assert exc.value.code == 2
+
+    def test_kraus_terms_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fidelity", "--channel", "pd", "--eta", "0.5", "--levels", "0,1",
+                  "--kraus-terms", "3"])
         assert exc.value.code == 2
 
     def test_encoding_file(self, capsys, tmp_path):
@@ -116,6 +100,17 @@ class TestFidelityCommand:
 
 
 class TestHullCheckCommand:
+    def test_nan_encoding_file_refused(self, capsys, tmp_path):
+        enc = tmp_path / "enc.txt"
+        enc.write_text("nan 0 0\n0 1 0\n")
+        code, out, err = run(
+            capsys, "hull-check", "--channel", "ad", "--eta", "0.5",
+            "--encoding-file", str(enc), "--dim", "4",
+        )
+        assert code == 1
+        assert out == ""
+        assert "not orthonormal" in err
+
     def test_depolarizing_not_invariant(self, capsys):
         code, out, _ = run(
             capsys, "hull-check", "--channel", "dep", "--p", "0.3",
@@ -273,13 +268,14 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key" in err
 
-    def test_kraus_terms_key_only_for_phase_damping(self, capsys, tmp_path):
+    def test_kraus_terms_key_is_unknown(self, capsys, tmp_path):
+        # Phase damping is the exact multiplier; no truncation is selectable.
         cfg = tmp_path / "cfg"
-        cfg.write_text("channel=ad\neta=0.5\ndim=8\nlevels=0,1\nkraus-terms=3\n")
+        cfg.write_text("channel=pd\neta=0.5\ndim=8\nlevels=0,1\nkraus-terms=3\n")
         code, out, err = run(capsys, "fidelity", "--config", str(cfg))
         assert code == 1
         assert out == ""
-        assert "--kraus-terms" in err
+        assert "unknown config key 'kraus-terms'" in err
 
     def test_malformed_line_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"
@@ -300,6 +296,14 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--channel", "pd", "--eta", "0.5", "--dim", "256")
         assert code == 0
         assert "trace-preservation defect: 0.000e+00 (ok)" in out
+
+    def test_non_finite_channel_file_refused(self, capsys, tmp_path):
+        path = tmp_path / "nan.chan"
+        path.write_text("dim 2\nkraus 0\n1 0\n0 nan\n")
+        code, out, err = run(capsys, "verify", "--channel", "custom", "--kraus-file", str(path))
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
 
 
 class TestPairsCommand:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kraus_reference import dense_apply
-from subchan.channels import MAX_KRAUS_BYTES, apply_channel
-from subchan.errors import PrecisionLossError, ResourceLimitError
+from subchan.channels import apply_channel
+from subchan.errors import PrecisionLossError
 from subchan.families import (
     amplitude_damping,
     amplitude_damping_closed,
@@ -13,7 +13,6 @@ from subchan.families import (
     depolarizing,
     phase_damping,
     phase_damping_closed,
-    phase_damping_terms,
 )
 from subchan.fock import (
     basis_operator,
@@ -46,58 +45,9 @@ class TestPhaseDamping:
         ch = phase_damping(0.5, 6)
         out = apply_channel(ch, basis_operator(0, 2, 6))
         assert np.max(np.abs(out - 0.5**4 * basis_operator(0, 2, 6))) < 1e-12
-
-    def test_kraus_entries_match_direct_formula(self):
-        # E_i[k, k] = (k sqrt(-2 ln eta))^i / sqrt(i!) * eta^(k^2), small cases
-        # computed with plain floats; an explicit truncation stores their
-        # multiplier M_0 = sum_i e_i e_i^T.
-        eta = 0.6
-        ch = phase_damping(eta, 4, kraus_truncation=4)
-        rate = math.sqrt(-2 * math.log(eta))
-        direct = np.array([[(k * rate) ** i / math.sqrt(math.factorial(i)) * eta ** (k * k)
-                            for k in range(4)] for i in range(4)])
-        assert np.max(np.abs(ch.multipliers[0] - direct.T @ direct)) < 1e-12
-
-    def test_truncation_override_and_defect(self):
         full = phase_damping(0.5, 8)
-        short = phase_damping(0.5, 8, kraus_truncation=8)
-        assert short.kraus_truncation == 8
-        assert short.tp_defect > 1e-3       # way too few terms for the top level
         assert full.tp_defect == 0.0        # the exact multiplier
         assert full.kraus_truncation == 8   # one Cholesky row per level
-        tail = phase_damping(0.5, 8, kraus_truncation=phase_damping_terms(0.5, 8))
-        assert tail.tp_defect < 1e-12
-
-    @pytest.mark.parametrize("eta, terms", [(0.3, 159_494), (0.5, 100_000_000_000)])
-    def test_truncation_sized_before_allocating(self, monkeypatch, eta, terms):
-        # At eta 0.3 the Poisson tail (see the test below) needs 159,494
-        # diagonals of 256 floats, 327 MB, above MAX_KRAUS_BYTES.
-        assert terms * 256 * 8 > MAX_KRAUS_BYTES
-
-        def refuse(shape, *args, **kwargs):
-            raise AssertionError(f"allocated {shape}")
-
-        monkeypatch.setattr(np, "zeros", refuse)
-        with pytest.raises(ResourceLimitError, match="phase-damping truncation"):
-            phase_damping(eta, 256, kraus_truncation=terms)
-
-    def test_tail_truncation_at_256_passes_the_size_check(self, monkeypatch):
-        # 92,360 diagonals of 256 floats, 189 MB: the check lets them through
-        # to the allocation, which is stopped here.
-        terms = phase_damping_terms(0.5, 256)
-        assert terms == 92_360
-        assert phase_damping_terms(0.3, 256) == 159_494
-
-        class Allocated(Exception):
-            pass
-
-        def stop(shape, *args, **kwargs):
-            assert shape == (terms, 256)
-            raise Allocated
-
-        monkeypatch.setattr(np, "zeros", stop)
-        with pytest.raises(Allocated):
-            phase_damping(0.5, 256, kraus_truncation=terms)
 
     def test_closed_form_values(self):
         assert phase_damping_closed(0.5, 1, 1) == 1.0

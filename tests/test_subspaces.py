@@ -52,6 +52,10 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(dim=4, basis=np.stack([2 * v]))
 
+    def test_rejects_nan_basis(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(dim=3, basis=[[np.nan, 0, 0], [0, 1, 0]])
+
     def test_rejects_too_many_vectors(self):
         basis = np.eye(3, dtype=complex)
         with pytest.raises(ValueError):
@@ -229,6 +233,11 @@ class TestCatSubspace:
         even, odd = sub.basis
         assert np.max(np.abs(even[1::2])) < 1e-15
         assert np.max(np.abs(odd[0::2])) < 1e-15
+
+    @pytest.mark.parametrize("alpha, dim", [(0.0, 8), (1.0, 1)])
+    def test_vanishing_odd_cat_rejected(self, alpha, dim):
+        with pytest.raises(ValueError, match="odd cat state vanishes"):
+            cat_state_subspace(alpha, dim)
 
 
 class TestFixedPoints:
