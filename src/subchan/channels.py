@@ -31,7 +31,10 @@ every nonzero row and column of x (one O(dim^2) pass). Each shifted product
 is then cut to the rows whose source lies in that range, a + o for Phi and
 a for Phi*, and offsets that miss it are skipped. The offset-0 product and
 the transfer matvec stay full size. Only exact zero terms are dropped, so
-the result equals the full-size sum entry for entry.
+the result equals the full-size sum entry for entry. A caller that applies
+a channel many times to inputs on one window, and reads the outputs only
+there, can instead take the channel's compression onto it once
+(``_compress``) and apply that at the window's size.
 
 A diagonal multiplier only moves populations, Phi(x)[a, a] picks up
 M_o[a, a] x[a+o, a+o]. All of them, on every offset, are kept together as
@@ -439,6 +442,33 @@ def adjoint_apply(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     if ch.transfer is not None:
         out.reshape(-1)[::ch.dim + 1] += x.diagonal() @ ch.transfer
     return out
+
+
+def _compress(ch: KrausChannel, lo: int, hi: int) -> KrausChannel:
+    """The compression x -> P Phi(P x P) P onto the levels [lo, hi), as a channel of dim hi - lo.
+
+    A band channel keeps the blocks M_o[lo:hi-|o|, lo:hi-|o|] of its
+    multipliers with |o| < hi - lo and the block T[lo:hi, lo:hi] of its
+    transfer matrix, each diagonal of which is passed as a diagonal
+    multiplier; where an offset holds both, M_o + diag(t_o) is passed (still
+    PSD). A dense channel keeps the blocks E_i[lo:hi, lo:hi]. The full range
+    is the channel itself.
+    """
+    if (lo, hi) == (0, ch.dim):
+        return ch
+    meta = {"family": ch.family, "eta": ch.eta}
+    if ch.multipliers is None:
+        return KrausChannel(ch.kraus_ops[:, lo:hi, lo:hi], **meta)
+    w = hi - lo
+    multipliers = {o: m[lo:hi - abs(o), lo:hi - abs(o)]
+                   for o, m in ch.multipliers.items() if abs(o) < w}
+    if ch.transfer is not None:
+        block = ch.transfer[lo:hi, lo:hi]
+        for o in range(1 - w, w):
+            t = np.diagonal(block, o)
+            if t.any():
+                multipliers[o] = multipliers[o] + np.diag(t) if o in multipliers else t
+    return KrausChannel(multipliers=multipliers or {0: np.zeros(w)}, **meta)
 
 
 def tp_defect_on_block(ch: KrausChannel, block: int) -> float:

@@ -50,13 +50,13 @@ def encoding_from_coefficients(c, d, dim: int, label: str = "custom") -> Subspac
     d = np.pad(d, (0, dim - d.size))
     for name, v in (("psi0", c), ("psi1", d)):
         defect = abs(float(np.sum(np.abs(v) ** 2)) - 1.0)
-        if defect > SPECTRAL_TOL:
+        if not defect <= SPECTRAL_TOL:  # NaN fails too
             raise ConstraintError(
                 f"{name} norm defect {defect:.3e} exceeds {SPECTRAL_TOL:.0e}",
                 residual=defect,
             )
     overlap = abs(complex(np.vdot(c, d)))
-    if overlap > SPECTRAL_TOL:
+    if not overlap <= SPECTRAL_TOL:
         raise ConstraintError(
             f"overlap |<psi0|psi1>| = {overlap:.3e} exceeds {SPECTRAL_TOL:.0e}",
             residual=overlap,

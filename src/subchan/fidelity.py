@@ -18,9 +18,16 @@ Its uniform average over the Bloch sphere is computed two independent ways:
   periodic rule in phi. The integrand has degree <= 2 in u and harmonics
   |m| <= 2 in phi, so the QUADRATURE_NODES x QUADRATURE_NODES default
   (16 x 16) integrates it exactly up to roundoff, making this an independent
-  oracle for the contraction weights. The node states' amplitudes are built
-  together as one array; the channel is still applied once per node, to the
-  plain density matrix |psi><psi|.
+  oracle for the contraction weights. Every node state lies on the code's
+  Fock window W, the smallest level range holding both code words, and its
+  score reads Phi(x) only there. So the channel is compressed onto W once,
+  x -> P_W Phi(P_W x P_W) P_W, and each node is applied through that
+  compression at the window's size: still one channel application per node,
+  to the plain density matrix |psi><psi|.
+
+The moment contraction builds its tensor at the full truncation, so the two
+routes share nothing beyond the channel, and a compression error would show
+as a gap between them.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ from itertools import product
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel
-from .errors import DimensionMismatchError
+from .channels import COMPLEX_BYTES, MAX_KRAUS_BYTES, KrausChannel, _compress, apply_channel
+from .errors import DimensionMismatchError, ResourceLimitError
 from .fock import log_binomial, outer
 from .subspaces import Subspace
 from .tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
@@ -169,11 +176,13 @@ def average_fidelity_quadrature(
     """Bloch average by Gauss-Legendre (in cos theta) x periodic-uniform (in phi).
 
     The node states' amplitudes on the two code words, all n_theta * n_phi
-    of them, theta major, are built in one vectorized step. Each node lifts
-    its pair to psi with one small product (a (nodes, dim) array of states
-    would raise the peak memory at large dim) and is scored as tr(x Phi(x))
-    with x = |psi><psi|: one plain channel application per node, sharing
-    nothing with the moment contraction beyond the channel itself.
+    of them, theta major, are built in one vectorized step; above
+    MAX_KRAUS_BYTES for them and leggauss's n_theta x n_theta companion
+    matrix, ResourceLimitError is raised first. The channel is compressed
+    once onto the code's Fock window [lo, hi), the smallest level range
+    holding every nonzero entry of the code words. Each node lifts its pair
+    to psi on that window and is scored as tr(x Phi(x)) with x = |psi><psi|:
+    one channel application per node, through the compression.
     """
     if n_theta < 8 or n_phi < 8:
         raise ValueError(f"need n_theta >= 8 and n_phi >= 8, got {n_theta}, {n_phi}")
@@ -183,15 +192,27 @@ def average_fidelity_quadrature(
         )
     if subspace.d != 2:
         raise ValueError(f"need a d=2 subspace, got d={subspace.d}")
+    # The companion matrix, then the amplitudes, their complex temporary and
+    # the scores, each entry counted at COMPLEX_BYTES.
+    nbytes = (n_theta**2 + 4 * n_theta * n_phi) * COMPLEX_BYTES
+    if nbytes > MAX_KRAUS_BYTES:
+        raise ResourceLimitError(
+            f"a {n_theta} x {n_phi} quadrature grid needs {nbytes / 1e9:.2f} GB; "
+            f"limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB. Reduce the node counts."
+        )
+    (used,) = np.nonzero(subspace.basis.any(axis=0))
+    lo, hi = int(used[0]), int(used[-1]) + 1
+    window = _compress(ch, lo, hi)
+    basis = subspace.basis[:, lo:hi]
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
     half = np.arccos(nodes)[:, np.newaxis] / 2
     phase = np.exp(2j * np.pi * np.arange(n_phi) / n_phi)
     amplitudes = np.stack(np.broadcast_arrays(np.cos(half), phase * np.sin(half)), axis=-1)
     scores = np.empty(n_theta * n_phi)
     for node, amplitude in enumerate(amplitudes.reshape(-1, 2)):
-        psi = amplitude @ subspace.basis
+        psi = amplitude @ basis
         x = outer(psi, psi)
-        scores[node] = np.vdot(x, apply_channel(ch, x)).real
+        scores[node] = np.vdot(x, apply_channel(window, x)).real
     # (1 / 4pi) * sum_ij w_i (2pi / n_phi) f_ij
     total = weights @ scores.reshape(n_theta, n_phi).sum(axis=1)
     return _report(ch, subspace, _clip_unit(total / (2 * n_phi)), "quadrature")

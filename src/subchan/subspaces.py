@@ -228,7 +228,7 @@ def invariant_hull_check(ch: KrausChannel, subspace: Subspace) -> HullReport:
         raise DimensionMismatchError(
             f"channel dim {ch.dim} does not match subspace ambient dim {subspace.dim}"
         )
-    if ch.tp_defect > HULL_TP_PRECONDITION:
+    if not ch.tp_defect <= HULL_TP_PRECONDITION:  # NaN fails too
         raise ValueError(
             f"channel trace-preservation defect {ch.tp_defect:.3e} exceeds "
             f"{HULL_TP_PRECONDITION:.0e}; a hull verdict needs a trace-preserving channel"
@@ -278,7 +278,10 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
     Members come in block order (ascending q), then ascending singular
     value. Before they are allocated, their count * dim^2 complex entries
     are checked against MAX_KRAUS_BYTES (ResourceLimitError above it).
+    A cutoff that is not a positive finite number raises ValueError.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"fixed-point cutoff must be positive and finite, got {tol}")
     found = []
     for positions, block in _coherence_blocks(ch):
         block.reshape(-1)[::block.shape[0] + 1] -= 1.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+import subchan.fidelity
 from subchan.channels import KrausChannel
 from subchan.cli import main
 from subchan.families import amplitude_damping
@@ -39,6 +40,17 @@ class TestFidelityCommand:
         assert code == 0
         assert "quadrature" in out
         assert "cross-check gap" in out
+
+    def test_quadrature_grid_guard_exits_1(self, capsys, monkeypatch):
+        # The limit is lowered so that the default grid is refused by its
+        # estimate; no large grid is ever built.
+        monkeypatch.setattr(subchan.fidelity, "MAX_KRAUS_BYTES", 16 * 16**2)
+        code, _, err = run(
+            capsys, "fidelity", "--channel", "pd", "--eta", "0.5",
+            "--levels", "0,1", "--dim", "8", "--quadrature",
+        )
+        assert code == 1
+        assert "quadrature grid" in err
 
     def test_tp_defect_shown(self, capsys):
         code, out, _ = run(
@@ -109,7 +121,7 @@ class TestHullCheckCommand:
         )
         assert code == 1
         assert out == ""
-        assert "not orthonormal" in err
+        assert "psi0 norm defect nan" in err
 
     def test_depolarizing_not_invariant(self, capsys):
         code, out, _ = run(
@@ -148,6 +160,16 @@ class TestFixedPointsCommand:
         )
         assert code == 1
         assert "superoperator" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_cutoff_exits_1(self, capsys, tol):
+        code, out, err = run(
+            capsys, "fixed-points", "--channel", "pd", "--eta", "0.5", "--dim", "4",
+            "--tol", tol,
+        )
+        assert code == 1
+        assert "dimension" not in out
+        assert "cutoff must be positive and finite" in err
 
     def test_band_channel_above_dense_limit(self, capsys):
         code, out, _ = run(

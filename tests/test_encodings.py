@@ -38,6 +38,10 @@ class TestEncodingFromCoefficients:
         with pytest.raises(ConstraintError):
             encoding_from_coefficients([0.9, 0], [0, 1], dim=4)
 
+    def test_nan_coefficient_rejected(self):
+        with pytest.raises(ConstraintError, match="psi0 norm defect nan"):
+            encoding_from_coefficients([np.nan, 0], [0, 1], dim=4)
+
     def test_too_long_rejected(self):
         with pytest.raises(ValueError):
             encoding_from_coefficients([1, 0, 0], [0, 1, 0], dim=2)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import subchan.fidelity
 from kraus_reference import node_quadrature, reference_formula
 from subchan.channels import apply_channel
-from subchan.errors import DimensionMismatchError
+from subchan.errors import DimensionMismatchError, ResourceLimitError
 from subchan.families import amplitude_damping, depolarizing, identity_channel, phase_damping
 from subchan.fidelity import (
     FidelityReport,
@@ -120,17 +121,40 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("grid", [(16, 16), (8, 12), (13, 9)])
     @pytest.mark.parametrize("maker", [phase_damping, amplitude_damping, depolarizing])
-    def test_matches_node_by_node_oracle(self, maker, grid):
+    def test_matches_node_by_node_oracle(self, maker, grid, monkeypatch):
         # Unequal node counts pair each theta weight with the wrong nodes if
         # the vectorized grid is transposed or its weights repeated wrongly.
-        dim = 10
-        ch = maker(0.45, dim)
+        # Each node is applied once, at the size of the code's Fock window (4
+        # for a pair three levels apart, the truncation for a code on every
+        # level); the oracle applies the channel at the full truncation.
+        shapes = []
+
+        def counted(ch, x):
+            shapes.append(np.shape(x))
+            return apply_channel(ch, x)
+
+        monkeypatch.setattr(subchan.fidelity, "apply_channel", counted)
         rng = np.random.default_rng(7)
-        code, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
-        for sub in (_pair(1, 4, dim), Subspace(dim=dim, basis=code.T)):
-            oracle = node_quadrature(lambda x: apply_channel(ch, x), sub.basis, *grid)
+        code, _ = np.linalg.qr(rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2)))
+        for sub, w in ((_pair(1, 4, 10), 4), (_pair(2, 5, 64), 4),
+                       (Subspace(dim=10, basis=code.T), 10)):
+            ch = maker(0.45, sub.dim)
+            shapes.clear()
             value = average_fidelity_quadrature(ch, sub, *grid).value
+            assert shapes == [(w, w)] * (grid[0] * grid[1])
+            oracle = node_quadrature(lambda x: apply_channel(ch, x), sub.basis, *grid)
             assert abs(value - oracle) <= 1e-14
+
+    def test_grid_size_guard(self, monkeypatch):
+        # Checked by estimate only: with the limit below a 16 x 16 grid's
+        # bytes, the call is refused before the nodes are computed.
+        def refuse(n):
+            raise AssertionError("the quadrature nodes were computed")
+
+        monkeypatch.setattr(subchan.fidelity, "MAX_KRAUS_BYTES", 16 * 16**2)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        with pytest.raises(ResourceLimitError, match="16 x 16 quadrature grid"):
+            average_fidelity_quadrature(phase_damping(0.5, 8), _pair(0, 1, 8))
 
     def test_cross_check_matrix(self):
         # The decisive validation of the frozen contraction weights.

@@ -6,7 +6,8 @@ them is checked here against dense Kraus sums, one operator at a time, and
 the closed-form phase damping multiplier against the Poisson Kraus family
 summed term by term. Inputs supported on a few levels check the support
 window of ``apply_channel`` and ``adjoint_apply`` against the same sums and
-against the full-size products.
+against the full-size products, and the compression of a channel onto a
+window of levels against the same sums cut to that window.
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ from kraus_reference import (
 )
 from subchan.channels import (
     KrausChannel,
+    _compress,
     adjoint_apply,
     apply_channel,
     superoperator_of,
@@ -284,3 +286,50 @@ class TestSupportWindow:
         for lo in range(dim):
             for hi in range(lo + 1, dim + 1):
                 _check_supported(ch, ops, _supported(dim, support, lo, hi, 10 * lo + hi))
+
+
+# ---------------------------------------------------------------------------
+# Compression onto a window of levels
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def dense_stacks(draw):
+    """A random CPTP stack on 2 <= dim <= 7: an isometry cut into dense operators,
+    each spanning every offset, so the channel has no band form."""
+    dim = draw(st.integers(min_value=2, max_value=7))
+    terms = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    g = rng.normal(size=(terms * dim, dim)) + 1j * rng.normal(size=(terms * dim, dim))
+    return np.linalg.qr(g)[0].reshape(terms, dim, dim)
+
+
+class TestCompression:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(multiplier_channels(), dense_stacks()), st.data())
+    def test_matches_dense_sum_on_the_window(self, case, data):
+        # For x on the levels [lo, hi), the compressed channel applied to the
+        # window block of x is the dense Kraus sum cut to that block.
+        if isinstance(case, tuple):
+            ops, full, units = case
+            channels = _constructions(ops, full, units)
+        else:
+            ops, channels = case, [KrausChannel(case)]
+            assert channels[0].multipliers is None
+        dim = ops.shape[1]
+        lo = data.draw(st.integers(min_value=0, max_value=dim - 1))
+        hi = data.draw(st.integers(min_value=lo + 1, max_value=dim))
+        x = _supported(dim, "window", lo, hi, data.draw(st.integers(0, 10**6)))
+        expect = dense_apply(ops, x)[lo:hi, lo:hi]
+        for ch in channels:
+            window = _compress(ch, lo, hi)
+            assert window.dim == hi - lo
+            if (lo, hi) == (0, dim):
+                assert window is ch
+            assert np.max(np.abs(apply_channel(window, x[lo:hi, lo:hi]) - expect)) <= 1e-13
+
+    def test_window_a_channel_leaves_is_the_zero_map(self):
+        # |0><2| moves level 2 to level 0 and keeps nothing on level 1.
+        window = _compress(KrausChannel(multipliers={2: [1.0]}), 1, 2)
+        assert window.kraus_truncation == 0
+        assert np.array_equal(apply_channel(window, np.ones((1, 1))), [[0.0]])

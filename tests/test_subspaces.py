@@ -224,6 +224,14 @@ class TestInvariantHull:
         with pytest.raises(ValueError):
             invariant_hull_check(lossy, Subspace.from_levels([0, 1], 4))
 
+    def test_rejects_nan_trace_defect(self):
+        # The square of 1e200 overflows, so the channel's defect is NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ch = KrausChannel(np.array([[[1e200, 1.0], [1.0, 0.0]]]))
+        assert np.isnan(ch.tp_defect)
+        with pytest.raises(ValueError, match="trace-preservation defect nan"):
+            invariant_hull_check(ch, Subspace.from_levels([0], 2))
+
 
 class TestCatSubspace:
     def test_orthonormal_and_parity_split(self):
@@ -269,6 +277,13 @@ class TestFixedPoints:
             for j, y in enumerate(members):
                 ip = np.trace(x.conj().T @ y)
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_refuses_bad_cutoff(self, tol):
+        # sigma < tol holds for no singular value at NaN or a non-positive
+        # cutoff, and for every one at inf.
+        with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+            fixed_point_space(phase_damping(0.5, 4), tol=tol)
 
     def test_dim_guard(self):
         # A dense unitary spans every offset, so it has no band form and takes
