@@ -19,6 +19,7 @@ from .channels import (
 from .encodings import (
     OptimizationResult,
     PairFidelity,
+    StartRecord,
     contiguous_pair_sweep,
     encoding_from_coefficients,
     leading_ties,

@@ -22,12 +22,16 @@ import argparse
 import csv
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
 from .channels import MAX_SUPEROPERATOR_DIM, KrausChannel, apply_channel, verify_channel
 from .encodings import (
+    CONVERGED,
     DEFAULT_RESTARTS,
+    NON_ASCENT,
+    STEP_CAP,
     contiguous_pair_sweep,
     encoding_from_coefficients,
     leading_ties,
@@ -68,6 +72,12 @@ _CONFIG_CONVERTERS = {
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _fmt_coefficient(z: complex) -> str:
+    """A unit-vector coefficient to 12 decimal places: 1, -0.5, 0.6-0.8j."""
+    re, im = (round(float(part), 12) + 0.0 for part in (z.real, z.imag))
+    return _fmt(re) if im == 0.0 else format(complex(re, im), ".12g")
 
 
 def _fmt_tol(x: float) -> str:
@@ -253,10 +263,12 @@ def _cmd_optimize(args) -> int:
     print(f"levels: {','.join(map(str, levels))}  restarts: {result.restarts_run}  "
           f"seed: {'-' if seed is None else seed}")
     print(f"best average fidelity: {_fmt(result.best_fidelity)}")
-    print(f"best parameters: {' '.join(_fmt(p) for p in result.best_params)}")
-    for name, row in zip(("psi0", "psi1"), result.best_encoding.basis):
-        entries = " ".join(_fmt(z.real) for z in row[: max(levels) + 1])
-        print(f"  {name} coefficients: {entries}")
+    ended = Counter(record.status for record in result.history)
+    print(f"starts converged: {ended[CONVERGED]} of {result.restarts_run} "
+          f"(step cap: {ended[STEP_CAP]}, non-ascent: {ended[NON_ASCENT]})")
+    print(f"best code words on levels {','.join(map(str, levels))}:")
+    for name, word in zip(("psi0", "psi1"), result.best_params):
+        print(f"  {name}: {' '.join(_fmt_coefficient(z) for z in word)}")
     return 0
 
 
@@ -377,10 +389,20 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"singular-value cutoff (default {_fmt_tol(FIXED_POINT_TOL)})")
     p_fix.set_defaults(func=_cmd_fixed_points)
 
-    p_opt = sub.add_parser("optimize", help="search encodings for maximal fidelity")
+    p_opt = sub.add_parser(
+        "optimize", help="search qubit codes for maximal fidelity",
+        description="Seesaw search over qubit codes on the given Fock levels: "
+                    "from Haar-random starts, each step moves the code to the top "
+                    "two eigenvectors of the fidelity's gradient until the gain "
+                    "stops. Prints the best average fidelity, how many starts "
+                    "converged, and the best code words' complex coefficients "
+                    "on the levels (a Fock pair prints as unit vectors).",
+    )
     _add_channel_flags(p_opt)
-    p_opt.add_argument("--levels", default=None, help="Fock levels to encode on, e.g. 0,1,2")
-    p_opt.add_argument("--restarts", type=int, default=None)
+    p_opt.add_argument("--levels", default=None,
+                       help="two or more Fock levels to encode on, e.g. 0,1,2")
+    p_opt.add_argument("--restarts", type=int, default=None,
+                       help=f"seesaw starts (default {DEFAULT_RESTARTS})")
     p_opt.add_argument("--seed", type=int, default=None,
                        help="RNG seed (falls back to SUBCHAN_SEED)")
     p_opt.set_defaults(func=_cmd_optimize)

@@ -26,9 +26,10 @@ entries.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import poisson
 
 from .channels import KrausChannel
 from .errors import PrecisionLossError
@@ -184,11 +185,22 @@ def coherent_action_closed(eta: float, alpha: complex, beta: complex, dim: int) 
 
 
 def _dim_for_deficit(alpha: complex, tol: float) -> int:
-    # Occupation weights are Poisson(|alpha|^2); invert its tail.
+    """Two more than the smallest k with P(N > k) <= tol, N ~ Poisson(|alpha|^2).
+
+    Occupation weights of a coherent state are Poisson. The tail P(N > k) is
+    summed from k = lam + 40 sqrt(lam) + 40 down, smallest terms first, with
+    each weight taken in log space; the mass beyond that start is below
+    exp(-270) for every lam up to 1e5.
+    """
     lam = abs(alpha) ** 2
     if lam == 0:
         return 1
-    return int(poisson.isf(tol, lam)) + 2
+    tail = 0.0  # P(N > k)
+    for k in range(int(lam + 40 * math.sqrt(lam) + 40), -1, -1):
+        if tail > tol:
+            return k + 3
+        tail += math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+    return 2
 
 
 __all__ = [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+import subchan.encodings
 import subchan.fidelity
 from subchan.channels import KrausChannel
 from subchan.cli import main
@@ -208,6 +209,38 @@ class TestOptimizeCommand:
             assert "seed: 17" in out
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_reports_starts_and_code_words(self, capsys):
+        code, out, _ = run(
+            capsys, "optimize", "--channel", "ad", "--eta", "0.5", "--dim", "6",
+            "--levels", "2,0", "--restarts", "3", "--seed", "1",
+        )
+        assert code == 0
+        assert "starts converged: 3 of 3 (step cap: 0, non-ascent: 0)" in out
+        assert "best code words on levels 2,0:\n  psi0: 1 0\n  psi1: 0 1\n" in out
+
+    def test_complex_coefficients_printed(self, capsys):
+        code, out, _ = run(
+            capsys, "optimize", "--channel", "dep", "--p", "0.5", "--dim", "6",
+            "--levels", "0,1,2", "--restarts", "2", "--seed", "1",
+        )
+        assert code == 0
+        words = [line.split()[1:] for line in out.splitlines() if line.startswith("  psi")]
+        coefficients = np.array([[complex(z) for z in word] for word in words])
+        assert coefficients.shape == (2, 3)
+        assert np.max(np.abs(coefficients @ coefficients.conj().T - np.eye(2))) <= 1e-11
+        assert np.any(coefficients.imag != 0)
+
+    def test_level_guard_exits_1(self, capsys, monkeypatch):
+        # The limit is lowered so that three levels are refused by their
+        # estimate; the level tensor is never built.
+        monkeypatch.setattr(subchan.encodings, "MAX_KRAUS_BYTES", 2 * 2**4 * 16)
+        code, _, err = run(
+            capsys, "optimize", "--channel", "ad", "--eta", "0.5", "--dim", "6",
+            "--levels", "0,1,2", "--restarts", "1",
+        )
+        assert code == 1
+        assert "a search on 3 levels needs" in err
 
 
 class TestSweepCommand:

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from kraus_reference import dense_apply
 from subchan.channels import apply_channel
 from subchan.errors import PrecisionLossError
 from subchan.families import (
+    _dim_for_deficit,
     amplitude_damping,
     amplitude_damping_closed,
     coherent_action_closed,
@@ -249,3 +251,9 @@ class TestCoherentAction:
         assert err.value.required_dim is not None
         _, deficit = coherent_state(3.0, err.value.required_dim)
         assert deficit < 1e-8
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.5, 7.3, 25.0, 100.0, 1000.0])
+    def test_required_dim_inverts_the_poisson_tail(self, lam):
+        # The log-space tail walk against scipy's inverse survival function.
+        for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            assert _dim_for_deficit(math.sqrt(lam), tol) == int(poisson.isf(tol, lam)) + 2, tol
