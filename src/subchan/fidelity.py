@@ -5,8 +5,8 @@ the transmission fidelity through a channel is f = <psi|Phi(|psi><psi|)|psi>.
 Its uniform average over the Bloch sphere is computed two independent ways:
 
 * moment contraction: f is a degree-4 trigonometric polynomial in the Bloch
-  angles, so the average contracts the tensor
-  T[i,j,k,l] = <psi_k|Phi(|psi_i><psi_j|)|psi_l> with the exact sphere
+  angles, so the average contracts T_K = ``restrict(ch, K).tensor``,
+  T[i,j,k,l] = <psi_k|Phi(|psi_i><psi_j|)|psi_l>, with the exact sphere
   moments. Only <cos^4(theta/2)> = <sin^4(theta/2)> = 1/3 and
   <cos^2 sin^2> = 1/6 survive (every phi-dependent monomial averages to
   zero), giving
@@ -33,14 +33,13 @@ as a gap between them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
 from .channels import COMPLEX_BYTES, MAX_KRAUS_BYTES, KrausChannel, _compress, apply_channel
 from .errors import DimensionMismatchError, ResourceLimitError
 from .fock import log_binomial, outer
-from .subspaces import Subspace
+from .subspaces import Subspace, restrict
 from .tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
 
 # Default quadrature nodes per Bloch angle.
@@ -109,27 +108,6 @@ def _report(ch: KrausChannel, subspace: Subspace, value: float, method: str) -> 
     )
 
 
-def _process_tensor(ch: KrausChannel, basis: np.ndarray) -> np.ndarray:
-    """T[i,j,k,l] = <b_k|Phi(|b_i><b_j|)|b_l> over the rows b of ``basis``."""
-    d = basis.shape[0]
-    t = np.zeros((d, d, d, d), dtype=complex)
-    for i, j in product(range(d), repeat=2):
-        image = apply_channel(ch, outer(basis[i], basis[j]))
-        t[i, j] = basis.conj() @ image @ basis.T
-    return t
-
-
-def fidelity_tensor(ch: KrausChannel, subspace: Subspace) -> np.ndarray:
-    """T[i,j,k,l] = <psi_k|Phi(|psi_i><psi_j|)|psi_l> for the 2-frame basis."""
-    if ch.dim != subspace.dim:
-        raise DimensionMismatchError(
-            f"channel dim {ch.dim} does not match encoding dim {subspace.dim}"
-        )
-    if subspace.d != 2:
-        raise ValueError(f"need a d=2 subspace, got d={subspace.d}")
-    return _process_tensor(ch, subspace.basis)
-
-
 def contract_bloch_moments(t: np.ndarray) -> float:
     """Fold a fidelity tensor with the exact Bloch-sphere moments."""
     val = (t[0, 0, 0, 0] + t[1, 1, 1, 1]) / 3 + (
@@ -143,14 +121,12 @@ def contract_bloch_moments(t: np.ndarray) -> float:
 def level_process_tensor(ch: KrausChannel, levels) -> np.ndarray:
     """G[a,b,c,e] = <l_c|Phi(|l_a><l_b|)|l_e> over the given Fock levels.
 
-    For frames supported on ``levels`` the fidelity tensor is the bilinear
-    contraction of G with the frame amplitudes (the channel is linear), so
-    repeated fidelity evaluations against the same channel can reuse G.
+    G is T_K of the levels' span (ValueError for an empty, repeated or
+    out-of-range level). For frames supported on ``levels`` the fidelity
+    tensor is the bilinear contraction of G with the frame amplitudes (the
+    channel is linear), so repeated fidelity evaluations can reuse G.
     """
-    levels = list(levels)
-    if max(levels) >= ch.dim:
-        raise DimensionMismatchError(f"level {max(levels)} outside channel dim {ch.dim}")
-    return _process_tensor(ch, np.eye(ch.dim, dtype=complex)[levels])
+    return restrict(ch, Subspace.from_levels(levels, ch.dim)).tensor
 
 
 def average_fidelity_from_frames(g: np.ndarray, frames: np.ndarray) -> float:
@@ -161,10 +137,11 @@ def average_fidelity_from_frames(g: np.ndarray, frames: np.ndarray) -> float:
 
 
 def average_fidelity_closed(ch: KrausChannel, subspace: Subspace) -> FidelityReport:
-    """Bloch average via the exact moment contraction of the fidelity tensor."""
-    return _report(
-        ch, subspace, contract_bloch_moments(fidelity_tensor(ch, subspace)), "closed-form"
-    )
+    """Bloch average via the exact moment contraction of T_K, the restriction's tensor."""
+    if subspace.d != 2:
+        raise ValueError(f"need a d=2 subspace, got d={subspace.d}")
+    t = restrict(ch, subspace).tensor
+    return _report(ch, subspace, contract_bloch_moments(t), "closed-form")
 
 
 def average_fidelity_quadrature(

@@ -1,14 +1,16 @@
-"""Subspaces of the truncated Fock space and restricted channel analysis.
+"""Subspaces of the truncated Fock space and the compression of a channel onto them.
 
 A ``Subspace`` is an ordered orthonormal set of d vectors spanning K, with
 projector P = sum_j |b_j><b_j|. Restricting a channel to K gives the
-completely positive map x -> P Phi(x) P. Two distinct questions about that
-restriction are answered here and kept apart on purpose:
+completely positive map x -> P Phi(x) P. ``restrict`` holds it as one tensor,
+T_K[i,j,k,l] = <b_k|Phi(|b_i><b_j|)|b_l>, built from d^2 images for d <= 64.
+The fidelity and level tensors, the restricted map and two distinct
+properties of it, kept apart on purpose, are all read from T_K:
 
 * trace preservation: the restriction preserves trace for every input on K
-  exactly when P Phi*(P) P = P (the adjoint map is unital on the block);
+  exactly when P Phi*(P) P = P, i.e. (sum_k T_K[:,:,k,k])^T = I_d;
 * unitality: the restriction fixes the maximally mixed state P/d exactly
-  when P Phi(P) P = P.
+  when P Phi(P) P = P, i.e. sum_i T_K[i,i,:,:] = I_d.
 
 A restriction can be trace-preserving without being unital (amplitude
 damping on the two lowest levels is the canonical case), so reports carry
@@ -16,7 +18,7 @@ both defects.
 
 Membership of K's state set in an invariant hull is probed on the operator
 span of the |b_i><b_j| basis; by linearity that is equivalent to probing
-every state supported on K.
+every state supported on K. The probe images are those that build T_K.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    COMPLEX_BYTES,
+    MAX_KRAUS_BYTES,
     KrausChannel,
     _check_stack_size,
     _coherence_blocks,
-    adjoint_apply,
     apply_channel,
 )
-from .errors import DimensionMismatchError, SupportError
+from .errors import DimensionMismatchError, ResourceLimitError, SupportError
 from .fock import coherent_state, fock_state, hs_norm, operator_norm, outer
 from .tolerances import (
     FIXED_POINT_TOL,
@@ -75,6 +78,8 @@ class Subspace:
     def from_levels(cls, levels, dim: int) -> "Subspace":
         """Span of the number states |k> for k in ``levels``."""
         levels = list(levels)
+        if not levels:
+            raise ValueError("the level list is empty; need at least one level")
         if len(set(levels)) != len(levels):
             raise ValueError(f"levels must be distinct, got {levels}")
         basis = np.stack([fock_state(k, dim) for k in levels])
@@ -123,33 +128,52 @@ def subspace_overlap(a: Subspace, b: Subspace) -> float:
 
 @dataclass(frozen=True)
 class RestrictedChannel:
-    """Handle for x -> P Phi(x) P on inputs supported on K (to SPECTRAL_TOL)."""
+    """x -> P Phi(x) P on K, held as T_K[i,j,k,l] = <b_k|Phi(|b_i><b_j|)|b_l>."""
 
-    channel: KrausChannel
     subspace: Subspace
+    tensor: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """P Phi(x) P = V (sum_ij c_ij T[i,j]) V^dag with c = V^dag x V, which holds
+        for x = P x P; SupportError when ||x - P x P|| exceeds SPECTRAL_TOL."""
         x = np.asarray(x, dtype=complex)
-        if x.shape != (self.channel.dim, self.channel.dim):
-            raise DimensionMismatchError(
-                f"operator shape {x.shape} does not match dim {self.channel.dim}"
-            )
-        p = projector(self.subspace)
-        comp = np.eye(self.channel.dim) - p
-        off = operator_norm(comp @ x @ comp)
-        if off > SPECTRAL_TOL:
-            raise SupportError(
-                f"input has weight {off:.3e} outside the subspace (tol {SPECTRAL_TOL:.0e})"
-            )
-        return p @ apply_channel(self.channel, x) @ p
+        dim = self.subspace.dim
+        if x.shape != (dim, dim):
+            raise DimensionMismatchError(f"operator shape {x.shape} does not match dim {dim}")
+        basis = self.subspace.basis
+        c = basis.conj() @ x @ basis.T
+        off = operator_norm(x - basis.T @ c @ basis.conj())
+        if not off <= SPECTRAL_TOL:  # NaN fails too
+            raise SupportError(f"input has weight {off:.3e} outside the block P x P "
+                               f"(tol {SPECTRAL_TOL:.0e})")
+        return basis.T @ np.tensordot(c, self.tensor, axes=2) @ basis.conj()
 
 
 def restrict(ch: KrausChannel, subspace: Subspace) -> RestrictedChannel:
+    """The compression onto ``subspace``, from the d^2 images Phi(|b_i><b_j|). Raises,
+    before applying ``ch``, DimensionMismatchError when the ambient dims differ and
+    ResourceLimitError when T_K's d^4 complex entries exceed MAX_KRAUS_BYTES (d > 64)."""
+    return _restrict(ch, subspace, lambda image: None)
+
+
+def _restrict(ch: KrausChannel, subspace: Subspace, visit) -> RestrictedChannel:
+    """``restrict``, handing each image Phi(|b_i><b_j|) to ``visit`` as it is made."""
     if ch.dim != subspace.dim:
         raise DimensionMismatchError(
             f"channel dim {ch.dim} does not match subspace ambient dim {subspace.dim}"
         )
-    return RestrictedChannel(channel=ch, subspace=subspace)
+    d = subspace.d
+    if d**4 * COMPLEX_BYTES > MAX_KRAUS_BYTES:
+        raise ResourceLimitError(f"the restriction to a {d}-dimensional subspace needs "
+                                 f"{d**4 * COMPLEX_BYTES / 1e9:.2f} GB for T_K; "
+                                 f"limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB")
+    basis = subspace.basis
+    t = np.zeros((d, d, d, d), dtype=complex)
+    for i, j in np.ndindex(d, d):
+        image = apply_channel(ch, outer(basis[i], basis[j]))
+        visit(image)
+        t[i, j] = basis.conj() @ image @ basis.T
+    return RestrictedChannel(subspace=subspace, tensor=t)
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +199,16 @@ class UnitalityReport:
 
 
 def unitality_check(ch: KrausChannel, subspace: Subspace) -> UnitalityReport:
-    """Both defects of the restriction to ``subspace``, judged at UNITALITY_TOL."""
-    if ch.dim != subspace.dim:
-        raise DimensionMismatchError(
-            f"channel dim {ch.dim} does not match subspace ambient dim {subspace.dim}"
-        )
-    p = projector(subspace)
-    trace_defect = operator_norm(p @ adjoint_apply(ch, p) @ p - p)
-    unital_defect = operator_norm(p @ apply_channel(ch, p) @ p - p)
+    """Both defects of the restriction to ``subspace``, read from T_K, judged at UNITALITY_TOL."""
+    return _unitality(restrict(ch, subspace).tensor)
+
+
+def _unitality(t: np.ndarray) -> UnitalityReport:
+    """The defects as partial traces of T_K: in K's basis, V^dag Phi*(P) V is
+    (sum_k T[:,:,k,k])^T and V^dag Phi(P) V is sum_i T[i,i,:,:]."""
+    eye = np.eye(t.shape[0])
+    trace_defect = operator_norm(np.trace(t, axis1=2, axis2=3).T - eye)
+    unital_defect = operator_norm(np.trace(t, axis1=0, axis2=1) - eye)
     return UnitalityReport(
         trace_defect=trace_defect,
         is_trace_preserving=trace_defect <= UNITALITY_TOL,
@@ -222,32 +248,27 @@ def invariant_hull_check(ch: KrausChannel, subspace: Subspace) -> HullReport:
 
     Requires the channel's own trace-preservation defect to sit below
     HULL_TP_PRECONDITION; on a map that is not trace-preserving a verdict
-    would be meaningless.
+    would be meaningless. The probe images build T_K, which gives both defects.
     """
-    if ch.dim != subspace.dim:
-        raise DimensionMismatchError(
-            f"channel dim {ch.dim} does not match subspace ambient dim {subspace.dim}"
-        )
     if not ch.tp_defect <= HULL_TP_PRECONDITION:  # NaN fails too
         raise ValueError(
             f"channel trace-preservation defect {ch.tp_defect:.3e} exceeds "
             f"{HULL_TP_PRECONDITION:.0e}; a hull verdict needs a trace-preserving channel"
         )
     p = projector(subspace)
-    basis = subspace.basis
-    max_op = 0.0
-    max_hs = 0.0
-    for i in range(subspace.d):
-        for j in range(subspace.d):
-            image = apply_channel(ch, outer(basis[i], basis[j]))
-            leaked = image - p @ image @ p
-            max_op = max(max_op, operator_norm(leaked))
-            max_hs = max(max_hs, hs_norm(leaked))
-    unit = unitality_check(ch, subspace)
+    op_norms, hs_norms = [0.0], [0.0]
+
+    def leakage(image):
+        leaked = image - p @ image @ p
+        op_norms.append(operator_norm(leaked))
+        hs_norms.append(hs_norm(leaked))
+
+    unit = _unitality(_restrict(ch, subspace, leakage).tensor)
+    max_op = max(op_norms)
     return HullReport(
         is_invariant_hull=max_op <= HULL_TOL,
         max_leakage=max_op,
-        max_leakage_hs=max_hs,
+        max_leakage_hs=max(hs_norms),
         probed_inputs=subspace.d**2,
         is_unital_subchannel=unit.is_trace_preserving and unit.is_unital,
         unitality_defect=unit.unital_defect,

@@ -141,6 +141,15 @@ class TestHullCheckCommand:
         assert "verdict: an invariant hull" in out
         assert "unital subchannel: no" in out
 
+    def test_empty_level_list_refused(self, capsys):
+        code, out, err = run(
+            capsys, "hull-check", "--channel", "ad", "--eta", "0.5",
+            "--dim", "8", "--levels", ",",
+        )
+        assert code == 1
+        assert out == ""
+        assert "level list is empty" in err
+
 
 class TestFixedPointsCommand:
     def test_amplitude_damping(self, capsys):

@@ -27,10 +27,9 @@ from subchan.fidelity import (
     average_fidelity_closed,
     average_fidelity_quadrature,
     contract_bloch_moments,
-    fidelity_tensor,
     level_process_tensor,
 )
-from subchan.subspaces import Subspace, subspace_overlap
+from subchan.subspaces import Subspace, restrict, subspace_overlap
 
 
 def _isometry(rng, n):
@@ -178,7 +177,7 @@ class TestBlochForm:
         for _ in range(3):
             v = _isometry(rng, len(levels))
             code = realize_encoding(levels, v.T, ch.dim)
-            want = contract_bloch_moments(fidelity_tensor(ch, code))
+            want = contract_bloch_moments(restrict(ch, code).tensor)
             assert _ascent_point(k, v)[0] == pytest.approx(want, abs=1e-12)
 
     def test_gradient_is_the_derivative(self):

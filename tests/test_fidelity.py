@@ -17,11 +17,10 @@ from subchan.fidelity import (
     bloch_state,
     cross_checked_fidelity,
     damping_fidelity_series,
-    fidelity_tensor,
     level_process_tensor,
     pure_fidelity,
 )
-from subchan.subspaces import Subspace
+from subchan.subspaces import Subspace, restrict
 
 ETA_GRID = [round(0.1 * i, 1) for i in range(11)]
 
@@ -248,9 +247,15 @@ class TestLevelProcessTensor:
             slow = average_fidelity_closed(ch, sub).value
             assert fast == pytest.approx(slow, abs=1e-12)
 
+    @pytest.mark.parametrize("levels, message", [
+        ([-1, 0], "out of range"), ([1, 1], "distinct"), ([], "empty")])
+    def test_rejects_bad_levels(self, levels, message):
+        with pytest.raises(ValueError, match=message):
+            level_process_tensor(amplitude_damping(0.5, 8), levels)
+
     def test_tensor_hermitian_pairing(self):
         ch = amplitude_damping(0.3, 8)
-        t = fidelity_tensor(ch, _pair(0, 1, 8))
+        t = restrict(ch, _pair(0, 1, 8)).tensor
         assert t[1, 0, 1, 0] == pytest.approx(np.conj(t[0, 1, 0, 1]), abs=1e-12)
 
 

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import subchan.channels
+import subchan.subspaces
 from kraus_reference import dense_fixed_points, dense_superoperator, span_projector
 from subchan.channels import (
     MAX_KRAUS_BYTES,
     MAX_SUPEROPERATOR_DIM,
     KrausChannel,
     _coherence_blocks,
+    adjoint_apply,
     apply_channel,
     verify_channel,
 )
@@ -25,6 +28,7 @@ from subchan.subspaces import (
     unitality_check,
 )
 from subchan.tolerances import FIXED_POINT_TOL
+from test_multipliers import _constructions, dense_stacks, multiplier_channels
 
 
 def _random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -64,6 +68,10 @@ class TestSubspace:
     def test_rejects_duplicate_levels(self):
         with pytest.raises(ValueError):
             Subspace.from_levels([1, 1], 4)
+
+    def test_rejects_empty_levels(self):
+        with pytest.raises(ValueError, match="level list is empty"):
+            Subspace.from_levels([], 4)
 
     def test_overlap(self):
         a = Subspace.from_levels([0, 1], 8)
@@ -120,6 +128,13 @@ class TestRestrict:
         with pytest.raises(SupportError):
             handle.apply(basis_operator(3, 3, 8))
 
+    @pytest.mark.parametrize("k, s", [(0, 3), (3, 1)])
+    def test_rejects_off_block_input(self, k, s):
+        # |0><3| has no weight on (I-P) x (I-P), yet it lies outside the block P x P.
+        handle = restrict(phase_damping(0.5, 8), Subspace.from_levels([0, 1], 8))
+        with pytest.raises(SupportError):
+            handle.apply(basis_operator(k, s, 8))
+
     def test_output_supported_on_subspace(self):
         rng = np.random.default_rng(3)
         sub = Subspace.from_levels([0, 1, 2], 8)
@@ -136,6 +151,75 @@ class TestRestrict:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             restrict(amplitude_damping(0.5, 8), Subspace.from_levels([0, 1], 4))
+
+    def test_tensor_size_guard(self, monkeypatch):
+        # d = 65 needs 65^4 complex entries, just above MAX_KRAUS_BYTES; the
+        # guard is an estimate, so the channel is never applied.
+        def refuse(ch, x):
+            raise AssertionError("apply_channel called before the size guard")
+
+        monkeypatch.setattr(subchan.subspaces, "apply_channel", refuse)
+        assert 64**4 * 16 <= MAX_KRAUS_BYTES < 65**4 * 16
+        with pytest.raises(ResourceLimitError, match="restriction to a 65-dimensional"):
+            restrict(identity_channel(65), Subspace.from_levels(range(65), 65))
+
+
+def _random_code(dim, d, rng):
+    """A random complex d-dimensional subspace of a dim-level truncation."""
+    g = rng.normal(size=(dim, d)) + 1j * rng.normal(size=(dim, d))
+    return Subspace(dim=dim, basis=np.linalg.qr(g)[0].T)
+
+
+def _full_dim_defects(ch, sub):
+    """Both unitality defects by the full-dim formulas ||P Phi*(P) P - P|| and
+    ||P Phi(P) P - P||, the reference for the partial traces of T_K."""
+    p = projector(sub)
+    return (operator_norm(p @ adjoint_apply(ch, p) @ p - p),
+            operator_norm(p @ apply_channel(ch, p) @ p - p))
+
+
+class TestRestrictionTensor:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(multiplier_channels(), dense_stacks()), st.data())
+    def test_matches_full_dim_formulas(self, case, data):
+        if isinstance(case, tuple):
+            channels = _constructions(*case)
+        else:
+            channels = [KrausChannel(case)]
+        dim = channels[0].dim
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sub = _random_code(dim, data.draw(st.integers(1, min(dim, 4))), rng)
+        c = rng.normal(size=(sub.d, sub.d)) + 1j * rng.normal(size=(sub.d, sub.d))
+        x = sub.basis.T @ c @ sub.basis.conj()
+        p = projector(sub)
+        for ch in channels:
+            report = unitality_check(ch, sub)
+            trace_defect, unital_defect = _full_dim_defects(ch, sub)
+            assert report.trace_defect == pytest.approx(trace_defect, abs=1e-12)
+            assert report.unital_defect == pytest.approx(unital_defect, abs=1e-12)
+            out = restrict(ch, sub).apply(x)
+            assert np.max(np.abs(out - p @ apply_channel(ch, x) @ p)) <= 1e-12
+
+    @pytest.mark.parametrize("levels", [[0, 1], [1, 2, 4]])
+    def test_hull_check_applies_the_channel_d_squared_times(self, monkeypatch, levels):
+        calls = []
+
+        def counted(ch, x):
+            calls.append(x)
+            return apply_channel(ch, x)
+
+        def refuse(ch, x):
+            raise AssertionError("adjoint_apply called")
+
+        monkeypatch.setattr(subchan.subspaces, "apply_channel", counted)
+        for module in (subchan.channels, subchan, subchan.subspaces):
+            monkeypatch.setattr(module, "adjoint_apply", refuse, raising=False)
+        sub = Subspace.from_levels(levels, 16)
+        invariant_hull_check(amplitude_damping(0.4, 16), sub)
+        assert len(calls) == sub.d**2
+        calls.clear()
+        unitality_check(amplitude_damping(0.4, 16), sub)
+        assert len(calls) == sub.d**2
 
 
 class TestUnitality:
