@@ -171,18 +171,15 @@ def _parse_levels(raw: str) -> list[int]:
         raise ValueError(f"bad --levels value {raw!r}; expected e.g. 0,1") from None
 
 
-def _build_encoding(args: argparse.Namespace, dim: int, want_pair: bool) -> Subspace:
+def _build_encoding(args: argparse.Namespace, dim: int) -> Subspace:
     if getattr(args, "levels", None) and getattr(args, "encoding_file", None):
         raise ValueError("give --levels or --encoding-file, not both")
     if getattr(args, "levels", None):
-        levels = _parse_levels(args.levels)
-        if want_pair and len(levels) != 2:
-            raise ValueError(f"need exactly two levels, got {levels}")
-        return Subspace.from_levels(levels, dim)
+        return Subspace.from_levels(_parse_levels(args.levels), dim)
     if getattr(args, "encoding_file", None):
         c, d = load_coefficient_rows(args.encoding_file)
         return encoding_from_coefficients(c, d, dim, label="file encoding")
-    raise ValueError("an encoding is required: --levels k,s or --encoding-file")
+    raise ValueError("an encoding is required: --levels (e.g. 0,1,2) or --encoding-file")
 
 
 def _channel_summary(ch: KrausChannel) -> str:
@@ -201,15 +198,16 @@ def _channel_summary(ch: KrausChannel) -> str:
 
 def _cmd_fidelity(args) -> int:
     ch = _build_channel(args)
-    enc = _build_encoding(args, ch.dim, want_pair=True)
-    print(_channel_summary(ch))
-    print(f"encoding: {enc.label}")
+    enc = _build_encoding(args, ch.dim)
     closed = average_fidelity_closed(ch, enc)
-    print(f"average fidelity (closed form): {_fmt(closed.value)}")
     if args.quadrature:
         n_theta = QUADRATURE_NODES if args.n_theta is None else args.n_theta
         n_phi = QUADRATURE_NODES if args.n_phi is None else args.n_phi
         quad = average_fidelity_quadrature(ch, enc, n_theta, n_phi)
+    print(_channel_summary(ch))
+    print(f"encoding: {enc.label}")
+    print(f"average fidelity (closed form): {_fmt(closed.value)}")
+    if args.quadrature:
         print(f"average fidelity (quadrature):  {_fmt(quad.value)}")
         print(f"cross-check gap: {abs(closed.value - quad.value):.3e}")
     return 0
@@ -217,7 +215,7 @@ def _cmd_fidelity(args) -> int:
 
 def _cmd_hull_check(args) -> int:
     ch = _build_channel(args)
-    enc = _build_encoding(args, ch.dim, want_pair=False)
+    enc = _build_encoding(args, ch.dim)
     report = invariant_hull_check(ch, enc)
     print(_channel_summary(ch))
     print(f"subspace: {enc.label} (d={enc.d})")
@@ -285,7 +283,7 @@ def _cmd_sweep(args) -> int:
     if CHANNEL_ALIASES.get(args.channel) == "custom":
         raise ValueError("sweep needs a parametric family (pd, ad, or dep)")
     dim = DEFAULT_DIM if args.dim is None else args.dim
-    enc = _build_encoding(args, dim, want_pair=True)
+    enc = _build_encoding(args, dim)
     grid = np.linspace(args.eta_start, args.eta_end, steps)
     rows = []
     for eta in grid:
@@ -359,12 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fid = sub.add_parser("fidelity", help="Bloch-averaged transmission fidelity")
+    p_fid = sub.add_parser("fidelity", help="Haar-averaged transmission fidelity")
     _add_channel_flags(p_fid)
-    p_fid.add_argument("--levels", default=None, help="Fock pair, e.g. 0,1")
+    p_fid.add_argument("--levels", default=None,
+                       help="Fock levels, e.g. 0,1 or 0,1,2 (--quadrature needs two)")
     p_fid.add_argument("--encoding-file", default=None)
     p_fid.add_argument("--quadrature", action="store_true",
-                       help="also run the quadrature oracle and print the gap")
+                       help="also run the qubit quadrature oracle and print the gap")
     p_fid.add_argument("--n-theta", type=int, default=None)
     p_fid.add_argument("--n-phi", type=int, default=None)
     p_fid.set_defaults(func=_cmd_fidelity)
@@ -409,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="fidelity across an eta grid, optional CSV")
     _add_channel_flags(p_sweep)
-    p_sweep.add_argument("--levels", default=None, help="Fock pair, e.g. 0,1")
+    p_sweep.add_argument("--levels", default=None,
+                         help="Fock pair, e.g. 0,1 (the quadrature needs two)")
     p_sweep.add_argument("--encoding-file", default=None)
     p_sweep.add_argument("--eta-start", type=float, default=None)
     p_sweep.add_argument("--eta-end", type=float, default=None)

@@ -1,15 +1,15 @@
 """Qubit encodings: explicit constructions, a seesaw search and level-pair sweeps.
 
-A qubit code on n chosen Fock levels is the projector P onto the span of its
-two code words, and its Bloch-averaged fidelity is a quadratic form in P
-(Horodecki, Horodecki & Horodecki, PRA 60, 1888 (1999)). With the level
-process tensor G[a,b,c,e] = <l_c|Phi(|l_a><l_b|)|l_e>,
+A code on n chosen Fock levels is the projector P onto the span of its d
+code words. Its Haar-averaged fidelity, (sum_ij T[i,j,i,j] + sum_ik
+T[i,i,k,k]) / (d(d+1)) of its tensor T_K (Horodecki^3, PRA 60, 1888
+(1999); Nielsen, quant-ph/0205035), is a quadratic form in P. With the
+level process tensor G[a,b,c,e] = <l_c|Phi(|l_a><l_b|)|l_e>, at d = 2,
 
     F(P) = sum G[a,b,c,e] (P[a,b] P[e,c] + P[a,c] P[e,b]) / 6
          = vec(P) . K . vec(P^T),   K = (G[ab, ce] + G[ac, be]) / 6,
 
-which is the moment contraction of ``fidelity.contract_bloch_moments``
-written in P.
+which is ``fidelity.contract_haar_moments`` written in P.
 
 ``optimize_encoding`` maximizes F by the fixed-channel iteration of Reimpell
 & Werner, PRL 94, 080501 (2005), quant-ph/0307138: from a Haar-random start,
@@ -189,7 +189,7 @@ class StartRecord:
     fidelity: float  # average_fidelity_closed of the code it ended on
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizationResult:
     best_fidelity: float
     best_params: np.ndarray  # (2, n) frame of the best code, as realize_encoding takes it
@@ -212,16 +212,13 @@ def optimize_encoding(
     once by ``average_fidelity_closed`` at the channel's full truncation;
     ties between starts resolve to the earliest one. Raises
     ResourceLimitError before allocating when the level tensor G and the
-    form K (2 n^4 complex entries) exceed MAX_KRAUS_BYTES.
+    form K (2 n^4 complex entries) exceed MAX_KRAUS_BYTES, and ValueError
+    for a repeated or out-of-range level (from ``level_process_tensor``).
     """
     levels = tuple(levels)
     n = len(levels)
     if n < 2:
         raise ValueError(f"need at least 2 levels, got {n}")
-    if len(set(levels)) != n:
-        raise ValueError(f"levels must be distinct, got {levels}")
-    if any(not 0 <= level < ch.dim for level in levels):
-        raise ValueError(f"levels {levels} outside channel dim {ch.dim}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     nbytes = 2 * n**4 * COMPLEX_BYTES

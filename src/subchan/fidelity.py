@@ -1,33 +1,27 @@
-"""Transmission fidelity of encoded qubits and its Bloch-sphere average.
+"""Average transmission fidelity of a code, and its oracle.
 
-For a pure input |psi> = cos(theta/2)|psi_0> + e^{i phi} sin(theta/2)|psi_1>
-the transmission fidelity through a channel is f = <psi|Phi(|psi><psi|)|psi>.
-Its uniform average over the Bloch sphere is computed two independent ways:
+For a code K = span(b_0, ..., b_{d-1}) the fidelity of a pure input |psi>
+in K is f = <psi|Phi(|psi><psi|)|psi>. Its Haar average over K's pure
+states contracts T_K = ``restrict(ch, K).tensor``,
+T[i,j,k,l] = <b_k|Phi(|b_i><b_j|)|b_l>, with the state's second moment
+(I + SWAP) / (d(d+1)) (Horodecki^3, PRA 60, 1888 (1999); Nielsen,
+quant-ph/0205035):
 
-* moment contraction: f is a degree-4 trigonometric polynomial in the Bloch
-  angles, so the average contracts T_K = ``restrict(ch, K).tensor``,
-  T[i,j,k,l] = <psi_k|Phi(|psi_i><psi_j|)|psi_l>, with the exact sphere
-  moments. Only <cos^4(theta/2)> = <sin^4(theta/2)> = 1/3 and
-  <cos^2 sin^2> = 1/6 survive (every phi-dependent monomial averages to
-  zero), giving
+    F = (sum_ij T[i,j,i,j] + sum_ik T[i,i,k,k]) / (d(d+1)).
 
-      F = (T[0,0,0,0] + T[1,1,1,1]) / 3
-        + (T[0,0,1,1] + T[1,1,0,0] + T[0,1,0,1] + T[1,0,1,0]) / 6;
-
-* quadrature: Gauss-Legendre in u = cos(theta) crossed with a uniform
-  periodic rule in phi. The integrand has degree <= 2 in u and harmonics
-  |m| <= 2 in phi, so the QUADRATURE_NODES x QUADRATURE_NODES default
-  (16 x 16) integrates it exactly up to roundoff, making this an independent
-  oracle for the contraction weights. Every node state lies on the code's
-  Fock window W, the smallest level range holding both code words, and its
-  score reads Phi(x) only there. So the channel is compressed onto W once,
-  x -> P_W Phi(P_W x P_W) P_W, and each node is applied through that
-  compression at the window's size: still one channel application per node,
-  to the plain density matrix |psi><psi|.
-
-The moment contraction builds its tensor at the full truncation, so the two
-routes share nothing beyond the channel, and a compression error would show
-as a gap between them.
+At d = 2 this is the uniform Bloch-sphere average, which quadrature also
+computes: Gauss-Legendre in u = cos(theta) crossed with a uniform periodic
+rule in phi, for |psi> = cos(theta/2)|b_0> + e^{i phi} sin(theta/2)|b_1>.
+The integrand has degree <= 2 in u and harmonics |m| <= 2 in phi, so the
+QUADRATURE_NODES x QUADRATURE_NODES default (16 x 16) integrates it exactly
+up to roundoff, making this an independent oracle for the contraction.
+Every node state lies on the code's Fock window W, the smallest level range
+holding both code words, and its score reads Phi(x) only there. So the
+channel is compressed onto W once, x -> P_W Phi(P_W x P_W) P_W, and each
+node is applied through that compression: one channel application per node,
+to the plain density matrix |psi><psi|. The contraction builds T_K at the
+full truncation, so the two routes share nothing beyond the channel, and a
+compression error would show as a gap between them.
 """
 
 from __future__ import annotations
@@ -108,11 +102,17 @@ def _report(ch: KrausChannel, subspace: Subspace, value: float, method: str) -> 
     )
 
 
-def contract_bloch_moments(t: np.ndarray) -> float:
-    """Fold a fidelity tensor with the exact Bloch-sphere moments."""
-    val = (t[0, 0, 0, 0] + t[1, 1, 1, 1]) / 3 + (
-        t[0, 0, 1, 1] + t[1, 1, 0, 0] + t[0, 1, 0, 1] + t[1, 0, 1, 0]
-    ) / 6
+def contract_haar_moments(t: np.ndarray) -> float:
+    """Haar-averaged fidelity (sum_ij T[i,j,i,j] + sum_ik T[i,i,k,k]) / (d(d+1)) of T_K.
+
+    The sums share their terms T[i,i,i,i], summed once and weighed twice: at
+    d = 2 that is the Bloch-moment order, so qubit values keep every bit.
+    """
+    d = t.shape[0]
+    apart = [(i, k) for i in range(d) for k in range(d) if i != k]
+    shared = sum(t[i, i, i, i] for i in range(d))
+    rest = sum([t[i, i, k, k] for i, k in apart] + [t[i, k, i, k] for i, k in apart])
+    val = shared / (d * (d + 1) // 2) + rest / (d * (d + 1))
     if abs(val.imag) > SPECTRAL_TOL:
         raise ArithmeticError(f"average fidelity came out non-real: {val}")
     return _clip_unit(val.real)
@@ -130,18 +130,17 @@ def level_process_tensor(ch: KrausChannel, levels) -> np.ndarray:
 
 
 def average_fidelity_from_frames(g: np.ndarray, frames: np.ndarray) -> float:
-    """Bloch average for 2 frames (rows, coefficients on the tensor's levels)."""
+    """Haar average for the code whose words are the rows of ``frames`` (coefficients
+    on the tensor's levels)."""
     t = np.einsum("ia,jb,kc,le,abce->ijkl", frames, frames.conj(),
                   frames.conj(), frames, g)
-    return contract_bloch_moments(t)
+    return contract_haar_moments(t)
 
 
 def average_fidelity_closed(ch: KrausChannel, subspace: Subspace) -> FidelityReport:
-    """Bloch average via the exact moment contraction of T_K, the restriction's tensor."""
-    if subspace.d != 2:
-        raise ValueError(f"need a d=2 subspace, got d={subspace.d}")
+    """Haar average over the code's pure states: the contraction of T_K, for any d."""
     t = restrict(ch, subspace).tensor
-    return _report(ch, subspace, contract_bloch_moments(t), "closed-form")
+    return _report(ch, subspace, contract_haar_moments(t), "closed-form")
 
 
 def average_fidelity_quadrature(

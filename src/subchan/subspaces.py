@@ -4,8 +4,8 @@ A ``Subspace`` is an ordered orthonormal set of d vectors spanning K, with
 projector P = sum_j |b_j><b_j|. Restricting a channel to K gives the
 completely positive map x -> P Phi(x) P. ``restrict`` holds it as one tensor,
 T_K[i,j,k,l] = <b_k|Phi(|b_i><b_j|)|b_l>, built from d^2 images for d <= 64.
-The fidelity and level tensors, the restricted map and two distinct
-properties of it, kept apart on purpose, are all read from T_K:
+The Haar-averaged fidelity, the level tensor, the restricted map and two
+distinct properties of it, kept apart on purpose, are all read from T_K:
 
 * trace preservation: the restriction preserves trace for every input on K
   exactly when P Phi*(P) P = P, i.e. (sum_k T_K[:,:,k,k])^T = I_d;
@@ -46,7 +46,7 @@ from .tolerances import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Orthonormal basis (rows of ``basis``) for a d-dimensional subspace."""
 
@@ -126,7 +126,7 @@ def subspace_overlap(a: Subspace, b: Subspace) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RestrictedChannel:
     """x -> P Phi(x) P on K, held as T_K[i,j,k,l] = <b_k|Phi(|b_i><b_j|)|b_l>."""
 

@@ -10,9 +10,11 @@ closed-form fidelity averages.
 ``full_band_apply`` is the band form summed over the whole truncation, with
 no support window: it reads only a channel's public ``multipliers`` and
 ``transfer``. ``node_quadrature`` is the Bloch quadrature evaluated node by
-node, each state built on its own.
+node, each state built on its own. ``design_average`` is the Haar average of
+a code of any dimension as a finite weighted sum of pure-state fidelities.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -111,6 +113,27 @@ def node_quadrature(apply, basis, n_theta, n_phi):
             total += w * float((np.conj(psi) @ image @ psi).real)
     # (1 / 4pi) * sum_ij w_i (2pi / n_phi) f_ij
     return total / (2 * n_phi)
+
+
+def design_average(apply, basis):
+    """Haar average of <psi|Phi(|psi><psi|)|psi> over the code spanned by the rows of ``basis``.
+
+    ``apply`` maps an operator x to Phi(x). The average is a sum over a
+    weighted complex projective 2-design (Klappenecker & Roetteler,
+    quant-ph/0502031): the d code words b_j, each of weight 1/(d(d+1)), and
+    the 3^(d-1) vectors sum_j w^(k_j) b_j / sqrt(d) with k_0 = 0, k_j in
+    {0, 1, 2} and w = exp(2 pi i / 3), each of weight d/((d+1) 3^(d-1)).
+    """
+    d = basis.shape[0]
+    exponents = np.array(list(itertools.product([0], *[range(3)] * (d - 1))))
+    phased = np.exp(2j * np.pi / 3 * exponents) @ basis / np.sqrt(d)
+    states = [(1 / (d * (d + 1)), b) for b in basis]
+    states += [(d / ((d + 1) * len(phased)), psi) for psi in phased]
+    total = 0.0
+    for weight, psi in states:
+        image = apply(np.outer(psi, psi.conj()))
+        total += weight * float((np.conj(psi) @ image @ psi).real)
+    return total
 
 
 def reference_formula(family: str, **params) -> float:

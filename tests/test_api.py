@@ -78,3 +78,15 @@ def test_phase_damping_has_no_truncation_option():
                        if "kraus_truncation" in sig.parameters)
     assert offenders == []
     assert list(signatures["subchan.families.phase_damping"].parameters) == ["eta", "dim"]
+
+
+def test_fidelity_and_search_take_no_code_dimension():
+    # The average covers any code dimension through the code itself, and the
+    # search is for qubit codes: neither takes a dimension option.
+    signatures = _public_signatures()
+    params = {name: list(signatures[f"subchan.{name}"].parameters) for name in (
+        "fidelity.average_fidelity_closed", "encodings.optimize_encoding")}
+    assert params == {
+        "fidelity.average_fidelity_closed": ["ch", "subspace"],
+        "encodings.optimize_encoding": ["ch", "levels", "restarts", "seed"],
+    }

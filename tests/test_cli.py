@@ -53,6 +53,23 @@ class TestFidelityCommand:
         assert code == 1
         assert "quadrature grid" in err
 
+    def test_three_levels(self, capsys):
+        code, out, _ = run(
+            capsys, "fidelity", "--channel", "ad", "--eta", "0.5", "--levels", "0,1,2",
+        )
+        assert code == 0
+        assert "encoding: levels 0,1,2" in out
+        assert "average fidelity (closed form): 0.655943361963" in out
+
+    def test_quadrature_on_three_levels_exits_1_before_printing(self, capsys):
+        code, out, err = run(
+            capsys, "fidelity", "--channel", "ad", "--eta", "0.5", "--levels", "0,1,2",
+            "--dim", "8", "--quadrature",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: need a d=2 subspace, got d=3"]
+
     def test_tp_defect_shown(self, capsys):
         code, out, _ = run(
             capsys, "fidelity", "--channel", "pd", "--eta", "0.5",
@@ -74,6 +91,7 @@ class TestFidelityCommand:
         code, _, err = run(capsys, "fidelity", "--channel", "pd", "--eta", "0.5")
         assert code == 1
         assert "encoding" in err
+        assert "--levels (e.g. 0,1,2)" in err
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -299,6 +317,17 @@ class TestSweepCommand:
             "--steps", "1", "--levels", "0,1",
         )
         assert code == 1
+
+    def test_three_levels_exit_1_before_printing(self, capsys, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(
+            capsys, "sweep", "--channel", "ad", "--eta-start", "0", "--eta-end", "1",
+            "--steps", "3", "--levels", "0,1,2", "--dim", "6", "--out", str(out_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: need a d=2 subspace, got d=3"]
+        assert not out_path.exists()
 
     def test_unwritable_path(self, capsys):
         code, _, err = run(

@@ -26,7 +26,7 @@ from subchan.families import amplitude_damping, depolarizing, phase_damping
 from subchan.fidelity import (
     average_fidelity_closed,
     average_fidelity_quadrature,
-    contract_bloch_moments,
+    contract_haar_moments,
     level_process_tensor,
 )
 from subchan.subspaces import Subspace, restrict, subspace_overlap
@@ -177,7 +177,7 @@ class TestBlochForm:
         for _ in range(3):
             v = _isometry(rng, len(levels))
             code = realize_encoding(levels, v.T, ch.dim)
-            want = contract_bloch_moments(restrict(ch, code).tensor)
+            want = contract_haar_moments(restrict(ch, code).tensor)
             assert _ascent_point(k, v)[0] == pytest.approx(want, abs=1e-12)
 
     def test_gradient_is_the_derivative(self):
@@ -284,6 +284,12 @@ class TestOptimizer:
         again = optimize_encoding(ch, levels, restarts=3, seed=seed)
         assert np.array_equal(again.best_params, result.best_params)
         assert again.history == result.history
+
+    def test_result_compares_and_hashes_by_identity(self):
+        ch = amplitude_damping(0.4, 6)
+        a, b = (optimize_encoding(ch, [0, 1, 2], restarts=2, seed=5) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
     def test_two_levels_converge_in_one_step(self):
         # On two levels every code is the same one, written as unit vectors.

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,22 +6,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import subchan.fidelity
-from kraus_reference import node_quadrature, reference_formula
-from subchan.channels import apply_channel
+from kraus_reference import design_average, node_quadrature, reference_formula
+from subchan.channels import KrausChannel, apply_channel
 from subchan.errors import DimensionMismatchError, ResourceLimitError
 from subchan.families import amplitude_damping, depolarizing, identity_channel, phase_damping
 from subchan.fidelity import (
     FidelityReport,
+    _clip_unit,
     average_fidelity_closed,
     average_fidelity_from_frames,
     average_fidelity_quadrature,
     bloch_state,
+    contract_haar_moments,
     cross_checked_fidelity,
     damping_fidelity_series,
     level_process_tensor,
     pure_fidelity,
 )
 from subchan.subspaces import Subspace, restrict
+from test_multipliers import _constructions, dense_stacks, multiplier_channels
 
 ETA_GRID = [round(0.1 * i, 1) for i in range(11)]
 
@@ -94,6 +98,54 @@ class TestClosedForm:
                 value=1.5, method="closed-form", channel_family="custom", eta=None,
                 dim=2, kraus_terms=1, channel_tp_defect=0.0, encoding="x",
             )
+
+
+class TestHaarContraction:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(multiplier_channels(), dense_stacks()), st.data())
+    def test_matches_weighted_design(self, case, data):
+        # Band channels in all three constructions and dense CPTP stacks,
+        # some of the band channels off trace preservation; codes of d <= 5.
+        channels = _constructions(*case) if isinstance(case, tuple) else [KrausChannel(case)]
+        dim = channels[0].dim
+        d = data.draw(st.integers(min_value=1, max_value=min(dim, 5)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        q = np.linalg.qr(rng.normal(size=(dim, d)) + 1j * rng.normal(size=(dim, d)))[0]
+        code = Subspace(dim=dim, basis=q.T)
+        for ch in channels:
+            t = restrict(ch, code).tensor
+            want = design_average(functools.partial(apply_channel, ch), code.basis)
+            assert contract_haar_moments(t) == pytest.approx(want, abs=1e-12)
+            if d == 2:
+                # The qubit Bloch-moment formula, bit for bit, so printed qubit
+                # fidelities and cross-check gaps are those of that formula.
+                bloch = (t[0, 0, 0, 0] + t[1, 1, 1, 1]) / 3 + (
+                    t[0, 0, 1, 1] + t[1, 1, 0, 0] + t[0, 1, 0, 1] + t[1, 0, 1, 0]) / 6
+                assert contract_haar_moments(t) == _clip_unit(bloch.real)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("eta", [0.2, 0.5, 0.9])
+    def test_known_answers(self, d, eta):
+        # pd on levels k..k+d-1: (d + sum_ij eta^((i-j)^2)) / (d(d+1));
+        # ad on levels 0..d-1: (d + (sum_n eta^(n/2))^2) / (d(d+1)).
+        i = np.arange(d)
+        pd_want = (d + np.sum(eta ** ((i[:, None] - i) ** 2))) / (d * (d + 1))
+        for k in (0, 3):
+            code = Subspace.from_levels(range(k, k + d), 16)
+            value = average_fidelity_closed(phase_damping(eta, 16), code).value
+            assert value == pytest.approx(pd_want, abs=1e-12)
+        ad_want = (d + np.sum(eta ** (i / 2)) ** 2) / (d * (d + 1))
+        value = average_fidelity_closed(amplitude_damping(eta, 16),
+                                        Subspace.from_levels(range(d), 16)).value
+        assert value == pytest.approx(ad_want, abs=1e-12)
+
+    def test_qubit_design_is_the_bloch_quadrature(self):
+        # At d = 2 the design and the quadrature are two oracles of one average.
+        ch = amplitude_damping(0.35, 10)
+        code = Subspace.from_levels([1, 4], 10)
+        apply = functools.partial(apply_channel, ch)
+        assert design_average(apply, code.basis) == pytest.approx(
+            node_quadrature(apply, code.basis, 16, 16), abs=1e-14)
 
 
 class TestQuadrature:

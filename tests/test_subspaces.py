@@ -73,6 +73,15 @@ class TestSubspace:
         with pytest.raises(ValueError, match="level list is empty"):
             Subspace.from_levels([], 4)
 
+    def test_records_compare_and_hash_by_identity(self):
+        # Array-holding records compare by identity, like KrausChannel: equal
+        # contents neither make two of them equal nor break == or hash().
+        a, b = Subspace.from_levels([0, 1], 4), Subspace.from_levels([0, 1], 4)
+        restricted = restrict(amplitude_damping(0.5, 4), a)
+        assert a == a and a != b
+        assert restricted == restricted and restricted != restrict(amplitude_damping(0.5, 4), a)
+        assert len({a, b, a, restricted, restricted}) == 3
+
     def test_overlap(self):
         a = Subspace.from_levels([0, 1], 8)
         assert subspace_overlap(a, _rotated(a, 1)) == pytest.approx(1.0, abs=1e-12)
