@@ -96,13 +96,14 @@ def _diagonal(offset: int, n: int) -> slice:
     return slice(-offset * n, n * n, n + 1)
 
 
-def _check_stack_size(what: str, count: int, n: int) -> None:
-    """Raise ResourceLimitError, before allocating, when count x n^2 complex entries
-    exceed MAX_KRAUS_BYTES; ``what`` names the stack and its verb ("... needs")."""
-    nbytes = count * n * n * COMPLEX_BYTES
+def _check_stack_size(what: str, count: int, n: int, real: bool = False) -> None:
+    """Raise ResourceLimitError, before allocating, when count x n^2 complex (or ``real``)
+    entries exceed MAX_KRAUS_BYTES; ``what`` names the stack and its verb ("... needs")."""
+    nbytes = count * n * n * (COMPLEX_BYTES // 2 if real else COMPLEX_BYTES)
     if nbytes > MAX_KRAUS_BYTES:
         raise ResourceLimitError(
-            f"{what} {count} x {n}^2 complex entries ({nbytes / 1e9:.2f} GB); "
+            f"{what} {count} x {n}^2 {'real' if real else 'complex'} entries "
+            f"({nbytes / 1e9:.2f} GB); "
             f"limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB. Reduce the truncation."
         )
 

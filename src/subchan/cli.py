@@ -37,13 +37,7 @@ from .encodings import (
     leading_ties,
     optimize_encoding,
 )
-from .errors import (
-    ConstraintError,
-    DimensionMismatchError,
-    PrecisionLossError,
-    ResourceLimitError,
-    SupportError,
-)
+from .errors import ResourceLimitError
 from .families import amplitude_damping, depolarizing, phase_damping
 from .fidelity import QUADRATURE_NODES, average_fidelity_closed, average_fidelity_quadrature
 from .fileio import load_channel, load_coefficient_rows
@@ -172,13 +166,14 @@ def _parse_levels(raw: str) -> list[int]:
 
 
 def _build_encoding(args: argparse.Namespace, dim: int) -> Subspace:
-    if getattr(args, "levels", None) and getattr(args, "encoding_file", None):
+    levels, path = getattr(args, "levels", None), getattr(args, "encoding_file", None)
+    if levels and path:
         raise ValueError("give --levels or --encoding-file, not both")
-    if getattr(args, "levels", None):
-        return Subspace.from_levels(_parse_levels(args.levels), dim)
-    if getattr(args, "encoding_file", None):
-        c, d = load_coefficient_rows(args.encoding_file)
-        return encoding_from_coefficients(c, d, dim, label="file encoding")
+    if levels:
+        return Subspace.from_levels(_parse_levels(levels), dim)
+    if path:
+        return encoding_from_coefficients(*load_coefficient_rows(path), dim=dim,
+                                          label="file encoding")
     raise ValueError("an encoding is required: --levels (e.g. 0,1,2) or --encoding-file")
 
 
@@ -361,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(p_fid)
     p_fid.add_argument("--levels", default=None,
                        help="Fock levels, e.g. 0,1 or 0,1,2 (--quadrature needs two)")
-    p_fid.add_argument("--encoding-file", default=None)
+    p_fid.add_argument("--encoding-file", default=None, help="one coefficient row per code word")
     p_fid.add_argument("--quadrature", action="store_true",
                        help="also run the qubit quadrature oracle and print the gap")
     p_fid.add_argument("--n-theta", type=int, default=None)
@@ -371,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hull = sub.add_parser("hull-check", help="invariant-hull membership of a subspace")
     _add_channel_flags(p_hull)
     p_hull.add_argument("--levels", default=None, help="Fock levels, e.g. 0,1,2")
-    p_hull.add_argument("--encoding-file", default=None)
+    p_hull.add_argument("--encoding-file", default=None, help="one coefficient row per code word")
     p_hull.set_defaults(func=_cmd_hull_check)
 
     p_fix = sub.add_parser(
@@ -410,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(p_sweep)
     p_sweep.add_argument("--levels", default=None,
                          help="Fock pair, e.g. 0,1 (the quadrature needs two)")
-    p_sweep.add_argument("--encoding-file", default=None)
+    p_sweep.add_argument("--encoding-file", default=None, help="two coefficient rows, a qubit code")
     p_sweep.add_argument("--eta-start", type=float, default=None)
     p_sweep.add_argument("--eta-end", type=float, default=None)
     p_sweep.add_argument("--steps", type=int, default=None,
@@ -439,15 +434,8 @@ def main(argv=None) -> int:
         if args.config:
             _merge_config(args, _load_config(args.config))
         return args.func(args)
-    except (
-        ValueError,
-        OSError,
-        ConstraintError,
-        DimensionMismatchError,
-        PrecisionLossError,
-        ResourceLimitError,
-        SupportError,
-    ) as exc:
+    # Every library error but ResourceLimitError is a ValueError.
+    except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

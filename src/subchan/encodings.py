@@ -1,39 +1,42 @@
-"""Qubit encodings: explicit constructions, a seesaw search and level-pair sweeps.
+"""Codes: explicit constructions, a seesaw search over qubit codes and level-pair sweeps.
 
-A code on n chosen Fock levels is the projector P onto the span of its d
-code words. Its Haar-averaged fidelity, (sum_ij T[i,j,i,j] + sum_ik
-T[i,i,k,k]) / (d(d+1)) of its tensor T_K (Horodecki^3, PRA 60, 1888
-(1999); Nielsen, quant-ph/0205035), is a quadratic form in P. With the
-level process tensor G[a,b,c,e] = <l_c|Phi(|l_a><l_b|)|l_e>, at d = 2,
+A code is the span of d orthonormal code words, given by their coefficients for
+any d. On n chosen Fock levels it is the projector P onto that span. Its
+Haar-averaged fidelity, (sum_ij T[i,j,i,j] + sum_ik T[i,i,k,k]) / (d(d+1)) of
+its tensor T_K (Horodecki^3, PRA 60, 1888 (1999); Nielsen, quant-ph/0205035),
+is a quadratic form in P. With the level process tensor
+G[a,b,c,e] = <l_c|Phi(|l_a><l_b|)|l_e>, at d = 2,
 
     F(P) = sum G[a,b,c,e] (P[a,b] P[e,c] + P[a,c] P[e,b]) / 6
          = vec(P) . K . vec(P^T),   K = (G[ab, ce] + G[ac, be]) / 6,
 
 which is ``fidelity.contract_haar_moments`` written in P.
 
-``optimize_encoding`` maximizes F by the fixed-channel iteration of Reimpell
-& Werner, PRL 94, 080501 (2005), quant-ph/0307138: from a Haar-random start,
-each step replaces P by the projector onto the top two eigenvectors of the
-hermitian gradient of F at P, the code that maximizes F's linearization
-there. The code words are complex. F is not concave in general, so each
-step's gain is checked rather than assumed. A start ends when a step raises F
-by less than SEESAW_TOL (converged), when a step lowers F by more than
-ROUNDOFF (non-ascent: the start keeps the code before that step), or after
-MAX_STEPS steps (step cap). Any number of levels is searched whose G and K
-fit MAX_KRAUS_BYTES.
+``optimize_encoding`` maximizes F over qubit codes by the fixed-channel
+iteration of Reimpell & Werner, PRL 94, 080501 (2005), quant-ph/0307138:
+from a Haar-random start, each step replaces P by the projector onto the top
+two eigenvectors of the hermitian gradient of F at P, the code that
+maximizes F's linearization there. The code words are complex. F is not
+concave in general, so each step's gain is checked rather than assumed. A
+start ends when a step raises F by less than SEESAW_TOL (converged), when a
+step lowers F by more than ROUNDOFF (non-ascent: the start keeps the code
+before that step), or after MAX_STEPS steps (step cap). Any number of levels
+is searched whose G and K fit MAX_KRAUS_BYTES.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 # Unused here; bench/tracing.py patches this name until ROADMAP item 1 drops it.
 from scipy.optimize import minimize  # noqa: F401
 
-from .channels import COMPLEX_BYTES, MAX_KRAUS_BYTES, KrausChannel
-from .errors import ConstraintError, ResourceLimitError
-from .fidelity import average_fidelity_closed, level_process_tensor
+from .channels import COMPLEX_BYTES, MAX_KRAUS_BYTES, KrausChannel, apply_channel
+from .errors import ResourceLimitError
+from .fidelity import average_fidelity_closed, contract_haar_moments, level_process_tensor
+from .fock import basis_operator
 from .subspaces import Subspace
 from .tolerances import SPECTRAL_TOL, TIE_TOL
 
@@ -51,32 +54,17 @@ MAX_STEPS = 1000
 CONVERGED, STEP_CAP, NON_ASCENT = "converged", "step cap", "non-ascent"
 
 
-def encoding_from_coefficients(c, d, dim: int, label: str = "custom") -> Subspace:
-    """Qubit subspace from explicit coefficient lists of |psi_0> and |psi_1>.
+def encoding_from_coefficients(*rows, dim: int, label: str = "custom") -> Subspace:
+    """The code whose code words have the coefficient lists ``rows``, zero-padded to ``dim``.
 
-    Both lists must be unit-norm and mutually orthogonal (sum conj(c_n) d_n
-    = 0) to 1e-10; shorter lists are zero-padded to ``dim``.
+    Any number d of rows; Subspace refuses rows that are not orthonormal.
     """
-    c = np.asarray(c, dtype=complex)
-    d = np.asarray(d, dtype=complex)
-    if c.size > dim or d.size > dim:
+    if any(np.size(row) > dim for row in rows):
         raise ValueError(f"coefficient lists longer than dim={dim}")
-    c = np.pad(c, (0, dim - c.size))
-    d = np.pad(d, (0, dim - d.size))
-    for name, v in (("psi0", c), ("psi1", d)):
-        defect = abs(float(np.sum(np.abs(v) ** 2)) - 1.0)
-        if not defect <= SPECTRAL_TOL:  # NaN fails too
-            raise ConstraintError(
-                f"{name} norm defect {defect:.3e} exceeds {SPECTRAL_TOL:.0e}",
-                residual=defect,
-            )
-    overlap = abs(complex(np.vdot(c, d)))
-    if not overlap <= SPECTRAL_TOL:
-        raise ConstraintError(
-            f"overlap |<psi0|psi1>| = {overlap:.3e} exceeds {SPECTRAL_TOL:.0e}",
-            residual=overlap,
-        )
-    return Subspace(dim=dim, basis=np.stack([c, d]), label=label)
+    basis = np.zeros((len(rows), dim), dtype=complex)
+    for word, row in zip(basis, rows):
+        word[:np.size(row)] = row
+    return Subspace(dim=dim, basis=basis, label=label)
 
 
 def three_level_encoding(
@@ -90,38 +78,27 @@ def three_level_encoding(
         sin(a) cos(b) sin(g) cos(d) + sin(a) sin(b) sin(g) sin(d)
         + cos(a) cos(g) = 0
 
-    to 1e-10, else a ConstraintError carrying the residual is raised.
+    to 1e-10, else Subspace raises a ConstraintError carrying the residual.
+    ValueError for dim < 3.
     """
-    if dim < 3:
-        raise ValueError(f"need dim >= 3, got {dim}")
-    psi0 = np.zeros(dim, dtype=complex)
-    psi1 = np.zeros(dim, dtype=complex)
-    psi0[:3] = [np.sin(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta), np.cos(alpha)]
-    psi1[:3] = [np.sin(gamma) * np.cos(delta), np.sin(gamma) * np.sin(delta), np.cos(gamma)]
-    residual = abs(float(np.real(np.vdot(psi0, psi1))))
-    if not residual <= SPECTRAL_TOL:  # NaN fails too
-        raise ConstraintError(
-            f"orthogonality residual {residual:.3e} exceeds {SPECTRAL_TOL:.0e}",
-            residual=residual,
-        )
-    return Subspace(dim=dim, basis=np.stack([psi0, psi1]), label="three-level")
+    return encoding_from_coefficients(
+        [np.sin(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta), np.cos(alpha)],
+        [np.sin(gamma) * np.cos(delta), np.sin(gamma) * np.sin(delta), np.cos(gamma)],
+        dim=dim, label="three-level")
 
 
 def realize_encoding(levels, frame, dim: int) -> Subspace:
-    """The encoding whose two code words are the rows of ``frame`` on ``levels``.
+    """The code whose d code words are the rows of ``frame`` on ``levels``.
 
-    ``frame`` is (2, len(levels)): row i holds code word i's coefficients on
-    the levels, in the order given. The rows must be orthonormal (checked by
-    Subspace).
+    ``frame`` is (d, len(levels)): row i holds code word i's coefficients on
+    the levels, in the order given. Subspace checks that they are orthonormal,
+    and ``Subspace.from_levels`` the levels.
     """
-    levels = tuple(levels)
-    if any(not 0 <= level < dim for level in levels):
-        raise ValueError(f"levels {levels} outside [0, {dim})")
+    levels = list(levels)
     frame = np.asarray(frame, dtype=complex)
-    if frame.shape != (2, len(levels)):
-        raise ValueError(f"expected a (2, {len(levels)}) frame, got shape {frame.shape}")
-    basis = np.zeros((2, dim), dtype=complex)
-    basis[:, list(levels)] = frame
+    if frame.ndim != 2 or frame.shape[1] != len(levels):
+        raise ValueError(f"expected a (d, {len(levels)}) frame, got shape {frame.shape}")
+    basis = frame @ Subspace.from_levels(levels, dim).basis
     return Subspace(dim=dim, basis=basis, label="code on levels " + ",".join(map(str, levels)))
 
 
@@ -265,19 +242,34 @@ class PairFidelity:
     s: int
     value: float
 
+    def __post_init__(self):
+        if not -SPECTRAL_TOL <= self.value <= 1.0 + SPECTRAL_TOL:
+            raise ValueError(f"fidelity {self.value} outside [0, 1]")
+
 
 def contiguous_pair_sweep(ch: KrausChannel, max_level: int) -> list[PairFidelity]:
     """Average fidelity of every Fock-pair encoding span{|k>, |s>}, k < s <= max_level.
 
-    Sorted by descending fidelity, ties broken lexicographically on (k, s).
+    One image Phi(|a><b|) per a, b <= max_level; each pair contracts its 2 x 2
+    blocks of the populations T[a,a,c,c] = Phi(|a><a|)[c,c] and coherences
+    T[a,b,a,b] = Phi(|a><b|)[a,b], O(max_level^2) memory. Sorted by descending
+    fidelity, ties broken lexicographically on (k, s).
     """
     if not 0 < max_level < ch.dim:
         raise ValueError(f"max_level must be in (0, {ch.dim}), got {max_level}")
+    n = max_level + 1
+    populations = np.empty((n, n), dtype=complex)
+    coherences = np.empty((n, n), dtype=complex)
+    for a, b in np.ndindex(n, n):
+        image = apply_channel(ch, basis_operator(a, b, ch.dim))
+        if a == b:
+            populations[a] = image.diagonal()[:n]
+        coherences[a, b] = image[a, b]
     rows = []
-    for k in range(max_level + 1):
-        for s in range(k + 1, max_level + 1):
-            sub = Subspace.from_levels([k, s], ch.dim)
-            rows.append(PairFidelity(k=k, s=s, value=average_fidelity_closed(ch, sub).value))
+    for k, s in itertools.combinations(range(n), 2):
+        pair = np.ix_([k, s], [k, s])
+        value = contract_haar_moments(populations[pair], coherences[pair])
+        rows.append(PairFidelity(k=k, s=s, value=value))
     return sorted(rows, key=lambda r: (-r.value, r.k, r.s))
 
 

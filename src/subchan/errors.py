@@ -18,7 +18,7 @@ class PrecisionLossError(ValueError):
 
 
 class ConstraintError(ValueError):
-    """An encoding violates a normalization or orthogonality constraint."""
+    """A code's words are not orthonormal; ``residual`` is their Gram defect."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

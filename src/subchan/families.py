@@ -31,10 +31,21 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .channels import KrausChannel
+from .channels import KrausChannel, _check_stack_size
 from .errors import PrecisionLossError
 from .fock import coherent_state, log_binomial, outer
 from .tolerances import COHERENT_DEFICIT_TOL
+
+
+def _check_dim(family: str, dim: int, every_offset: bool = False) -> None:
+    """ValueError for dim < 1. ResourceLimitError, before allocating, when the real
+    dim x dim arrays a family holds while it is built and folded exceed
+    MAX_KRAUS_BYTES: five, plus, for multipliers on ``every_offset`` (amplitude
+    damping), their sum_o (dim - o)^2 = dim (dim + 1) (2 dim + 1) / 6 entries."""
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    tables = 5 + (math.ceil((dim + 1) * (2 * dim + 1) / (6 * dim)) if every_offset else 0)
+    _check_stack_size(f"{family} at dim {dim} needs", tables, dim, real=True)
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -56,8 +67,7 @@ def phase_damping(eta: float, dim: int) -> KrausChannel:
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"phase damping requires 0 < eta <= 1, got {eta}")
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
+    _check_dim("phase damping", dim)
     if eta == 1.0:
         return KrausChannel(bands={0: np.ones((1, dim))}, family="phase-damping", eta=1.0)
     level = np.arange(dim)
@@ -87,8 +97,7 @@ def amplitude_damping(eta: float, dim: int) -> KrausChannel:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"amplitude damping requires 0 <= eta <= 1, got {eta}")
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
+    _check_dim("amplitude damping", dim, every_offset=True)
     vals = np.zeros((dim, dim))
     if eta == 1.0:
         vals[0] = 1.0
@@ -141,8 +150,7 @@ def depolarizing(p: float, dim: int) -> KrausChannel:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing requires 0 <= p <= 1, got {p}")
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
+    _check_dim("depolarizing", dim)
     identity = {0: np.full((1, dim), np.sqrt(p))} if p > 0.0 else None
     weights = np.full(dim, (1.0 - p) / dim)
     replacement = {o: weights[abs(o):] for o in range(1 - dim, dim)} if p < 1.0 else None

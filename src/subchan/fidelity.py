@@ -82,6 +82,7 @@ class FidelityReport:
     kraus_terms: int
     channel_tp_defect: float
     encoding: str
+    code_dim: int  # d, the number of code words
     cross_check_gap: float | None = None
 
     def __post_init__(self):
@@ -99,23 +100,30 @@ def _report(ch: KrausChannel, subspace: Subspace, value: float, method: str) -> 
         kraus_terms=ch.kraus_truncation,
         channel_tp_defect=ch.tp_defect,
         encoding=subspace.label,
+        code_dim=subspace.d,
     )
 
 
-def contract_haar_moments(t: np.ndarray) -> float:
-    """Haar-averaged fidelity (sum_ij T[i,j,i,j] + sum_ik T[i,i,k,k]) / (d(d+1)) of T_K.
+def contract_haar_moments(populations: np.ndarray, coherences: np.ndarray) -> float:
+    """Haar-averaged fidelity (sum_ij T[i,j,i,j] + sum_ik T[i,i,k,k]) / (d(d+1)) of T_K from
+    its populations[i, k] = T[i,i,k,k] and coherences[i, k] = T[i,k,i,k].
 
     The sums share their terms T[i,i,i,i], summed once and weighed twice: at
     d = 2 that is the Bloch-moment order, so qubit values keep every bit.
     """
-    d = t.shape[0]
+    d = populations.shape[0]
     apart = [(i, k) for i in range(d) for k in range(d) if i != k]
-    shared = sum(t[i, i, i, i] for i in range(d))
-    rest = sum([t[i, i, k, k] for i, k in apart] + [t[i, k, i, k] for i, k in apart])
+    shared = sum(populations[i, i] for i in range(d))
+    rest = sum([populations[i, k] for i, k in apart] + [coherences[i, k] for i, k in apart])
     val = shared / (d * (d + 1) // 2) + rest / (d * (d + 1))
     if abs(val.imag) > SPECTRAL_TOL:
         raise ArithmeticError(f"average fidelity came out non-real: {val}")
     return _clip_unit(val.real)
+
+
+def _haar_average(t: np.ndarray) -> float:
+    """``contract_haar_moments`` of the tensor T_K."""
+    return contract_haar_moments(np.einsum("iikk->ik", t), np.einsum("ikik->ik", t))
 
 
 def level_process_tensor(ch: KrausChannel, levels) -> np.ndarray:
@@ -134,13 +142,13 @@ def average_fidelity_from_frames(g: np.ndarray, frames: np.ndarray) -> float:
     on the tensor's levels)."""
     t = np.einsum("ia,jb,kc,le,abce->ijkl", frames, frames.conj(),
                   frames.conj(), frames, g)
-    return contract_haar_moments(t)
+    return _haar_average(t)
 
 
 def average_fidelity_closed(ch: KrausChannel, subspace: Subspace) -> FidelityReport:
     """Haar average over the code's pure states: the contraction of T_K, for any d."""
     t = restrict(ch, subspace).tensor
-    return _report(ch, subspace, contract_haar_moments(t), "closed-form")
+    return _report(ch, subspace, _haar_average(t), "closed-form")
 
 
 def average_fidelity_quadrature(

@@ -20,7 +20,7 @@ starting with ``#`` are ignored.
 
 Encoding coefficient files
 --------------------------
-Two non-comment lines, one per basis vector, each a whitespace-separated
+One non-comment line per code word, at least one, each a whitespace-separated
 row of complex coefficients in the same grammar (zero-padded to the working
 truncation by the loader's caller).
 """
@@ -109,15 +109,13 @@ def save_channel(ch: KrausChannel, path: str | Path) -> None:
     Path(path).write_text(channel_to_text(ch))
 
 
-def parse_coefficient_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The two coefficient rows of an encoding file (lengths may differ)."""
+def parse_coefficient_rows(text: str) -> list[np.ndarray]:
+    """The coefficient rows of an encoding file, one per code word (lengths may differ)."""
     lines = _content_lines(text)
-    if len(lines) != 2:
-        raise ValueError(f"encoding file must hold exactly 2 rows, got {len(lines)}")
-    c = _parse_complex_row(lines[0], None, "row 0")
-    d = _parse_complex_row(lines[1], None, "row 1")
-    return c, d
+    if not lines:
+        raise ValueError("encoding file holds no coefficient rows")
+    return [_parse_complex_row(line, None, f"row {r}") for r, line in enumerate(lines)]
 
 
-def load_coefficient_rows(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+def load_coefficient_rows(path: str | Path) -> list[np.ndarray]:
     return parse_coefficient_rows(Path(path).read_text())

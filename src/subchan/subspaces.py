@@ -35,7 +35,7 @@ from .channels import (
     _coherence_blocks,
     apply_channel,
 )
-from .errors import DimensionMismatchError, ResourceLimitError, SupportError
+from .errors import ConstraintError, DimensionMismatchError, ResourceLimitError, SupportError
 from .fock import coherent_state, fock_state, hs_norm, operator_norm, outer
 from .tolerances import (
     FIXED_POINT_TOL,
@@ -48,7 +48,8 @@ from .tolerances import (
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Orthonormal basis (rows of ``basis``) for a d-dimensional subspace."""
+    """Orthonormal basis (rows of ``basis``) for a d-dimensional subspace; rows whose
+    Gram matrix is off I by more than SPECTRAL_TOL (or NaN) raise ConstraintError."""
 
     dim: int
     basis: np.ndarray  # shape (d, dim)
@@ -60,12 +61,14 @@ class Subspace:
             raise DimensionMismatchError(
                 f"basis vectors have length {basis.shape[1]}, expected {self.dim}"
             )
-        if basis.shape[0] > self.dim:
-            raise ValueError("more basis vectors than ambient dimensions")
+        if basis.shape[0] == 0:
+            raise ValueError("a subspace needs at least one basis vector")
+        # More vectors than dim cannot pass: their Gram matrix is singular.
         gram = basis @ basis.conj().T
         defect = float(np.max(np.abs(gram - np.eye(basis.shape[0]))))
         if not defect <= SPECTRAL_TOL:  # NaN fails too
-            raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e})")
+            raise ConstraintError(f"basis is not orthonormal (Gram defect {defect:.3e})",
+                                  residual=defect)
         basis = basis.copy()
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
@@ -153,11 +156,11 @@ def restrict(ch: KrausChannel, subspace: Subspace) -> RestrictedChannel:
     """The compression onto ``subspace``, from the d^2 images Phi(|b_i><b_j|). Raises,
     before applying ``ch``, DimensionMismatchError when the ambient dims differ and
     ResourceLimitError when T_K's d^4 complex entries exceed MAX_KRAUS_BYTES (d > 64)."""
-    return _restrict(ch, subspace, lambda image: None)
+    return _restrict(ch, subspace, lambda image, fold: None)
 
 
 def _restrict(ch: KrausChannel, subspace: Subspace, visit) -> RestrictedChannel:
-    """``restrict``, handing each image Phi(|b_i><b_j|) to ``visit`` as it is made."""
+    """``restrict``, handing each image Phi(|b_i><b_j|) and its fold T_K[i, j] to ``visit``."""
     if ch.dim != subspace.dim:
         raise DimensionMismatchError(
             f"channel dim {ch.dim} does not match subspace ambient dim {subspace.dim}"
@@ -171,8 +174,8 @@ def _restrict(ch: KrausChannel, subspace: Subspace, visit) -> RestrictedChannel:
     t = np.zeros((d, d, d, d), dtype=complex)
     for i, j in np.ndindex(d, d):
         image = apply_channel(ch, outer(basis[i], basis[j]))
-        visit(image)
         t[i, j] = basis.conj() @ image @ basis.T
+        visit(image, t[i, j])
     return RestrictedChannel(subspace=subspace, tensor=t)
 
 
@@ -248,18 +251,19 @@ def invariant_hull_check(ch: KrausChannel, subspace: Subspace) -> HullReport:
 
     Requires the channel's own trace-preservation defect to sit below
     HULL_TP_PRECONDITION; on a map that is not trace-preserving a verdict
-    would be meaningless. The probe images build T_K, which gives both defects.
+    would be meaningless. The probe images build T_K, which gives both defects,
+    and each image's block P Phi(x) P is read from its fold as V T_K[i, j] V^dag.
     """
     if not ch.tp_defect <= HULL_TP_PRECONDITION:  # NaN fails too
         raise ValueError(
             f"channel trace-preservation defect {ch.tp_defect:.3e} exceeds "
             f"{HULL_TP_PRECONDITION:.0e}; a hull verdict needs a trace-preserving channel"
         )
-    p = projector(subspace)
+    basis = subspace.basis
     op_norms, hs_norms = [0.0], [0.0]
 
-    def leakage(image):
-        leaked = image - p @ image @ p
+    def leakage(image, fold):
+        leaked = image - basis.T @ fold @ basis.conj()
         op_norms.append(operator_norm(leaked))
         hs_norms.append(hs_norm(leaked))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+import subchan.channels
 import subchan.encodings
 import subchan.fidelity
 from subchan.channels import KrausChannel
@@ -14,6 +15,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def qutrit_file(tmp_path):
+    """An encoding file of three unit rows on levels 0, 1 and 2."""
+    path = tmp_path / "qutrit.txt"
+    path.write_text("# levels 0, 1, 2\n1\n0 1\n0 0 1+0j\n")
+    return str(path)
 
 
 class TestFidelityCommand:
@@ -69,6 +77,39 @@ class TestFidelityCommand:
         assert code == 1
         assert out == ""
         assert err.splitlines() == ["error: need a d=2 subspace, got d=3"]
+
+    def test_three_row_encoding_file(self, capsys, tmp_path):
+        args = ("fidelity", "--channel", "ad", "--eta", "0.5", "--dim", "32")
+        code, out, err = run(capsys, *args, "--encoding-file", qutrit_file(tmp_path))
+        assert (code, err) == (0, "")
+        assert "encoding: file encoding" in out
+        assert "average fidelity (closed form): 0.655943361963" in out
+        _, by_levels, _ = run(capsys, *args, "--levels", "0,1,2")
+        assert out.replace("file encoding", "levels 0,1,2") == by_levels
+
+    def test_quadrature_on_three_row_file_exits_1_before_printing(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "fidelity", "--channel", "ad", "--eta", "0.5", "--dim", "8",
+            "--encoding-file", qutrit_file(tmp_path), "--quadrature",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: need a d=2 subspace, got d=3"]
+
+    @pytest.mark.parametrize("family", [("pd", "--eta"), ("ad", "--eta"), ("dep", "--p")])
+    def test_guarded_dim_exits_1(self, capsys, monkeypatch, family):
+        # The family's size estimate is checked before it allocates; with the
+        # limit lowered, a small --dim stands for one above the real limit.
+        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 5 * 16**2 * 8)
+        channel, flag = family
+        code, out, err = run(
+            capsys, "fidelity", "--channel", channel, flag, "0.5", "--levels", "0,1",
+            "--dim", "17",
+        )
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "at dim 17 needs" in line
 
     def test_tp_defect_shown(self, capsys):
         code, out, _ = run(
@@ -131,6 +172,15 @@ class TestFidelityCommand:
 
 
 class TestHullCheckCommand:
+    def test_three_row_encoding_file(self, capsys, tmp_path):
+        args = ("hull-check", "--channel", "ad", "--eta", "0.5", "--dim", "32")
+        code, out, err = run(capsys, *args, "--encoding-file", qutrit_file(tmp_path))
+        assert (code, err) == (0, "")
+        assert "subspace: file encoding (d=3)" in out
+        assert "verdict: an invariant hull" in out
+        _, by_levels, _ = run(capsys, *args, "--levels", "0,1,2")
+        assert out.replace("file encoding", "levels 0,1,2") == by_levels
+
     def test_nan_encoding_file_refused(self, capsys, tmp_path):
         enc = tmp_path / "enc.txt"
         enc.write_text("nan 0 0\n0 1 0\n")
@@ -140,7 +190,7 @@ class TestHullCheckCommand:
         )
         assert code == 1
         assert out == ""
-        assert "psi0 norm defect nan" in err
+        assert "not orthonormal (Gram defect nan)" in err
 
     def test_depolarizing_not_invariant(self, capsys):
         code, out, _ = run(
@@ -323,6 +373,18 @@ class TestSweepCommand:
         code, out, err = run(
             capsys, "sweep", "--channel", "ad", "--eta-start", "0", "--eta-end", "1",
             "--steps", "3", "--levels", "0,1,2", "--dim", "6", "--out", str(out_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: need a d=2 subspace, got d=3"]
+        assert not out_path.exists()
+
+    def test_three_row_file_exits_1_before_printing(self, capsys, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(
+            capsys, "sweep", "--channel", "ad", "--eta-start", "0", "--eta-end", "1",
+            "--steps", "3", "--encoding-file", qutrit_file(tmp_path), "--dim", "6",
+            "--out", str(out_path),
         )
         assert code == 1
         assert out == ""

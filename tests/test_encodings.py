@@ -1,11 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import subchan.encodings as encodings
-from kraus_reference import reference_formula
+from kraus_reference import design_average, reference_formula
 from test_multipliers import dense_stacks
-from subchan.channels import KrausChannel
+from subchan.channels import KrausChannel, apply_channel
 from subchan.encodings import (
     CONVERGED,
     NON_ASCENT,
@@ -24,9 +26,9 @@ from subchan.encodings import (
 from subchan.errors import ConstraintError, ResourceLimitError
 from subchan.families import amplitude_damping, depolarizing, phase_damping
 from subchan.fidelity import (
+    _haar_average,
     average_fidelity_closed,
     average_fidelity_quadrature,
-    contract_haar_moments,
     level_process_tensor,
 )
 from subchan.subspaces import Subspace, restrict, subspace_overlap
@@ -75,12 +77,42 @@ class TestEncodingFromCoefficients:
             encoding_from_coefficients([0.9, 0], [0, 1], dim=4)
 
     def test_nan_coefficient_rejected(self):
-        with pytest.raises(ConstraintError, match="psi0 norm defect nan"):
+        with pytest.raises(ConstraintError, match="Gram defect nan"):
             encoding_from_coefficients([np.nan, 0], [0, 1], dim=4)
 
     def test_too_long_rejected(self):
         with pytest.raises(ValueError):
             encoding_from_coefficients([1, 0, 0], [0, 1, 0], dim=2)
+
+    def test_any_number_of_rows(self):
+        assert encoding_from_coefficients([0, 1], dim=4).d == 1
+        sub = encoding_from_coefficients([1], [0, 1], [0, 0, 1], dim=6, label="qutrit")
+        assert sub.d == 3 and sub.label == "qutrit"
+        assert subspace_overlap(sub, Subspace.from_levels([0, 1, 2], 6)) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="at least one basis vector"):
+            encoding_from_coefficients(dim=4)
+
+    def test_qudit_refusal_carries_the_gram_defect(self):
+        with pytest.raises(ConstraintError) as err:
+            encoding_from_coefficients([1], [0, 1], [0, 0.6, 0.8], dim=4)
+        assert err.value.residual == pytest.approx(0.6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(channels_with_levels(), st.data())
+    def test_qudit_rows_match_weighted_design(self, case, data):
+        # d = 3..5 random complex code words, each given as a row as long as
+        # the highest level the code reaches and zero-padded from there.
+        ch, _ = case
+        dim = ch.dim
+        assume(dim >= 3)
+        d = data.draw(st.integers(min_value=3, max_value=min(dim, 5)))
+        reach = data.draw(st.integers(min_value=d, max_value=dim))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g = rng.normal(size=(reach, d)) + 1j * rng.normal(size=(reach, d))
+        rows = np.linalg.qr(g)[0].T
+        code = encoding_from_coefficients(*rows, dim=dim)
+        want = design_average(functools.partial(apply_channel, ch), code.basis)
+        assert average_fidelity_closed(ch, code).value == pytest.approx(want, abs=1e-12)
 
 
 class TestThreeLevelEncoding:
@@ -103,7 +135,7 @@ class TestThreeLevelEncoding:
         assert err.value.residual == pytest.approx(1.0, abs=1e-12)
 
     def test_nan_angle_is_a_constraint_violation(self):
-        with pytest.raises(ConstraintError, match="orthogonality residual nan") as err:
+        with pytest.raises(ConstraintError, match="Gram defect nan") as err:
             three_level_encoding(np.nan, 0.1, 0.2, 0.3, dim=4)
         assert np.isnan(err.value.residual)
 
@@ -123,8 +155,15 @@ class TestRealizeEncoding:
         assert np.array_equal(b[0], [0, 0, 0.8j, 0, 0.6, 0])
         assert np.array_equal(b[1], [1, 0, 0, 0, 0, 0])
 
+    def test_places_a_qutrit_frame(self):
+        frame = np.eye(3)[[2, 0, 1]]
+        sub = realize_encoding([5, 1, 3], frame, dim=6)
+        assert sub.d == 3
+        assert subspace_overlap(sub, Subspace.from_levels([1, 3, 5], 6)) == pytest.approx(1.0)
+        assert np.array_equal(sub.basis[0], np.eye(6)[3])
+
     def test_param_count_checked(self):
-        with pytest.raises(ValueError, match="expected a \\(2, 3\\) frame"):
+        with pytest.raises(ValueError, match="expected a \\(d, 3\\) frame"):
             realize_encoding([0, 1, 2], np.eye(2), dim=8)
 
     @settings(max_examples=200, deadline=None)
@@ -177,7 +216,7 @@ class TestBlochForm:
         for _ in range(3):
             v = _isometry(rng, len(levels))
             code = realize_encoding(levels, v.T, ch.dim)
-            want = contract_haar_moments(restrict(ch, code).tensor)
+            want = _haar_average(restrict(ch, code).tensor)
             assert _ascent_point(k, v)[0] == pytest.approx(want, abs=1e-12)
 
     def test_gradient_is_the_derivative(self):
@@ -363,6 +402,34 @@ class TestPairSweep:
         assert values == sorted(values, reverse=True)
         ties = leading_ties(rows)
         assert [(r.k, r.s) for r in ties] == sorted((r.k, r.s) for r in ties)
+
+    @settings(max_examples=60, deadline=None)
+    @given(channels_with_levels(), st.data())
+    def test_values_are_those_of_the_closed_form(self, case, data):
+        # Read from one set of level images, every pair keeps every bit of
+        # average_fidelity_closed on its own T_K.
+        ch, _ = case
+        max_level = data.draw(st.integers(min_value=1, max_value=ch.dim - 1))
+        for row in contiguous_pair_sweep(ch, max_level):
+            code = Subspace.from_levels([row.k, row.s], ch.dim)
+            assert row.value == average_fidelity_closed(ch, code).value
+
+    def test_applies_the_channel_once_per_level_image(self, monkeypatch):
+        calls = []
+
+        def counted(ch, x):
+            calls.append(x)
+            return apply_channel(ch, x)
+
+        monkeypatch.setattr(encodings, "apply_channel", counted)
+        contiguous_pair_sweep(amplitude_damping(0.5, 32), 4)
+        assert len(calls) == 25
+
+    def test_refuses_a_fidelity_above_one(self):
+        # A map that gains trace is not a channel; its pair "fidelity" exceeds 1.
+        ch = KrausChannel(np.sqrt(1.5) * np.eye(4)[np.newaxis])
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            contiguous_pair_sweep(ch, 2)
 
     def test_max_level_bounds(self):
         ch = phase_damping(0.5, 8)

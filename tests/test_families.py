@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+import subchan.channels
 from kraus_reference import dense_apply
-from subchan.channels import apply_channel
-from subchan.errors import PrecisionLossError
+from subchan.channels import MAX_KRAUS_BYTES, apply_channel
+from subchan.errors import PrecisionLossError, ResourceLimitError
 from subchan.families import (
     _dim_for_deficit,
     amplitude_damping,
@@ -212,6 +213,41 @@ def test_band_action_matches_dense_kraus_sum(family, eta, dim):
     rng = np.random.default_rng(dim)
     x = random_hermitian(dim, rng) + 1j * random_hermitian(dim, rng)
     assert np.max(np.abs(apply_channel(ch, x) - dense_apply(ch.kraus_ops, x))) < 1e-13
+
+
+FAMILIES = (phase_damping, amplitude_damping, depolarizing)
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_builds_at_the_documented_limit(self, family):
+        ch = family(0.5, 256)
+        assert ch.dim == 256
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_estimate_covers_the_stored_arrays(self, monkeypatch, family):
+        # Lowered to exactly what the channel stores, the limit refuses it:
+        # the estimate counts at least its multipliers and transfer matrix.
+        ch = family(0.5, 40)
+        stored = sum(m.nbytes for m in ch.multipliers.values())
+        stored += 0 if ch.transfer is None else ch.transfer.nbytes
+        assert stored <= MAX_KRAUS_BYTES
+        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", stored)
+        with pytest.raises(ResourceLimitError, match="at dim 40 needs .* real entries"):
+            family(0.5, 40)
+
+    def test_amplitude_damping_counts_cubic_multipliers(self, monkeypatch):
+        # sum_o (dim - o)^2 ~ dim^3 / 3 multiplier entries: at dim 600 that is
+        # 201 dim x dim real tables, beside the temporaries, and a limit of 200
+        # refuses it. pd and dep need a few tables. Only the estimates run, so
+        # nothing is allocated.
+        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 200 * 600**2 * 8)
+        with pytest.raises(ResourceLimitError, match="amplitude damping at dim 600 needs"):
+            amplitude_damping(0.5, 600)
+        for family in (phase_damping, depolarizing):
+            monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 4 * 600**2 * 8)
+            with pytest.raises(ResourceLimitError, match="at dim 600 needs"):
+                family(0.5, 600)
 
 
 class TestCoherentAction:

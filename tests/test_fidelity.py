@@ -13,11 +13,11 @@ from subchan.families import amplitude_damping, depolarizing, identity_channel, 
 from subchan.fidelity import (
     FidelityReport,
     _clip_unit,
+    _haar_average,
     average_fidelity_closed,
     average_fidelity_from_frames,
     average_fidelity_quadrature,
     bloch_state,
-    contract_haar_moments,
     cross_checked_fidelity,
     damping_fidelity_series,
     level_process_tensor,
@@ -91,12 +91,18 @@ class TestClosedForm:
         assert rep.channel_family == "amplitude-damping"
         assert rep.eta == 0.25
         assert rep.encoding == "levels 0,1"
+        assert rep.code_dim == 2
+
+    def test_report_names_the_code_dimension(self):
+        ch = amplitude_damping(0.5, 8)
+        assert average_fidelity_closed(ch, Subspace.from_levels([0, 1, 2], 8)).code_dim == 3
+        assert average_fidelity_quadrature(ch, _pair(0, 3, 8)).code_dim == 2
 
     def test_report_range_invariant(self):
         with pytest.raises(ValueError):
             FidelityReport(
                 value=1.5, method="closed-form", channel_family="custom", eta=None,
-                dim=2, kraus_terms=1, channel_tp_defect=0.0, encoding="x",
+                dim=2, kraus_terms=1, channel_tp_defect=0.0, encoding="x", code_dim=2,
             )
 
 
@@ -115,13 +121,13 @@ class TestHaarContraction:
         for ch in channels:
             t = restrict(ch, code).tensor
             want = design_average(functools.partial(apply_channel, ch), code.basis)
-            assert contract_haar_moments(t) == pytest.approx(want, abs=1e-12)
+            assert _haar_average(t) == pytest.approx(want, abs=1e-12)
             if d == 2:
                 # The qubit Bloch-moment formula, bit for bit, so printed qubit
                 # fidelities and cross-check gaps are those of that formula.
                 bloch = (t[0, 0, 0, 0] + t[1, 1, 1, 1]) / 3 + (
                     t[0, 0, 1, 1] + t[1, 1, 0, 0] + t[0, 1, 0, 1] + t[1, 0, 1, 0]) / 6
-                assert contract_haar_moments(t) == _clip_unit(bloch.real)
+                assert _haar_average(t) == _clip_unit(bloch.real)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("eta", [0.2, 0.5, 0.9])

@@ -83,11 +83,14 @@ class TestCoefficientRows:
         assert np.array_equal(c, [1, 0])
         assert np.array_equal(d, [0, -1j])
 
-    def test_row_count_enforced(self):
-        with pytest.raises(ValueError, match="exactly 2 rows"):
-            parse_coefficient_rows("1 0\n")
-        with pytest.raises(ValueError, match="exactly 2 rows"):
-            parse_coefficient_rows("1 0\n0 1\n0 0\n")
+    def test_one_row_per_code_word(self):
+        # Any number of rows, one per code word; a file with none is refused.
+        (row,) = parse_coefficient_rows("0 1\n")
+        assert np.array_equal(row, [0, 1])
+        rows = parse_coefficient_rows("1\n# comment\n0 1\n\n0 0 1j\n")
+        assert [r.tolist() for r in rows] == [[1], [0, 1], [0, 0, 1j]]
+        with pytest.raises(ValueError, match="no coefficient rows"):
+            parse_coefficient_rows("# nothing here\n\n")
 
     def test_rows_may_differ_in_length(self):
         c, d = parse_coefficient_rows("1\n0 1\n")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import subchan.channels
 import subchan.subspaces
@@ -14,7 +14,12 @@ from subchan.channels import (
     apply_channel,
     verify_channel,
 )
-from subchan.errors import DimensionMismatchError, ResourceLimitError, SupportError
+from subchan.errors import (
+    ConstraintError,
+    DimensionMismatchError,
+    ResourceLimitError,
+    SupportError,
+)
 from subchan.families import amplitude_damping, depolarizing, identity_channel, phase_damping
 from subchan.fock import basis_operator, fock_state, hs_norm, operator_norm
 from subchan.subspaces import (
@@ -59,6 +64,20 @@ class TestSubspace:
     def test_rejects_nan_basis(self):
         with pytest.raises(ValueError, match="not orthonormal"):
             Subspace(dim=3, basis=[[np.nan, 0, 0], [0, 1, 0]])
+
+    @pytest.mark.parametrize("basis, residual", [
+        ([[1, 0, 0], [1, 0, 0]], 1.0),
+        ([[0.9, 0, 0], [0, 1, 0]], 0.19),
+        ([[1, 0, 0], [0, 0.6, 0.8], [0, 0.8, 0.6]], 0.96),
+    ])
+    def test_refusal_carries_the_gram_defect(self, basis, residual):
+        with pytest.raises(ConstraintError, match="not orthonormal") as err:
+            Subspace(dim=3, basis=basis)
+        assert err.value.residual == pytest.approx(residual, abs=1e-15)
+
+    def test_rejects_an_empty_basis(self):
+        with pytest.raises(ValueError, match="at least one basis vector"):
+            Subspace(dim=3, basis=np.zeros((0, 3)))
 
     def test_rejects_too_many_vectors(self):
         basis = np.eye(3, dtype=complex)
@@ -299,6 +318,27 @@ class TestInvariantHull:
         for seed in (4, 5, 6):
             rotated = invariant_hull_check(ch, _rotated(sub, seed))
             assert rotated.is_invariant_hull == base.is_invariant_hull
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(multiplier_channels(), dense_stacks()), st.data())
+    def test_leakage_matches_the_full_projector(self, case, data):
+        # The hull check reads P Phi(x) P from T_K; the full-dim projector
+        # gives the same leakage to roundoff.
+        ops = case[0] if isinstance(case, tuple) else case
+        ch = KrausChannel(ops)
+        assume(ch.tp_defect <= 1e-8)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sub = _random_code(ch.dim, data.draw(st.integers(1, min(ch.dim, 4))), rng)
+        p = projector(sub)
+        op_norms, hs_norms = [], []
+        for bi in sub.basis:
+            for bj in sub.basis:
+                image = apply_channel(ch, np.outer(bi, bj.conj()))
+                op_norms.append(operator_norm(image - p @ image @ p))
+                hs_norms.append(hs_norm(image - p @ image @ p))
+        report = invariant_hull_check(ch, sub)
+        assert report.max_leakage == pytest.approx(max(op_norms), abs=1e-14)
+        assert report.max_leakage_hs == pytest.approx(max(hs_norms), abs=1e-14)
 
     def test_hull_restriction_preserves_trace(self):
         rng = np.random.default_rng(7)
