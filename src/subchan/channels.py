@@ -54,10 +54,11 @@ The dense (terms, dim, dim) stack of a band channel is built only when asked
 for (``kraus_ops``, used by ``save_channel``) by factoring the multipliers:
 offset by offset, ascending, the rows of a pivoted Cholesky factor of M_o,
 then one scaled matrix unit per nonzero entry of T on that offset, by row.
-Its term count ``kraus_truncation`` is fixed at construction. Its size is
-estimated first: above MAX_KRAUS_BYTES, the byte size of the largest
-superoperator ``superoperator_of`` builds, it raises ResourceLimitError
-without allocating.
+Its term count ``kraus_truncation`` is fixed at construction.
+
+Size guard. Every allocation in the package that scales with terms * dim^2,
+dim^3 or dim^4 is estimated first, as the bytes held at its peak, and passed
+to ``_check_bytes``, the one reader of the one limit MAX_KRAUS_BYTES.
 
 Coherence-order blocks. A band channel's superoperator is block diagonal,
 one block per diagonal q of x (Holevo, Quantum Systems, Channels,
@@ -96,15 +97,12 @@ def _diagonal(offset: int, n: int) -> slice:
     return slice(-offset * n, n * n, n + 1)
 
 
-def _check_stack_size(what: str, count: int, n: int, real: bool = False) -> None:
-    """Raise ResourceLimitError, before allocating, when count x n^2 complex (or ``real``)
-    entries exceed MAX_KRAUS_BYTES; ``what`` names the stack and its verb ("... needs")."""
-    nbytes = count * n * n * (COMPLEX_BYTES // 2 if real else COMPLEX_BYTES)
+def _check_bytes(nbytes: int, what: str) -> None:
+    """The size guard: ResourceLimitError, naming ``what``, when ``nbytes`` exceed
+    MAX_KRAUS_BYTES, read at call time (patching ``channels.MAX_KRAUS_BYTES`` moves every guard)."""
     if nbytes > MAX_KRAUS_BYTES:
         raise ResourceLimitError(
-            f"{what} {count} x {n}^2 {'real' if real else 'complex'} entries "
-            f"({nbytes / 1e9:.2f} GB); "
-            f"limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB. Reduce the truncation."
+            f"{what} needs {nbytes / 1e9:.2f} GB; limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB."
         )
 
 
@@ -210,13 +208,13 @@ class KrausChannel:
 
         A band channel factors its multipliers, offset by offset: the rows
         of a pivoted Cholesky factor of M_o, then the scaled matrix units of
-        ``transfer`` by row. Raises ResourceLimitError, before allocating,
-        when a band channel's stack would exceed MAX_KRAUS_BYTES.
+        ``transfer`` by row. A band channel's stack goes through the size
+        guard before it is allocated.
         """
         if self._stack is not None:
             return self._stack
         n, terms = self.dim, self.kraus_truncation
-        _check_stack_size("dense Kraus stack needs", terms, n)
+        _check_bytes(terms * n * n * COMPLEX_BYTES, f"the dense Kraus stack of {terms} terms")
         stack = np.zeros((terms, n, n), dtype=complex)
         flat = stack.reshape(terms, n * n)
         first = 0
@@ -515,11 +513,8 @@ def verify_channel(
     STRUCTURAL_TOL.
     """
     block = ch.dim if block is None else block
-    if not 1 <= block <= ch.dim:
-        raise ValueError(f"block must be in [1, {ch.dim}], got {block}")
+    tp = tp_defect_on_block(ch, block)  # checks the block
     rng = np.random.default_rng(seed)
-
-    tp = tp_defect_on_block(ch, block)
 
     herms, eigs = [], []
     for _ in range(VERIFY_SAMPLES):
@@ -571,20 +566,19 @@ def superoperator_of(ch: KrausChannel) -> np.ndarray:
     A band channel's is its coherence-order blocks written into place.
     """
     n = ch.dim
-    if n > MAX_SUPEROPERATOR_DIM:
-        raise ResourceLimitError(
-            f"superoperator needs {n}^4 = {n**4} complex entries; "
-            f"limit is dim <= {MAX_SUPEROPERATOR_DIM}. Reduce the truncation."
-        )
+    _check_bytes(n**4 * COMPLEX_BYTES, f"the superoperator at dim {n}")
     if ch.multipliers is not None:
         s = np.zeros((n * n, n * n), dtype=complex)
         for positions, block in _coherence_blocks(ch):
             s[positions, positions] = block
         return s
-    flat = ch.kraus_ops.reshape(ch.kraus_truncation, n * n)
-    # G[(a,b),(c,d)] = sum_i conj(E_i[a,b]) E_i[c,d]; regroup to kron layout.
-    gram = flat.conj().T @ flat
-    return gram.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    e = ch.kraus_ops
+    # S[(a,c),(b,d)] = sum_i conj(E_i[a,b]) E_i[c,d], written one row block a at
+    # a time so that nothing of S's size is allocated beside it.
+    s = np.empty((n, n, n, n), dtype=complex)
+    for a in range(n):
+        s[a] = (e[:, a].conj().T @ e.reshape(-1, n * n)).reshape(n, n, n).transpose(1, 0, 2)
+    return s.reshape(n * n, n * n)
 
 
 def _coherence_blocks(ch: KrausChannel):

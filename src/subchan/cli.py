@@ -26,7 +26,13 @@ from collections import Counter
 
 import numpy as np
 
-from .channels import MAX_SUPEROPERATOR_DIM, KrausChannel, apply_channel, verify_channel
+from .channels import (
+    MAX_SUPEROPERATOR_DIM,
+    KrausChannel,
+    _check_bytes,
+    apply_channel,
+    verify_channel,
+)
 from .encodings import (
     CONVERGED,
     DEFAULT_RESTARTS,
@@ -271,6 +277,8 @@ def _cmd_sweep(args) -> int:
     steps = DEFAULT_STEPS if args.steps is None else args.steps
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    # The eta grid and the three values kept per step, all real.
+    _check_bytes(4 * steps * np.dtype(float).itemsize, f"a sweep of {steps} steps")
     if not 0.0 <= args.eta_start <= args.eta_end <= 1.0:
         raise ValueError(
             f"need 0 <= eta_start <= eta_end <= 1, got {args.eta_start}, {args.eta_end}"
@@ -280,34 +288,29 @@ def _cmd_sweep(args) -> int:
     dim = DEFAULT_DIM if args.dim is None else args.dim
     enc = _build_encoding(args, dim)
     grid = np.linspace(args.eta_start, args.eta_end, steps)
-    rows = []
-    for eta in grid:
-        args.eta = float(eta)
-        args.p = float(eta)
+    rows = np.empty((steps, 3))  # closed form, quadrature, gap
+    for eta, row in zip(grid, rows):
+        args.eta = args.p = float(eta)
         ch = _build_channel(args)
         closed = average_fidelity_closed(ch, enc).value
         quad = average_fidelity_quadrature(ch, enc).value
-        rows.append((float(eta), closed, quad, abs(closed - quad), enc.label))
+        row[:] = closed, quad, abs(closed - quad)
     print(f"eta sweep ({args.channel}, dim={dim}, encoding {enc.label})")
-    for eta, closed, quad, gap, _ in rows:
+    for eta, (closed, quad, gap) in zip(grid, rows):
         print(f"  eta={_fmt(eta)}  closed={_fmt(closed)}  quadrature={_fmt(quad)}  "
               f"gap={gap:.3e}")
     if args.out:
-        _write_sweep_csv(args.out, rows)
+        try:
+            handle = open(args.out, "w", newline="")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}") from None
+        with handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["eta", "fidelity_closed", "fidelity_quadrature", "gap", "encoding"])
+            writer.writerows([_fmt(eta), *map(_fmt, row), enc.label]
+                             for eta, row in zip(grid, rows))
         print(f"wrote {args.out}")
     return 0
-
-
-def _write_sweep_csv(path: str, rows) -> None:
-    try:
-        handle = open(path, "w", newline="")
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from None
-    with handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["eta", "fidelity_closed", "fidelity_quadrature", "gap", "encoding"])
-        for eta, closed, quad, gap, label in rows:
-            writer.writerow([_fmt(eta), _fmt(closed), _fmt(quad), _fmt(gap), label])
 
 
 def _cmd_verify(args) -> int:
@@ -386,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser(
         "optimize", help="search qubit codes for maximal fidelity",
         description="Seesaw search over qubit codes on the given Fock levels: "
-                    "from Haar-random starts, each step moves the code to the top "
+                    "from the best Fock pair on them, then from Haar-random "
+                    "starts, each step moves the code to the top "
                     "two eigenvectors of the fidelity's gradient until the gain "
                     "stops. Prints the best average fidelity, how many starts "
                     "converged, and the best code words' complex coefficients "

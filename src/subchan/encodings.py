@@ -14,14 +14,15 @@ which is ``fidelity.contract_haar_moments`` written in P.
 
 ``optimize_encoding`` maximizes F over qubit codes by the fixed-channel
 iteration of Reimpell & Werner, PRL 94, 080501 (2005), quant-ph/0307138:
-from a Haar-random start, each step replaces P by the projector onto the top
-two eigenvectors of the hermitian gradient of F at P, the code that
-maximizes F's linearization there. The code words are complex. F is not
-concave in general, so each step's gain is checked rather than assumed. A
-start ends when a step raises F by less than SEESAW_TOL (converged), when a
-step lowers F by more than ROUNDOFF (non-ascent: the start keeps the code
-before that step), or after MAX_STEPS steps (step cap). Any number of levels
-is searched whose G and K fit MAX_KRAUS_BYTES.
+from the best Fock pair on the levels, then from Haar-random starts, each
+step replaces P by the projector onto the top two eigenvectors of the
+hermitian gradient of F at P, the code that maximizes F's linearization
+there. The code words are complex. F is not concave in general, so each
+step's gain is checked rather than assumed. A start ends when a step raises
+F by less than SEESAW_TOL (converged), when a step lowers F by more than
+ROUNDOFF (non-ascent: the start keeps the code before that step), or after
+MAX_STEPS steps (step cap). Any number of levels is searched whose G and K
+pass the size guard.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ import numpy as np
 # Unused here; bench/tracing.py patches this name until ROADMAP item 1 drops it.
 from scipy.optimize import minimize  # noqa: F401
 
-from .channels import COMPLEX_BYTES, MAX_KRAUS_BYTES, KrausChannel, apply_channel
-from .errors import ResourceLimitError
+from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes, apply_channel
 from .fidelity import average_fidelity_closed, contract_haar_moments, level_process_tensor
 from .fock import basis_operator
 from .subspaces import Subspace
@@ -57,10 +57,12 @@ CONVERGED, STEP_CAP, NON_ASCENT = "converged", "step cap", "non-ascent"
 def encoding_from_coefficients(*rows, dim: int, label: str = "custom") -> Subspace:
     """The code whose code words have the coefficient lists ``rows``, zero-padded to ``dim``.
 
-    Any number d of rows; Subspace refuses rows that are not orthonormal.
+    Any number d of rows (their padded basis is size-guarded); Subspace refuses
+    rows that are not orthonormal.
     """
     if any(np.size(row) > dim for row in rows):
         raise ValueError(f"coefficient lists longer than dim={dim}")
+    _check_bytes(len(rows) * dim * COMPLEX_BYTES, f"{len(rows)} code words at dim {dim}")
     basis = np.zeros((len(rows), dim), dtype=complex)
     for word, row in zip(basis, rows):
         word[:np.size(row)] = row
@@ -103,9 +105,13 @@ def realize_encoding(levels, frame, dim: int) -> Subspace:
 
 
 def _bloch_form(g: np.ndarray) -> np.ndarray:
-    """K with F(P) = vec(P) . K . vec(P^T) for a code projector P on G's levels."""
+    """K with F(P) = vec(P) . K . vec(P^T) for a code projector P on G's levels, built
+    in place in a transposed copy of G so that G and K are all it holds."""
     n2 = g.shape[0] ** 2
-    return (g.reshape(n2, n2) + g.transpose(0, 2, 1, 3).reshape(n2, n2)) / 6
+    k = np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(n2, n2)
+    k += g.reshape(n2, n2)
+    k /= 6
+    return k
 
 
 def _ascent_point(k: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -183,14 +189,16 @@ def optimize_encoding(
 ) -> OptimizationResult:
     """Multi-start seesaw maximization of the average fidelity over qubit codes on ``levels``.
 
-    Each start draws a Haar-random complex isometry on the levels (QR of a
+    The first start is the Fock pair on the levels that scores best on G
+    (ties to the pair first in the order the levels are given). Each other
+    start draws a Haar-random complex isometry on the levels (QR of a
     complex Gaussian) from a generator seeded once with ``seed``, so
     identical inputs give identical results. Every start's code is scored
     once by ``average_fidelity_closed`` at the channel's full truncation;
-    ties between starts resolve to the earliest one. Raises
-    ResourceLimitError before allocating when the level tensor G and the
-    form K (2 n^4 complex entries) exceed MAX_KRAUS_BYTES, and ValueError
-    for a repeated or out-of-range level (from ``level_process_tensor``).
+    ties between starts resolve to the earliest one. The level tensor G and
+    the form K (2 n^4 complex entries) go through the size guard before they
+    are built; a repeated or out-of-range level raises ValueError (from
+    ``level_process_tensor``).
     """
     levels = tuple(levels)
     n = len(levels)
@@ -198,22 +206,21 @@ def optimize_encoding(
         raise ValueError(f"need at least 2 levels, got {n}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    nbytes = 2 * n**4 * COMPLEX_BYTES
-    if nbytes > MAX_KRAUS_BYTES:
-        raise ResourceLimitError(
-            f"a search on {n} levels needs {nbytes / 1e9:.2f} GB for its level tensor; "
-            f"limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB. Use fewer levels."
-        )
+    _check_bytes(2 * n**4 * COMPLEX_BYTES, f"a search on {n} levels")
 
     rng = np.random.default_rng(seed)
     # The channel is linear, so its action on the level block is frozen into
     # G once and every candidate code is scored by the quadratic form K.
-    k = _bloch_form(level_process_tensor(ch, levels))
+    g = level_process_tensor(ch, levels)
+    pair = _ranked_pairs(np.einsum("aacc->ac", g), np.einsum("abab->ab", g))[0]
+    warm = np.eye(n, dtype=complex)[:, [pair.k, pair.s]]
+    k = _bloch_form(g)
 
     best_value, best_frame, best_encoding = -np.inf, None, None
     history = []
-    for _ in range(restarts):
-        start = np.linalg.qr(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))[0]
+    for restart in range(restarts):
+        start = warm if restart == 0 else np.linalg.qr(
+            rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))[0]
         v, steps, status = _seesaw(k, start)
         frame = _gauge(v)
         encoding = realize_encoding(levels, frame, ch.dim)
@@ -258,15 +265,20 @@ def contiguous_pair_sweep(ch: KrausChannel, max_level: int) -> list[PairFidelity
     if not 0 < max_level < ch.dim:
         raise ValueError(f"max_level must be in (0, {ch.dim}), got {max_level}")
     n = max_level + 1
-    populations = np.empty((n, n), dtype=complex)
-    coherences = np.empty((n, n), dtype=complex)
+    populations, coherences = np.empty((2, n, n), dtype=complex)
     for a, b in np.ndindex(n, n):
         image = apply_channel(ch, basis_operator(a, b, ch.dim))
         if a == b:
             populations[a] = image.diagonal()[:n]
         coherences[a, b] = image[a, b]
+    return _ranked_pairs(populations, coherences)
+
+
+def _ranked_pairs(populations: np.ndarray, coherences: np.ndarray) -> list[PairFidelity]:
+    """Every pair k < s of indices scored from the 2 x 2 blocks of T_K's populations
+    T[a,a,c,c] and coherences T[a,b,a,b], best first, ties lexicographic on (k, s)."""
     rows = []
-    for k, s in itertools.combinations(range(n), 2):
+    for k, s in itertools.combinations(range(populations.shape[0]), 2):
         pair = np.ix_([k, s], [k, s])
         value = contract_haar_moments(populations[pair], coherences[pair])
         rows.append(PairFidelity(k=k, s=s, value=value))
@@ -275,7 +287,4 @@ def contiguous_pair_sweep(ch: KrausChannel, max_level: int) -> list[PairFidelity
 
 def leading_ties(rows: list[PairFidelity]) -> list[PairFidelity]:
     """All rows within TIE_TOL of the best one (degenerate optima surface here)."""
-    if not rows:
-        return []
-    top = rows[0].value
-    return [r for r in rows if top - r.value <= TIE_TOL]
+    return [r for r in rows if rows[0].value - r.value <= TIE_TOL]

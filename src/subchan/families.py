@@ -31,21 +31,21 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .channels import KrausChannel, _check_stack_size
+from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes
 from .errors import PrecisionLossError
 from .fock import coherent_state, log_binomial, outer
 from .tolerances import COHERENT_DEFICIT_TOL
 
 
 def _check_dim(family: str, dim: int, every_offset: bool = False) -> None:
-    """ValueError for dim < 1. ResourceLimitError, before allocating, when the real
-    dim x dim arrays a family holds while it is built and folded exceed
-    MAX_KRAUS_BYTES: five, plus, for multipliers on ``every_offset`` (amplitude
-    damping), their sum_o (dim - o)^2 = dim (dim + 1) (2 dim + 1) / 6 entries."""
+    """ValueError for dim < 1. Then the size guard, before allocating, on the real
+    dim x dim arrays a family holds while it is built and folded: five, plus, for
+    multipliers on ``every_offset`` (amplitude damping), their
+    sum_o (dim - o)^2 = dim (dim + 1) (2 dim + 1) / 6 entries."""
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     tables = 5 + (math.ceil((dim + 1) * (2 * dim + 1) / (6 * dim)) if every_offset else 0)
-    _check_stack_size(f"{family} at dim {dim} needs", tables, dim, real=True)
+    _check_bytes(tables * dim * dim * COMPLEX_BYTES // 2, f"{family} at dim {dim}")
 
 
 def identity_channel(dim: int) -> KrausChannel:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import COMPLEX_BYTES, MAX_KRAUS_BYTES, KrausChannel, _compress, apply_channel
-from .errors import DimensionMismatchError, ResourceLimitError
+from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes, _compress, apply_channel
+from .errors import DimensionMismatchError
 from .fock import log_binomial, outer
 from .subspaces import Subspace, restrict
 from .tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
@@ -160,9 +160,9 @@ def average_fidelity_quadrature(
     """Bloch average by Gauss-Legendre (in cos theta) x periodic-uniform (in phi).
 
     The node states' amplitudes on the two code words, all n_theta * n_phi
-    of them, theta major, are built in one vectorized step; above
-    MAX_KRAUS_BYTES for them and leggauss's n_theta x n_theta companion
-    matrix, ResourceLimitError is raised first. The channel is compressed
+    of them, theta major, are built in one vectorized step; they and
+    leggauss's n_theta x n_theta companion matrix go through the size guard
+    first. The channel is compressed
     once onto the code's Fock window [lo, hi), the smallest level range
     holding every nonzero entry of the code words. Each node lifts its pair
     to psi on that window and is scored as tr(x Phi(x)) with x = |psi><psi|:
@@ -178,12 +178,8 @@ def average_fidelity_quadrature(
         raise ValueError(f"need a d=2 subspace, got d={subspace.d}")
     # The companion matrix, then the amplitudes, their complex temporary and
     # the scores, each entry counted at COMPLEX_BYTES.
-    nbytes = (n_theta**2 + 4 * n_theta * n_phi) * COMPLEX_BYTES
-    if nbytes > MAX_KRAUS_BYTES:
-        raise ResourceLimitError(
-            f"a {n_theta} x {n_phi} quadrature grid needs {nbytes / 1e9:.2f} GB; "
-            f"limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB. Reduce the node counts."
-        )
+    _check_bytes((n_theta**2 + 4 * n_theta * n_phi) * COMPLEX_BYTES,
+                 f"a {n_theta} x {n_phi} quadrature grid")
     (used,) = np.nonzero(subspace.basis.any(axis=0))
     lo, hi = int(used[0]), int(used[-1]) + 1
     window = _compress(ch, lo, hi)

@@ -27,15 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    COMPLEX_BYTES,
-    MAX_KRAUS_BYTES,
-    KrausChannel,
-    _check_stack_size,
-    _coherence_blocks,
-    apply_channel,
-)
-from .errors import ConstraintError, DimensionMismatchError, ResourceLimitError, SupportError
+from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes, _coherence_blocks, apply_channel
+from .errors import ConstraintError, DimensionMismatchError, SupportError
 from .fock import coherent_state, fock_state, hs_norm, operator_norm, outer
 from .tolerances import (
     FIXED_POINT_TOL,
@@ -48,8 +41,9 @@ from .tolerances import (
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Orthonormal basis (rows of ``basis``) for a d-dimensional subspace; rows whose
-    Gram matrix is off I by more than SPECTRAL_TOL (or NaN) raise ConstraintError."""
+    """Orthonormal basis (rows of ``basis``) for a d-dimensional subspace; more rows than
+    ``dim``, or rows whose Gram matrix (size-guarded) is off I by more than SPECTRAL_TOL
+    (or NaN), raise ConstraintError."""
 
     dim: int
     basis: np.ndarray  # shape (d, dim)
@@ -61,11 +55,16 @@ class Subspace:
             raise DimensionMismatchError(
                 f"basis vectors have length {basis.shape[1]}, expected {self.dim}"
             )
-        if basis.shape[0] == 0:
+        d = basis.shape[0]
+        if d == 0:
             raise ValueError("a subspace needs at least one basis vector")
-        # More vectors than dim cannot pass: their Gram matrix is singular.
+        if d > self.dim:
+            raise ConstraintError(f"{d} code words cannot be orthonormal in dim {self.dim}")
+        _check_bytes((d * self.dim + d * d) * COMPLEX_BYTES,
+                     f"the Gram matrix of {d} code words at dim {self.dim}")
         gram = basis @ basis.conj().T
-        defect = float(np.max(np.abs(gram - np.eye(basis.shape[0]))))
+        gram.reshape(-1)[::d + 1] -= 1.0
+        defect = float(np.max(np.abs(gram)))
         if not defect <= SPECTRAL_TOL:  # NaN fails too
             raise ConstraintError(f"basis is not orthonormal (Gram defect {defect:.3e})",
                                   residual=defect)
@@ -153,9 +152,9 @@ class RestrictedChannel:
 
 
 def restrict(ch: KrausChannel, subspace: Subspace) -> RestrictedChannel:
-    """The compression onto ``subspace``, from the d^2 images Phi(|b_i><b_j|). Raises,
-    before applying ``ch``, DimensionMismatchError when the ambient dims differ and
-    ResourceLimitError when T_K's d^4 complex entries exceed MAX_KRAUS_BYTES (d > 64)."""
+    """The compression onto ``subspace``, from the d^2 images Phi(|b_i><b_j|). Before
+    applying ``ch``, raises DimensionMismatchError when the ambient dims differ, and
+    T_K's d^4 complex entries go through the size guard (d <= 64)."""
     return _restrict(ch, subspace, lambda image, fold: None)
 
 
@@ -166,10 +165,7 @@ def _restrict(ch: KrausChannel, subspace: Subspace, visit) -> RestrictedChannel:
             f"channel dim {ch.dim} does not match subspace ambient dim {subspace.dim}"
         )
     d = subspace.d
-    if d**4 * COMPLEX_BYTES > MAX_KRAUS_BYTES:
-        raise ResourceLimitError(f"the restriction to a {d}-dimensional subspace needs "
-                                 f"{d**4 * COMPLEX_BYTES / 1e9:.2f} GB for T_K; "
-                                 f"limit is {MAX_KRAUS_BYTES / 1e9:.2f} GB")
+    _check_bytes(d**4 * COMPLEX_BYTES, f"the restriction to a {d}-dimensional subspace")
     basis = subspace.basis
     t = np.zeros((d, d, d, d), dtype=complex)
     for i, j in np.ndindex(d, d):
@@ -299,10 +295,10 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
     coherence-order blocks of size dim - |q|, and each null vector lies on
     diagonal q of a member: O(dim^4) time and O(dim^2) memory per block.
     Any other channel is one block, the dense dim^2 x dim^2
-    ``superoperator_of``, so it is limited to dim <= MAX_SUPEROPERATOR_DIM.
+    ``superoperator_of``, so the size guard limits it to dim <= 64.
     Members come in block order (ascending q), then ascending singular
     value. Before they are allocated, their count * dim^2 complex entries
-    are checked against MAX_KRAUS_BYTES (ResourceLimitError above it).
+    go through the size guard.
     A cutoff that is not a positive finite number raises ValueError.
     """
     if not 0.0 < tol < np.inf:
@@ -314,7 +310,7 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
         found.append((positions, vh[svals < tol][::-1].conj()))
     n = ch.dim
     count = sum(len(null) for _, null in found)
-    _check_stack_size(f"{count} fixed points need", count, n)
+    _check_bytes(count * n * n * COMPLEX_BYTES, f"{count} fixed points at dim {n}")
     # Row k holds vec(x_k), so x_k is its reshape, transposed.
     members = np.zeros((count, n * n), dtype=complex)
     first = 0

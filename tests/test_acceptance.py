@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from subchan.channels import apply_channel
 from subchan.encodings import contiguous_pair_sweep, optimize_encoding

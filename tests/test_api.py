@@ -1,12 +1,31 @@
 """Guards on the public signatures: tolerances and sample counts are module
-constants, not per-call options, so no caller can loosen a check."""
+constants, not per-call options, so no caller can loosen a check. Beside
+them, guards on the source: one size limit read by one size guard, which
+every allocation estimate goes through, and no unused imports."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import tracemalloc
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 import subchan
+import subchan.channels as channels
+from subchan.cli import build_parser
+from subchan.encodings import _bloch_form, encoding_from_coefficients, optimize_encoding
+from subchan.errors import ResourceLimitError
+from subchan.families import _check_dim, amplitude_damping, phase_damping
+from subchan.fidelity import average_fidelity_quadrature
+from subchan.subspaces import Subspace, fixed_point_space, restrict
+
+SOURCES = sorted(Path(subchan.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _public_signatures():
@@ -90,3 +109,157 @@ def test_fidelity_and_search_take_no_code_dimension():
         "fidelity.average_fidelity_closed": ["ch", "subspace"],
         "encodings.optimize_encoding": ["ch", "levels", "restarts", "seed"],
     }
+
+
+# ---------------------------------------------------------------------------
+# One size limit, one size guard
+# ---------------------------------------------------------------------------
+
+
+def _nodes_by_function(tree):
+    """(enclosing function name or None, node) for every node of a module."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else owner
+            yield owner, child
+            yield from visit(child, inner)
+    return visit(tree, None)
+
+
+def test_one_limit_read_by_one_guard():
+    # Any import, name or attribute that reads MAX_KRAUS_BYTES, and any call
+    # that constructs ResourceLimitError (the CLI's except clause only names
+    # it), must sit in channels._check_bytes.
+    readers, raisers = set(), []
+    for path in SOURCES:
+        for owner, node in _nodes_by_function(ast.parse(path.read_text())):
+            named = getattr(node, "id", None) or getattr(node, "attr", None) or (
+                node.name if isinstance(node, ast.alias) else None)
+            if named == "MAX_KRAUS_BYTES" and not isinstance(getattr(node, "ctx", None),
+                                                            ast.Store):
+                readers.add((path.stem, owner))
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "ResourceLimitError":
+                raisers.append((path.stem, owner))
+    assert readers == {("channels", "_check_bytes")}
+    assert raisers == [("channels", "_check_bytes")]
+
+
+def _guarded_calls():
+    """{guard: (call, refused bytes, what the refusal names)}. Everything a call
+    needs before its guard is built here, and the limit is lowered one byte
+    below the refused bytes, so the guard under test is the first to refuse."""
+    pd8, pd32 = phase_damping(0.5, 8), phase_damping(0.5, 32)
+    ad8, ad16 = amplitude_damping(0.5, 8), amplitude_damping(0.5, 16)
+    sweep = build_parser().parse_args([
+        "sweep", "--channel", "pd", "--eta-start", "0.1", "--eta-end", "0.9",
+        "--steps", "1000", "--levels", "0,1", "--dim", "8"])
+    return {
+        "family": (partial(phase_damping, 0.5, 64), 5 * 64**2 * 8, "phase damping at dim 64"),
+        "kraus_ops": (partial(getattr, pd32, "kraus_ops"), 32 * 32**2 * 16,
+                      "the dense Kraus stack of 32 terms"),
+        "superoperator": (partial(channels.superoperator_of, ad16), 16**4 * 16,
+                          "the superoperator at dim 16"),
+        "fixed points": (partial(fixed_point_space, pd32), 32 * 32**2 * 16,
+                         "32 fixed points at dim 32"),
+        "restrict": (partial(restrict, ad16, Subspace.from_levels(range(8), 16)), 8**4 * 16,
+                     "the restriction to a 8-dimensional subspace"),
+        "quadrature": (partial(average_fidelity_quadrature, pd8, Subspace.from_levels([0, 1], 8)),
+                       (16**2 + 4 * 16 * 16) * 16, "a 16 x 16 quadrature grid"),
+        "search": (partial(optimize_encoding, ad8, range(6), restarts=1), 2 * 6**4 * 16,
+                   "a search on 6 levels"),
+        "sweep grid": (partial(sweep.func, sweep), 4 * 1000 * 8, "a sweep of 1000 steps"),
+        "coefficient rows": (partial(encoding_from_coefficients, *[[1]] * 8, dim=64),
+                             8 * 64 * 16, "8 code words at dim 64"),
+        "Subspace": (partial(Subspace, dim=64, basis=np.eye(64, dtype=complex)[:8]),
+                     (8 * 64 + 8 * 8) * 16, "the Gram matrix of 8 code words at dim 64"),
+    }
+
+
+@pytest.mark.parametrize("guard", sorted(_guarded_calls()))
+def test_each_guard_refuses_by_estimate(monkeypatch, guard):
+    # Only the one limit is lowered. The guard refuses before the refused
+    # bytes are allocated: the call's traced peak stays below them.
+    call, nbytes, what = _guarded_calls()[guard]
+    monkeypatch.setattr(channels, "MAX_KRAUS_BYTES", nbytes - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"^{what} needs "):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nbytes - 1
+
+
+def test_thresholds_at_the_real_limit(monkeypatch):
+    # The families, the search and the restriction stop where they did
+    # before the guard was shared; the sentinels stand for the allocations
+    # a passing estimate leads to.
+    class Passed(Exception):
+        pass
+
+    def passed(*args):
+        raise Passed
+
+    for family, every_offset, last in (("phase damping", False, 2590),
+                                       ("amplitude damping", True, 459)):
+        _check_dim(family, last, every_offset)
+        with pytest.raises(ResourceLimitError):
+            _check_dim(family, last + 1, every_offset)
+    monkeypatch.setattr(subchan.encodings, "level_process_tensor", passed)
+    monkeypatch.setattr(subchan.subspaces, "apply_channel", passed)
+    ch = amplitude_damping(0.5, 65)
+    with pytest.raises(Passed):
+        optimize_encoding(ch, range(53), restarts=1)
+    with pytest.raises(ResourceLimitError, match="a search on 54 levels"):
+        optimize_encoding(ch, range(54), restarts=1)
+    with pytest.raises(Passed):
+        restrict(ch, Subspace.from_levels(range(64), 65))
+    with pytest.raises(ResourceLimitError, match="restriction to a 65-dimensional"):
+        restrict(ch, Subspace.from_levels(range(65), 65))
+    assert 64**4 * 16 == channels.MAX_KRAUS_BYTES  # the superoperator stops at dim 64
+
+
+def test_bloch_form_holds_one_array_beside_g():
+    n = 12
+    rng = np.random.default_rng(12)
+    g = rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4)
+    tracemalloc.start()
+    try:
+        k = _bloch_form(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= g.nbytes + 4096
+    n2 = n * n
+    assert np.array_equal(k, (g.reshape(n2, n2) + g.transpose(0, 2, 1, 3).reshape(n2, n2)) / 6)
+
+
+# ---------------------------------------------------------------------------
+# Unused imports
+# ---------------------------------------------------------------------------
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads; ``# noqa: F401`` on the import keeps one."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                getattr(node, "module", None) == "__future__"):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES + TESTS if p.name != "__init__.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    # The package __init__ imports are its exports.
+    assert _unused_imports(path) == []

@@ -19,10 +19,8 @@ from subchan.errors import DimensionMismatchError, ResourceLimitError
 from subchan.families import amplitude_damping, depolarizing, identity_channel, phase_damping
 from subchan.fock import (
     basis_operator,
-    fock_state,
     hermiticity_defect,
     operator_norm,
-    outer,
     random_density_matrix,
     random_hermitian,
 )

@@ -3,11 +3,9 @@ import pytest
 from scipy.stats import unitary_group
 
 import subchan.channels
-import subchan.encodings
-import subchan.fidelity
 from subchan.channels import KrausChannel
 from subchan.cli import main
-from subchan.families import amplitude_damping
+from subchan.families import amplitude_damping, phase_damping
 from subchan.fileio import save_channel
 
 
@@ -53,7 +51,7 @@ class TestFidelityCommand:
     def test_quadrature_grid_guard_exits_1(self, capsys, monkeypatch):
         # The limit is lowered so that the default grid is refused by its
         # estimate; no large grid is ever built.
-        monkeypatch.setattr(subchan.fidelity, "MAX_KRAUS_BYTES", 16 * 16**2)
+        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 16 * 16**2)
         code, _, err = run(
             capsys, "fidelity", "--channel", "pd", "--eta", "0.5",
             "--levels", "0,1", "--dim", "8", "--quadrature",
@@ -159,6 +157,18 @@ class TestFidelityCommand:
         )
         assert code == 0
         assert "0.708333333333" in out
+
+    def test_more_code_words_than_dim_exit_1(self, capsys, tmp_path):
+        # dim + 1 rows cannot be orthonormal; they are refused before their
+        # Gram matrix is formed.
+        enc = tmp_path / "enc.txt"
+        enc.write_text("1\n" * 9)
+        code, out, err = run(
+            capsys, "fidelity", "--channel", "ad", "--eta", "0.5",
+            "--encoding-file", str(enc), "--dim", "8",
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: 9 code words cannot be orthonormal in dim 8"]
 
     def test_custom_channel_file(self, capsys, tmp_path):
         path = tmp_path / "ad.chan"
@@ -296,12 +306,27 @@ class TestOptimizeCommand:
         assert "starts converged: 3 of 3 (step cap: 0, non-ascent: 0)" in out
         assert "best code words on levels 2,0:\n  psi0: 1 0\n  psi1: 0 1\n" in out
 
-    def test_complex_coefficients_printed(self, capsys):
+    def test_phase_damping_spread_levels_find_the_best_pair(self, capsys):
         code, out, _ = run(
-            capsys, "optimize", "--channel", "dep", "--p", "0.5", "--dim", "6",
+            capsys, "optimize", "--channel", "pd", "--eta", "0.5", "--levels", "0,2,3,5",
+            "--restarts", "5", "--seed", "7",
+        )
+        assert code == 0
+        assert "best average fidelity: 0.833333333333" in out
+
+    def test_complex_coefficients_printed(self, capsys, tmp_path):
+        # Phase damping in a random basis of levels 0-2: its best codes span
+        # two of the basis vectors, whose coefficients are complex.
+        u = np.eye(6, dtype=complex)
+        u[:3, :3] = unitary_group.rvs(3, random_state=3)
+        path = tmp_path / "rotated_pd.txt"
+        save_channel(KrausChannel(u @ phase_damping(0.5, 6).kraus_ops @ u.conj().T), path)
+        code, out, _ = run(
+            capsys, "optimize", "--channel", "custom", "--kraus-file", str(path),
             "--levels", "0,1,2", "--restarts", "2", "--seed", "1",
         )
         assert code == 0
+        assert "best average fidelity: 0.833333333333" in out
         words = [line.split()[1:] for line in out.splitlines() if line.startswith("  psi")]
         coefficients = np.array([[complex(z) for z in word] for word in words])
         assert coefficients.shape == (2, 3)
@@ -309,9 +334,10 @@ class TestOptimizeCommand:
         assert np.any(coefficients.imag != 0)
 
     def test_level_guard_exits_1(self, capsys, monkeypatch):
-        # The limit is lowered so that three levels are refused by their
-        # estimate; the level tensor is never built.
-        monkeypatch.setattr(subchan.encodings, "MAX_KRAUS_BYTES", 2 * 2**4 * 16)
+        # The limit is lowered one byte below three levels' estimate, which
+        # refuses them; the channel at dim 6 needs less, and the level tensor
+        # is never built.
+        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 2 * 3**4 * 16 - 1)
         code, _, err = run(
             capsys, "optimize", "--channel", "ad", "--eta", "0.5", "--dim", "6",
             "--levels", "0,1,2", "--restarts", "1",
@@ -367,6 +393,18 @@ class TestSweepCommand:
             "--steps", "1", "--levels", "0,1",
         )
         assert code == 1
+
+    def test_grid_guard_exits_1(self, capsys, monkeypatch):
+        # The limit is lowered below 1000 steps' grid and rows, which are
+        # refused by their estimate before the grid is built.
+        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 4 * 1000 * 8 - 1)
+        code, out, err = run(
+            capsys, "sweep", "--channel", "pd", "--eta-start", "0.1", "--eta-end", "0.9",
+            "--steps", "1000", "--levels", "0,1", "--dim", "8",
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: a sweep of 1000 steps needs 0.00 GB; limit is 0.00 GB."]
 
     def test_three_levels_exit_1_before_printing(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import subchan.channels as channels
 import subchan.encodings as encodings
 from kraus_reference import design_average, reference_formula
 from test_multipliers import dense_stacks
@@ -265,9 +266,11 @@ class TestSeesaw:
             assert np.array_equal(v, start)
 
     def test_step_cap_is_recorded(self, monkeypatch):
+        # The first start is the best Fock pair, (0, 1) here, an optimum; the
+        # random starts after it run into the cap.
         monkeypatch.setattr(encodings, "MAX_STEPS", 3)
-        result = optimize_encoding(amplitude_damping(0.9, 8), [0, 1, 2], restarts=2, seed=1)
-        assert [(r.steps, r.status) for r in result.history] == [(3, STEP_CAP)] * 2
+        result = optimize_encoding(amplitude_damping(0.9, 8), [0, 1, 2], restarts=3, seed=1)
+        assert [(r.steps, r.status) for r in result.history[1:]] == [(3, STEP_CAP)] * 2
 
 
 class TestOptimizer:
@@ -336,6 +339,20 @@ class TestOptimizer:
         assert np.max(np.abs(result.best_params - np.eye(2))) <= 1e-15
         assert [(r.steps, r.status) for r in result.history] == [(1, CONVERGED)] * 3
 
+    def test_first_start_is_the_best_fock_pair(self):
+        # Phase damping on spread-out levels has local optima that random
+        # starts often end in; the first start is the best pair, (2, 3).
+        result = optimize_encoding(phase_damping(0.5, 32), [0, 2, 3, 5], restarts=1, seed=7)
+        assert result.best_fidelity == pytest.approx(2 / 3 + 0.5 / 3, abs=1e-12)
+        assert np.array_equal(result.best_params, [[0, 1, 0, 0], [0, 0, 1, 0]])
+
+    def test_pair_ties_go_to_the_first_pair(self):
+        # The adjacent pairs (3, 2) and (2, 1) tie under phase damping; the
+        # start is the first in the order the levels are given, an optimum.
+        result = optimize_encoding(phase_damping(0.5, 8), [3, 2, 1], restarts=1, seed=0)
+        assert result.history[0].steps == 1
+        assert np.array_equal(result.best_params, [[1, 0, 0], [0, 1, 0]])
+
     def test_three_levels_on_complex_amplitudes_recover_the_pair(self):
         # The optimum of phase damping on {0, 1, 3} is the adjacent pair.
         result = optimize_encoding(phase_damping(0.5, 8), [0, 1, 3], restarts=8, seed=11)
@@ -371,7 +388,7 @@ class TestOptimizer:
     def test_level_count_is_bounded_by_bytes(self, monkeypatch):
         # Seven levels need 2 * 7^4 complex entries; the guard counts them
         # before the level tensor is built.
-        monkeypatch.setattr(encodings, "MAX_KRAUS_BYTES", 2 * 6**4 * 16)
+        monkeypatch.setattr(channels, "MAX_KRAUS_BYTES", 2 * 6**4 * 16)
         monkeypatch.setattr(encodings, "level_process_tensor", None)
         with pytest.raises(ResourceLimitError, match="7 levels needs 0.00 GB"):
             optimize_encoding(amplitude_damping(0.5, 8), range(7), restarts=1)

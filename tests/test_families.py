@@ -233,7 +233,7 @@ class TestSizeGuard:
         stored += 0 if ch.transfer is None else ch.transfer.nbytes
         assert stored <= MAX_KRAUS_BYTES
         monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", stored)
-        with pytest.raises(ResourceLimitError, match="at dim 40 needs .* real entries"):
+        with pytest.raises(ResourceLimitError, match="at dim 40 needs"):
             family(0.5, 40)
 
     def test_amplitude_damping_counts_cubic_multipliers(self, monkeypatch):

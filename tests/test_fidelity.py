@@ -208,7 +208,7 @@ class TestQuadrature:
         def refuse(n):
             raise AssertionError("the quadrature nodes were computed")
 
-        monkeypatch.setattr(subchan.fidelity, "MAX_KRAUS_BYTES", 16 * 16**2)
+        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 16 * 16**2)
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
         with pytest.raises(ResourceLimitError, match="16 x 16 quadrature grid"):
             average_fidelity_quadrature(phase_damping(0.5, 8), _pair(0, 1, 8))

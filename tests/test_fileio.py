@@ -4,7 +4,6 @@ import pytest
 from subchan.channels import apply_channel
 from subchan.families import amplitude_damping
 from subchan.fileio import (
-    channel_to_text,
     format_complex,
     load_channel,
     parse_channel_text,

@@ -81,7 +81,7 @@ class TestSubspace:
 
     def test_rejects_too_many_vectors(self):
         basis = np.eye(3, dtype=complex)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstraintError, match="3 code words cannot be orthonormal in dim 2"):
             Subspace(dim=2, basis=basis[:, :2])
 
     def test_rejects_duplicate_levels(self):
