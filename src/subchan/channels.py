@@ -25,13 +25,15 @@ trace-preservation defect a maximum over its entries.
 
 Support window. An encoded state sits on a few low levels of a much larger
 truncation, so most of each shifted product multiplies zeros. When a
-channel stores a multiplier off offset 0, ``apply_channel`` and
-``adjoint_apply`` first find [lo, hi), the smallest index range holding
-every nonzero row and column of x (one O(dim^2) pass). Each shifted product
-is then cut to the rows whose source lies in that range, a + o for Phi and
-a for Phi*, and offsets that miss it are skipped. The offset-0 product and
-the transfer matvec stay full size. Only exact zero terms are dropped, so
-the result equals the full-size sum entry for entry. A caller that applies
+channel stores a multiplier off offset 0, ``apply_channel`` first finds
+[lo, hi), the smallest index range holding every nonzero row and column of
+x (one O(dim^2) pass). Each shifted product is then cut to the rows a whose
+source a + o lies in that range, and offsets that miss it are skipped. The
+offset-0 product and the transfer matvec stay full size. Only exact zero
+terms are dropped, so the result equals the full-size sum entry for entry.
+``adjoint_apply`` sums its shifted products at full size: Phi* reads x at
+the rows a themselves, so an input on a few levels still meets almost every
+offset, and the window would save little. A caller that applies
 a channel many times to inputs on one window, and reads the outputs only
 there, can instead take the channel's compression onto it once
 (``_compress``) and apply that at the window's size.
@@ -382,43 +384,29 @@ def _check_dims(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _shifted(ch: KrausChannel, x: np.ndarray, adjoint: bool):
-    """(target, source, M_o block) per shifted product, cut to sources in the support of x.
-
-    The support window [lo, hi) is the smallest index range holding every
-    nonzero row and column of x. A product's source is x[cols, cols] for
-    Phi and x[rows, rows] for Phi*; only the entries whose source index lies
-    in [lo, hi) are kept, and offsets that miss it yield nothing. A channel
-    on offset 0 alone has no shifted product and skips the pass.
-    """
-    shifted = ch._products[1:]
-    if not shifted:
-        return
-    (used,) = np.nonzero(x.any(axis=0) | x.any(axis=1))
-    lo, hi = (int(used[0]), int(used[-1]) + 1) if used.size else (0, 0)
-    for rows, cols, m in shifted:
-        target, source = (cols, rows) if adjoint else (rows, cols)
-        start, stop = max(lo, source.start), min(hi, source.stop)
-        if start < stop:
-            first, last = start - source.start, stop - source.start
-            yield (slice(target.start + first, target.start + last), slice(start, stop),
-                   m[first:last, first:last])
-
-
 def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     """Phi(x) = sum_i E_i x E_i^dag.
 
-    A band channel with multipliers off offset 0 keeps, in each shifted
-    product, only the rows a whose source a + o lies in the support window
-    of x; the terms it drops are exact zeros.
+    A band channel with multipliers off offset 0 first finds the support
+    window [lo, hi) of x, the smallest index range holding every nonzero row
+    and column. Each shifted product then keeps only the rows a whose source
+    a + o lies in [lo, hi), and offsets that miss it are skipped; the terms
+    dropped are exact zeros.
     """
     x = _check_dims(ch, x)
     if ch.multipliers is None:
         e = ch.kraus_ops
         return ((e @ x) @ e.conj().transpose(0, 2, 1)).sum(axis=0)
     out = ch._products[0][2] * x
-    for target, source, m in _shifted(ch, x, adjoint=False):
-        out[target, target] += m * x[source, source]
+    if len(ch._products) > 1:
+        (used,) = np.nonzero(x.any(axis=0) | x.any(axis=1))
+        lo, hi = (int(used[0]), int(used[-1]) + 1) if used.size else (0, 0)
+        for rows, cols, m in ch._products[1:]:
+            start, stop = max(lo, cols.start), min(hi, cols.stop)
+            if start < stop:
+                first, last = start - cols.start, stop - cols.start
+                target = slice(rows.start + first, rows.start + last)
+                out[target, target] += m[first:last, first:last] * x[start:stop, start:stop]
     if ch.transfer is not None:
         out.reshape(-1)[::ch.dim + 1] += ch.transfer @ x.diagonal()
     return out
@@ -428,16 +416,15 @@ def adjoint_apply(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     """Conjugate map Phi*(x) = sum_i E_i^dag x E_i.
 
     Satisfies tr(x1 Phi*(x2)) = tr(Phi(x1) x2); unital exactly when Phi is
-    trace-preserving. Shifted products keep only the rows a that lie in the
-    support window of x, as in :func:`apply_channel`.
+    trace-preserving.
     """
     x = _check_dims(ch, x)
     if ch.multipliers is None:
         e = ch.kraus_ops
         return ((e.conj().transpose(0, 2, 1) @ x) @ e).sum(axis=0)
     out = ch._products[0][2].conj() * x
-    for target, source, m in _shifted(ch, x, adjoint=True):
-        out[target, target] += m.conj() * x[source, source]
+    for rows, cols, m in ch._products[1:]:
+        out[cols, cols] += m.conj() * x[rows, rows]
     if ch.transfer is not None:
         out.reshape(-1)[::ch.dim + 1] += x.diagonal() @ ch.transfer
     return out

@@ -27,7 +27,6 @@ from collections import Counter
 import numpy as np
 
 from .channels import (
-    MAX_SUPEROPERATOR_DIM,
     KrausChannel,
     _check_bytes,
     apply_channel,
@@ -45,7 +44,7 @@ from .encodings import (
 )
 from .errors import ResourceLimitError
 from .families import amplitude_damping, depolarizing, phase_damping
-from .fidelity import QUADRATURE_NODES, average_fidelity_closed, average_fidelity_quadrature
+from .fidelity import average_fidelity_closed, average_fidelity_quadrature
 from .fileio import load_channel, load_coefficient_rows
 from .fock import hs_norm
 from .subspaces import Subspace, fixed_point_space, invariant_hull_check
@@ -65,8 +64,7 @@ _CONFIG_CONVERTERS = {
     "channel": str, "eta": float, "p": float, "dim": int,
     "kraus-file": str, "levels": str, "encoding-file": str, "out": str,
     "eta-start": float, "eta-end": float, "steps": int, "restarts": int,
-    "seed": int, "max-level": int, "block": int, "tol": float,
-    "n-theta": int, "n-phi": int, "quadrature": None,
+    "seed": int, "max-level": int, "block": int, "tol": float, "quadrature": None,
 }
 
 
@@ -202,9 +200,7 @@ def _cmd_fidelity(args) -> int:
     enc = _build_encoding(args, ch.dim)
     closed = average_fidelity_closed(ch, enc)
     if args.quadrature:
-        n_theta = QUADRATURE_NODES if args.n_theta is None else args.n_theta
-        n_phi = QUADRATURE_NODES if args.n_phi is None else args.n_phi
-        quad = average_fidelity_quadrature(ch, enc, n_theta, n_phi)
+        quad = average_fidelity_quadrature(ch, enc)
     print(_channel_summary(ch))
     print(f"encoding: {enc.label}")
     print(f"average fidelity (closed form): {_fmt(closed.value)}")
@@ -362,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fid.add_argument("--encoding-file", default=None, help="one coefficient row per code word")
     p_fid.add_argument("--quadrature", action="store_true",
                        help="also run the qubit quadrature oracle and print the gap")
-    p_fid.add_argument("--n-theta", type=int, default=None)
-    p_fid.add_argument("--n-phi", type=int, default=None)
     p_fid.set_defaults(func=_cmd_fidelity)
 
     p_hull = sub.add_parser("hull-check", help="invariant-hull membership of a subspace")
@@ -377,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Basis of {x : Phi(x) = x}. Band channels (pd, ad, dep, and "
                     "custom channels whose operators each sit on one diagonal) "
                     "take one SVD per coherence order and run to dim 256; other "
-                    "channels take the SVD of the dense superoperator, up to "
-                    f"dim {MAX_SUPEROPERATOR_DIM}.",
+                    "channels take the SVD of the dense superoperator, which "
+                    "holds it three times over, up to dim 48.",
     )
     _add_channel_flags(p_fix)
     p_fix.add_argument(

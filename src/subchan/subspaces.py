@@ -295,7 +295,9 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
     coherence-order blocks of size dim - |q|, and each null vector lies on
     diagonal q of a member: O(dim^4) time and O(dim^2) memory per block.
     Any other channel is one block, the dense dim^2 x dim^2
-    ``superoperator_of``, so the size guard limits it to dim <= 64.
+    ``superoperator_of``. Before each SVD, the block, U and Vh (three
+    blocks' worth of complex entries) go through the size guard, which
+    limits the dense block to dim <= 48.
     Members come in block order (ascending q), then ascending singular
     value. Before they are allocated, their count * dim^2 complex entries
     go through the size guard.
@@ -305,7 +307,10 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
         raise ValueError(f"fixed-point cutoff must be positive and finite, got {tol}")
     found = []
     for positions, block in _coherence_blocks(ch):
-        block.reshape(-1)[::block.shape[0] + 1] -= 1.0
+        size = block.shape[0]
+        _check_bytes(3 * block.size * COMPLEX_BYTES,
+                     f"the SVD of a {size} x {size} superoperator block")
+        block.reshape(-1)[::size + 1] -= 1.0
         _, svals, vh = np.linalg.svd(block)
         found.append((positions, vh[svals < tol][::-1].conj()))
     n = ch.dim

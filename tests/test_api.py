@@ -1,7 +1,8 @@
 """Guards on the public signatures: tolerances and sample counts are module
 constants, not per-call options, so no caller can loosen a check. Beside
 them, guards on the source: one size limit read by one size guard, which
-every allocation estimate goes through, and no unused imports."""
+every allocation estimate goes through, no unused imports, and no private
+helper that nothing reads."""
 
 import ast
 import dataclasses
@@ -77,7 +78,7 @@ def test_no_sample_tail_rank_or_phase_options():
 
 
 def test_kernels_and_quadrature_keep_their_parameters():
-    # The support window of the band kernels and the vectorized quadrature
+    # The support window of apply_channel and the vectorized quadrature
     # nodes are internal: neither adds an option.
     signatures = _public_signatures()
     params = {name: list(signatures[f"subchan.{name}"].parameters) for name in (
@@ -151,6 +152,10 @@ def _guarded_calls():
     below the refused bytes, so the guard under test is the first to refuse."""
     pd8, pd32 = phase_damping(0.5, 8), phase_damping(0.5, 32)
     ad8, ad16 = amplitude_damping(0.5, 8), amplitude_damping(0.5, 16)
+    # A random unitary spans every offset, so it has no band form.
+    rng = np.random.default_rng(4)
+    dense4 = channels.KrausChannel(
+        np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0])
     sweep = build_parser().parse_args([
         "sweep", "--channel", "pd", "--eta-start", "0.1", "--eta-end", "0.9",
         "--steps", "1000", "--levels", "0,1", "--dim", "8"])
@@ -162,6 +167,8 @@ def _guarded_calls():
                           "the superoperator at dim 16"),
         "fixed points": (partial(fixed_point_space, pd32), 32 * 32**2 * 16,
                          "32 fixed points at dim 32"),
+        "fixed-point SVD": (partial(fixed_point_space, dense4), 3 * 16**2 * 16,
+                            "the SVD of a 16 x 16 superoperator block"),
         "restrict": (partial(restrict, ad16, Subspace.from_levels(range(8), 16)), 8**4 * 16,
                      "the restriction to a 8-dimensional subspace"),
         "quadrature": (partial(average_fidelity_quadrature, pd8, Subspace.from_levels([0, 1], 8)),
@@ -237,7 +244,7 @@ def test_bloch_form_holds_one_array_beside_g():
 
 
 # ---------------------------------------------------------------------------
-# Unused imports
+# Unused imports and private helpers
 # ---------------------------------------------------------------------------
 
 
@@ -263,3 +270,20 @@ def _unused_imports(path):
 def test_no_unused_imports(path):
     # The package __init__ imports are its exports.
     assert _unused_imports(path) == []
+
+
+def test_every_private_helper_has_a_reader():
+    # A private function or method of the package that no name or attribute
+    # in the package reads has no caller, and is deleted rather than kept.
+    defined, read = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and (
+                    not node.name.endswith("__")):
+                defined.add((path.stem, node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert len(defined) > 40
+    assert sorted((module, name) for module, name in defined if name not in read) == []

@@ -461,14 +461,16 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key" in err
 
-    def test_kraus_terms_key_is_unknown(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key", ["kraus-terms=3", "n-theta=16", "n-phi=16"])
+    def test_kraus_terms_key_is_unknown(self, capsys, tmp_path, key):
         # Phase damping is the exact multiplier; no truncation is selectable.
+        # The quadrature grid is exact at its default, so neither is its size.
         cfg = tmp_path / "cfg"
-        cfg.write_text("channel=pd\neta=0.5\ndim=8\nlevels=0,1\nkraus-terms=3\n")
+        cfg.write_text(f"channel=pd\neta=0.5\ndim=8\nlevels=0,1\n{key}\n")
         code, out, err = run(capsys, "fidelity", "--config", str(cfg))
         assert code == 1
         assert out == ""
-        assert "unknown config key 'kraus-terms'" in err
+        assert f"unknown config key {key.partition('=')[0]!r}" in err
 
     def test_malformed_line_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"

@@ -163,7 +163,7 @@ class TestRealizeEncoding:
         assert subspace_overlap(sub, Subspace.from_levels([1, 3, 5], 6)) == pytest.approx(1.0)
         assert np.array_equal(sub.basis[0], np.eye(6)[3])
 
-    def test_param_count_checked(self):
+    def test_frame_shape_checked(self):
         with pytest.raises(ValueError, match="expected a \\(d, 3\\) frame"):
             realize_encoding([0, 1, 2], np.eye(2), dim=8)
 
@@ -184,10 +184,10 @@ class TestRealizeEncoding:
         assert np.max(np.abs(b @ b.conj().T - np.eye(2))) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_zero_parameters_give_lowest_pair(self, n):
-        # In the gauge a code's parameters are its coefficients off the two
-        # leading entries. All zero is span{|0>, |1>}, and the gauge writes
-        # any basis of that span, phases and rotation included, so.
+    def test_identity_frame_is_the_lowest_pair(self, n):
+        # The identity frame on levels 0..n-1 places span{|0>, |1>}, and the
+        # gauge writes any basis of that span, phases and rotation included,
+        # as the identity frame.
         sub = realize_encoding(range(n), np.eye(2, n), dim=8)
         assert subspace_overlap(sub, Subspace.from_levels([0, 1], 8)) == pytest.approx(
             1.0, abs=1e-15)

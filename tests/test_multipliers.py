@@ -5,9 +5,10 @@ population-transfer matrix T of the diagonal ones. Every kernel that reads
 them is checked here against dense Kraus sums, one operator at a time, and
 the closed-form phase damping multiplier against the Poisson Kraus family
 summed term by term. Inputs supported on a few levels check the support
-window of ``apply_channel`` and ``adjoint_apply`` against the same sums and
-against the full-size products, and the compression of a channel onto a
-window of levels against the same sums cut to that window.
+window of ``apply_channel``, and the full-size band sums of
+``adjoint_apply``, against the same sums and against the full-size
+products, and the compression of a channel onto a window of levels against
+the same sums cut to that window.
 """
 
 import numpy as np
