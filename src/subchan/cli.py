@@ -53,12 +53,15 @@ from .tolerances import FIXED_POINT_TOL, TIE_TOL
 DEFAULT_DIM = 32
 DEFAULT_STEPS = 11
 
-CHANNEL_ALIASES = {
-    "pd": "pd", "phase-damping": "pd",
-    "ad": "ad", "amplitude-damping": "ad",
-    "dep": "dep", "depolarizing": "dep",
-    "custom": "custom",
+# Each parametric family under its short and its long --channel name: (long
+# name, also the built channel's ``family``; constructor; parameter flag).
+FAMILIES = {
+    "pd": ("phase-damping", phase_damping, "eta"),
+    "ad": ("amplitude-damping", amplitude_damping, "eta"),
+    "dep": ("depolarizing", depolarizing, "p"),
 }
+FAMILIES.update({family[0]: family for family in FAMILIES.values()})
+CHANNELS = sorted([*FAMILIES, "custom"])
 
 _CONFIG_CONVERTERS = {
     "channel": str, "eta": float, "p": float, "dim": int,
@@ -122,7 +125,7 @@ def _merge_config(args: argparse.Namespace, config: dict[str, str]) -> None:
 
 
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--channel", choices=sorted(CHANNEL_ALIASES), default=None,
+    parser.add_argument("--channel", choices=CHANNELS, default=None,
                         help="channel family: pd, ad, dep, or custom")
     parser.add_argument("--eta", type=float, default=None,
                         help="damping parameter for pd/ad")
@@ -136,30 +139,27 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
                         help="key=value defaults file; flags override it")
 
 
-def _build_channel(args: argparse.Namespace) -> KrausChannel:
+def _add_code_flags(parser: argparse.ArgumentParser, levels_help: str = "Fock levels, e.g. 0,1,2",
+                    file_help: str = "one coefficient row per code word") -> None:
+    parser.add_argument("--levels", default=None, help=levels_help)
+    parser.add_argument("--encoding-file", default=None, help=file_help)
+
+
+def _build_channel(args: argparse.Namespace, value: float | None = None) -> KrausChannel:
+    """The channel --channel names; a given ``value`` replaces its parameter flag."""
     if args.channel is None:
         raise ValueError("--channel is required")
-    if args.channel not in CHANNEL_ALIASES:
-        raise ValueError(
-            f"unknown channel {args.channel!r}; choose from {sorted(CHANNEL_ALIASES)}"
-        )
-    tag = CHANNEL_ALIASES[args.channel]
-    dim = DEFAULT_DIM if args.dim is None else args.dim
-    if tag == "pd":
-        if args.eta is None:
-            raise ValueError("phase damping needs --eta")
-        return phase_damping(args.eta, dim)
-    if tag == "ad":
-        if args.eta is None:
-            raise ValueError("amplitude damping needs --eta")
-        return amplitude_damping(args.eta, dim)
-    if tag == "dep":
-        if args.p is None:
-            raise ValueError("depolarizing needs --p")
-        return depolarizing(args.p, dim)
-    if args.kraus_file is None:
-        raise ValueError("--channel custom needs --kraus-file")
-    return load_channel(args.kraus_file)
+    if args.channel not in CHANNELS:
+        raise ValueError(f"unknown channel {args.channel!r}; choose from {CHANNELS}")
+    if args.channel == "custom":
+        if args.kraus_file is None:
+            raise ValueError("--channel custom needs --kraus-file")
+        return load_channel(args.kraus_file)
+    name, build, param = FAMILIES[args.channel]
+    value = getattr(args, param) if value is None else value
+    if value is None:
+        raise ValueError(f"{name.replace('-', ' ')} needs --{param}")
+    return build(value, DEFAULT_DIM if args.dim is None else args.dim)
 
 
 def _parse_levels(raw: str) -> list[int]:
@@ -182,7 +182,7 @@ def _build_encoding(args: argparse.Namespace, dim: int) -> Subspace:
 
 
 def _channel_summary(ch: KrausChannel) -> str:
-    param = "p" if ch.family == "depolarizing" else "eta"
+    param = FAMILIES[ch.family][2] if ch.family in FAMILIES else "eta"
     value = "-" if ch.eta is None else _fmt(ch.eta)
     return (
         f"channel: {ch.family} ({param}={value}, dim={ch.dim}, "
@@ -279,15 +279,14 @@ def _cmd_sweep(args) -> int:
         raise ValueError(
             f"need 0 <= eta_start <= eta_end <= 1, got {args.eta_start}, {args.eta_end}"
         )
-    if CHANNEL_ALIASES.get(args.channel) == "custom":
+    if args.channel == "custom":
         raise ValueError("sweep needs a parametric family (pd, ad, or dep)")
     dim = DEFAULT_DIM if args.dim is None else args.dim
     enc = _build_encoding(args, dim)
     grid = np.linspace(args.eta_start, args.eta_end, steps)
     rows = np.empty((steps, 3))  # closed form, quadrature, gap
     for eta, row in zip(grid, rows):
-        args.eta = args.p = float(eta)
-        ch = _build_channel(args)
+        ch = _build_channel(args, float(eta))
         closed = average_fidelity_closed(ch, enc).value
         quad = average_fidelity_quadrature(ch, enc).value
         row[:] = closed, quad, abs(closed - quad)
@@ -353,17 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fid = sub.add_parser("fidelity", help="Haar-averaged transmission fidelity")
     _add_channel_flags(p_fid)
-    p_fid.add_argument("--levels", default=None,
-                       help="Fock levels, e.g. 0,1 or 0,1,2 (--quadrature needs two)")
-    p_fid.add_argument("--encoding-file", default=None, help="one coefficient row per code word")
+    _add_code_flags(p_fid, "Fock levels, e.g. 0,1 or 0,1,2 (--quadrature needs two)")
     p_fid.add_argument("--quadrature", action="store_true",
                        help="also run the qubit quadrature oracle and print the gap")
     p_fid.set_defaults(func=_cmd_fidelity)
 
     p_hull = sub.add_parser("hull-check", help="invariant-hull membership of a subspace")
     _add_channel_flags(p_hull)
-    p_hull.add_argument("--levels", default=None, help="Fock levels, e.g. 0,1,2")
-    p_hull.add_argument("--encoding-file", default=None, help="one coefficient row per code word")
+    _add_code_flags(p_hull)
     p_hull.set_defaults(func=_cmd_hull_check)
 
     p_fix = sub.add_parser(
@@ -401,9 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="fidelity across an eta grid, optional CSV")
     _add_channel_flags(p_sweep)
-    p_sweep.add_argument("--levels", default=None,
-                         help="Fock pair, e.g. 0,1 (the quadrature needs two)")
-    p_sweep.add_argument("--encoding-file", default=None, help="two coefficient rows, a qubit code")
+    _add_code_flags(p_sweep, "Fock pair, e.g. 0,1 (the quadrature needs two)",
+                    "two coefficient rows, a qubit code")
     p_sweep.add_argument("--eta-start", type=float, default=None)
     p_sweep.add_argument("--eta-end", type=float, default=None)
     p_sweep.add_argument("--steps", type=int, default=None,

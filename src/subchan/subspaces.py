@@ -295,9 +295,10 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
     coherence-order blocks of size dim - |q|, and each null vector lies on
     diagonal q of a member: O(dim^4) time and O(dim^2) memory per block.
     Any other channel is one block, the dense dim^2 x dim^2
-    ``superoperator_of``. Before each SVD, the block, U and Vh (three
-    blocks' worth of complex entries) go through the size guard, which
-    limits the dense block to dim <= 48.
+    ``superoperator_of``. Before any block is built, the largest block, its U
+    and its Vh (three blocks' worth of complex entries) go through the size
+    guard, which limits the dense block to dim <= 48 and a band channel to
+    dim <= 2364.
     Members come in block order (ascending q), then ascending singular
     value. Before they are allocated, their count * dim^2 complex entries
     go through the size guard.
@@ -305,15 +306,16 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"fixed-point cutoff must be positive and finite, got {tol}")
+    n = ch.dim
+    largest = n if ch.multipliers is not None else n * n
+    _check_bytes(3 * largest**2 * COMPLEX_BYTES,
+                 f"the SVD of a {largest} x {largest} superoperator block")
     found = []
     for positions, block in _coherence_blocks(ch):
         size = block.shape[0]
-        _check_bytes(3 * block.size * COMPLEX_BYTES,
-                     f"the SVD of a {size} x {size} superoperator block")
         block.reshape(-1)[::size + 1] -= 1.0
         _, svals, vh = np.linalg.svd(block)
         found.append((positions, vh[svals < tol][::-1].conj()))
-    n = ch.dim
     count = sum(len(null) for _, null in found)
     _check_bytes(count * n * n * COMPLEX_BYTES, f"{count} fixed points at dim {n}")
     # Row k holds vec(x_k), so x_k is its reshape, transposed.

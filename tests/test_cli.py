@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
 import subchan.channels
+import subchan.cli
 from subchan.channels import KrausChannel
 from subchan.cli import main
 from subchan.families import amplitude_damping, phase_damping
@@ -22,22 +26,51 @@ def qutrit_file(tmp_path):
     return str(path)
 
 
+class TestHelp:
+    @pytest.mark.parametrize("command", [
+        [], ["fidelity"], ["hull-check"], ["fixed-points"], ["optimize"], ["sweep"],
+        ["verify"], ["pairs"]])
+    def test_help_exits_0_with_usage(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(" ".join(["usage: subchan", *command]))
+
+    def test_no_function_assigns_to_args(self):
+        # Subcommands read their flags; the config merge's setattr calls are
+        # the only writes to the namespace.
+        tree = ast.parse(Path(subchan.cli.__file__).read_text())
+        writes = [
+            (func.name, target.attr)
+            for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for assigned in getattr(node, "targets", [getattr(node, "target", None)])
+            for target in ast.walk(assigned)
+            if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "args"
+        ]
+        assert writes == []
+
+
 class TestFidelityCommand:
     def test_phase_damping_value(self, capsys):
-        code, out, _ = run(
-            capsys, "fidelity", "--channel", "pd", "--eta", "0.5",
-            "--levels", "0,1", "--dim", "32",
-        )
-        assert code == 0
-        assert "0.833333333333" in out
+        for channel in ("pd", "phase-damping"):
+            code, out, _ = run(
+                capsys, "fidelity", "--channel", channel, "--eta", "0.5",
+                "--levels", "0,1", "--dim", "32",
+            )
+            assert code == 0
+            assert "0.833333333333" in out
 
     def test_amplitude_damping_value(self, capsys):
-        code, out, _ = run(
-            capsys, "fidelity", "--channel", "ad", "--eta", "0.25",
-            "--levels", "0,1", "--dim", "32",
-        )
-        assert code == 0
-        assert "0.708333333333" in out
+        for channel in ("ad", "amplitude-damping"):
+            code, out, _ = run(
+                capsys, "fidelity", "--channel", channel, "--eta", "0.25",
+                "--levels", "0,1", "--dim", "32",
+            )
+            assert code == 0
+            assert "0.708333333333" in out
 
     def test_quadrature_flag_prints_gap(self, capsys):
         code, out, _ = run(
@@ -131,6 +164,20 @@ class TestFidelityCommand:
         assert code == 1
         assert "encoding" in err
         assert "--levels (e.g. 0,1,2)" in err
+
+    @pytest.mark.parametrize("channel, needs", [
+        ("pd", "phase damping needs --eta"), ("phase-damping", "phase damping needs --eta"),
+        ("ad", "amplitude damping needs --eta"),
+        ("amplitude-damping", "amplitude damping needs --eta"),
+        ("dep", "depolarizing needs --p"), ("depolarizing", "depolarizing needs --p"),
+        ("custom", "--channel custom needs --kraus-file")])
+    def test_missing_parameter_is_domain_error(self, capsys, channel, needs):
+        # The other family's flag does not stand in for the missing one.
+        other = "--eta" if needs.endswith("--p") else "--p"
+        code, out, err = run(
+            capsys, "fidelity", "--channel", channel, other, "0.5", "--levels", "0,1")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {needs}"]
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -364,10 +411,11 @@ class TestSweepCommand:
         assert all(float(line.split(",")[3]) <= 1e-10 for line in lines[1:])
 
     def test_byte_stable(self, capsys, tmp_path):
+        # The short and the long name of a family write the same bytes.
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        for path in paths:
+        for path, channel in zip(paths, ("ad", "amplitude-damping")):
             code, _, _ = run(
-                capsys, "sweep", "--channel", "ad", "--eta-start", "0.2",
+                capsys, "sweep", "--channel", channel, "--eta-start", "0.2",
                 "--eta-end", "0.8", "--steps", "4", "--levels", "0,1",
                 "--dim", "6", "--out", str(path),
             )
@@ -442,10 +490,12 @@ class TestSweepCommand:
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"
-        cfg.write_text("# defaults\nchannel=ad\neta=0.25\ndim=16\nlevels=0,1\n")
-        code, out, _ = run(capsys, "fidelity", "--config", str(cfg))
-        assert code == 0
-        assert "0.708333333333" in out
+        for family, value in (("channel=ad\neta=0.25", "0.708333333333"),
+                              ("channel=depolarizing\np=0.3", "0.34375")):
+            cfg.write_text(f"# defaults\n{family}\ndim=16\nlevels=0,1\n")
+            code, out, _ = run(capsys, "fidelity", "--config", str(cfg))
+            assert code == 0
+            assert f"average fidelity (closed form): {value}\n" in out
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"

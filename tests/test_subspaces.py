@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -426,6 +428,30 @@ class TestFixedPoints:
         assert ch.multipliers is None
         with pytest.raises(ResourceLimitError, match="superoperator"):
             fixed_point_space(ch)
+
+    def test_svd_guard_refuses_before_any_block_is_built(self, monkeypatch):
+        # The largest block's SVD is estimated first: a dense channel is refused
+        # before its dim^4 superoperator is built, and a band channel before
+        # its smaller blocks are built and decomposed.
+        dim = 6
+        dense = KrausChannel(_random_unitary(dim, np.random.default_rng(6)))
+        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 3 * dim**4 * 16 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="^the SVD of a 36 x 36 "):
+                fixed_point_space(dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dim**4 * 16
+
+        def no_blocks(ch):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 3 * dim**2 * 16 - 1)
+        monkeypatch.setattr(subchan.subspaces, "_coherence_blocks", no_blocks)
+        with pytest.raises(ResourceLimitError, match="^the SVD of a 6 x 6 "):
+            fixed_point_space(phase_damping(0.5, dim))
 
     def test_member_size_guard(self, monkeypatch):
         # The identity fixes all 65^2 matrix units: 65^4 complex entries, about
