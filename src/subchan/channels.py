@@ -41,8 +41,8 @@ there, can instead take the channel's compression onto it once
 A diagonal multiplier only moves populations, Phi(x)[a, a] picks up
 M_o[a, a] x[a+o, a+o]. All of them, on every offset, are kept together as
 one population-transfer matrix T[a, a+o] = M_o[a, a] (``transfer``) and
-applied as one product T @ diag(x). Band terms that are all single matrix
-units go there, as do multipliers passed as their diagonal.
+applied as one product T @ diag(x). It can be passed as ``transfer``, and
+band terms that are all single matrix units are added onto it.
 
 Every built-in family is a band channel: phase damping is the closed-form
 M_0[a, b] = eta^((a-b)^2), amplitude damping has one rank-one multiplier
@@ -114,19 +114,21 @@ class KrausChannel:
     Parameters
     ----------
     kraus_ops : array_like, optional
-        Stack of shape (terms, dim, dim). Excludes ``bands`` and
-        ``multipliers``.
+        Stack of shape (terms, dim, dim). Excludes ``bands``,
+        ``multipliers`` and ``transfer``.
     bands : dict, optional
         ``{offset: terms}`` with ``terms`` of shape (terms_o, dim - |offset|):
         row i holds the diagonal ``np.diagonal(E_i, offset)`` of an operator
         whose other entries are zero. Real terms stay real.
     multipliers : dict, optional
         ``{offset: M_o}``: a positive semidefinite (dim - |offset|) square
-        matrix, taken as it is (PSD is not checked), or a real nonnegative
-        vector holding the diagonal of a diagonal multiplier. May be given
-        together with ``bands``; the channel is then their sum.
+        matrix, taken as it is (PSD is not checked).
+    transfer : array_like, optional
+        Real nonnegative (dim, dim) population-transfer matrix T, stored as
+        ``transfer``. ``bands``, ``multipliers`` and ``transfer`` may be
+        given together; the channel is then their sum.
 
-        A NaN or inf entry in any of the three raises ValueError.
+        A NaN or inf entry in any of the four raises ValueError.
     family : str
         One of "phase-damping", "amplitude-damping", "depolarizing",
         "custom".
@@ -146,8 +148,8 @@ class KrausChannel:
         Square multipliers M_o by ascending offset (read-only arrays); None
         when some operator spans several offsets.
     transfer : ndarray or None
-        Real (dim, dim) population-transfer matrix T of the diagonal
-        multipliers, read-only; None when there are none.
+        Real (dim, dim) population-transfer matrix T: the given ``transfer``
+        plus the unit bands, read-only; None when it is zero.
     tp_defect : float
         Operator norm of (sum_i E_i^dag E_i - I) on the full truncated
         space, computed at construction: 0 for the exact built-in families
@@ -161,11 +163,12 @@ class KrausChannel:
         *,
         bands: dict[int, np.ndarray] | None = None,
         multipliers: dict[int, np.ndarray] | None = None,
+        transfer=None,
         family: str = "custom",
         eta: float | None = None,
     ):
-        if (kraus_ops is None) == (bands is None and multipliers is None):
-            raise ValueError("provide kraus_ops, or bands and/or multipliers")
+        if (kraus_ops is None) == (bands is None and multipliers is None and transfer is None):
+            raise ValueError("provide kraus_ops, or any of bands, multipliers and transfer")
         if family not in KNOWN_FAMILIES:
             raise ValueError(f"unknown channel family {family!r}")
         self.family = family
@@ -185,12 +188,12 @@ class KrausChannel:
             stack.flags.writeable = False
             self._stack = stack
             bands = _detect_bands(stack)
-        if bands is None and multipliers is None:
+        if bands is None and multipliers is None and transfer is None:
             self.dim = int(self._stack.shape[1])
             self.multipliers = self.transfer = None
         else:
             self.dim, self.multipliers, self._ranks, self.transfer = _fold(
-                bands or {}, multipliers or {})
+                bands or {}, multipliers or {}, transfer)
         if self._stack is not None:
             self.kraus_truncation = int(self._stack.shape[0])
         else:
@@ -272,25 +275,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _fold(bands, multipliers):
+def _fold(bands, multipliers, transfer):
     """(dim, square multipliers by ascending offset, their term counts, T or None).
 
-    A band whose terms each hold exactly one nonzero entry goes into T, its
-    squared entries summed per position; any other band becomes the square
-    multiplier e^T conj(e) (one GEMM, a real one for real terms) and counts
-    its terms. A square multiplier counts its size, a diagonal one goes into
-    T. Diagonal multipliers lie on distinct offsets, so each is written onto
-    its diagonal of T; one sign check over T follows, then the unit bands
-    are added.
+    T starts as a float copy of ``transfer`` (checked real and nonnegative),
+    or as zeros. A band whose terms each hold exactly one nonzero entry is
+    added onto T, its squared entries summed per position; any other band
+    becomes the square multiplier e^T conj(e) (one GEMM, a real one for real
+    terms) and counts its terms. A square multiplier counts its size.
     """
-    parts = [("band", int(o), _float_or_complex(e)) for o, e in bands.items()]
-    parts += [("multiplier", int(o), _float_or_complex(m)) for o, m in multipliers.items()]
-    for kind, offset, a in parts:
-        square = a.ndim == 2 and a.shape[0] == a.shape[1]
-        if 0 in a.shape or not (a.ndim == 2 if kind == "band" else a.ndim == 1 or square):
-            raise ValueError(f"{kind} {offset} has shape {a.shape}")
-        if kind == "multiplier" and a.ndim == 1 and a.dtype.kind == "c":
-            raise ValueError(f"diagonal multiplier {offset} must be real and nonnegative")
+    parts = [(f"band {o}", int(o), _float_or_complex(e)) for o, e in bands.items()]
+    parts += [(f"multiplier {o}", int(o), _float_or_complex(m)) for o, m in multipliers.items()]
+    parts += [] if transfer is None else [("transfer", 0, _float_or_complex(transfer))]
+    for name, _, a in parts:
+        if 0 in a.shape or a.ndim != 2 or not (name[:4] == "band" or a.shape[0] == a.shape[1]):
+            raise ValueError(f"{name} has shape {a.shape}")
     dims = {a.shape[-1] + abs(offset) for _, offset, a in parts}
     if not dims:
         raise ValueError("band storage needs at least one offset")
@@ -299,31 +298,24 @@ def _fold(bands, multipliers):
     n = dims.pop()
     # One check over all parts: per part, its fixed cost would exceed the fold.
     if not np.isfinite(np.concatenate([a.ravel() for _, _, a in parts])).all():
-        kind, offset, _ = next(part for part in parts if not np.isfinite(part[2]).all())
-        raise ValueError(f"{kind} {offset} holds a non-finite entry")
-    full, ranks, diagonals, units = {}, {}, [], []
-    for kind, offset, a in parts:
-        if kind == "band" and np.all(np.count_nonzero(a, axis=1) == 1):
-            units.append((offset, (np.abs(a) ** 2).sum(axis=0)))
-        elif a.ndim == 1:
-            diagonals.append((offset, a))
+        name = next(name for name, _, a in parts if not np.isfinite(a).all())
+        raise ValueError(f"{name} holds a non-finite entry")
+    if transfer is not None:
+        transfer = parts.pop()[2]
+        if transfer.dtype.kind == "c" or transfer.min() < 0:
+            raise ValueError("transfer must be real and nonnegative")
+    t = np.zeros((n, n)) if transfer is None else np.array(transfer, dtype=float)
+    full, ranks = {}, {}
+    for name, offset, a in parts:
+        band = name[:4] == "band"
+        if band and np.all(np.count_nonzero(a, axis=1) == 1):
+            t.reshape(-1)[_diagonal(offset, n)] += (np.abs(a) ** 2).sum(axis=0)
         else:
-            m = a.T @ a.conj() if kind == "band" else a.copy()
+            m = a.T @ a.conj() if band else a.copy()
             full[offset] = full[offset] + m if offset in full else m
             ranks[offset] = ranks.get(offset, 0) + a.shape[0]
     full = {o: _readonly(full[o]) for o in sorted(full)}
-    if not units and not diagonals:
-        return n, full, ranks, None
-    transfer = np.zeros((n, n))
-    flat = transfer.reshape(-1)
-    for offset, w in diagonals:
-        flat[_diagonal(offset, n)] = w
-    if transfer.min() < 0:
-        offset = next(o for o, w in diagonals if np.any(w < 0))
-        raise ValueError(f"diagonal multiplier {offset} must be real and nonnegative")
-    for offset, w in units:
-        flat[_diagonal(offset, n)] += w
-    return n, full, ranks, _readonly(transfer) if np.any(transfer) else None
+    return n, full, ranks, _readonly(t) if np.any(t) else None
 
 
 def _float_or_complex(a) -> np.ndarray:
@@ -435,10 +427,8 @@ def _compress(ch: KrausChannel, lo: int, hi: int) -> KrausChannel:
 
     A band channel keeps the blocks M_o[lo:hi-|o|, lo:hi-|o|] of its
     multipliers with |o| < hi - lo and the block T[lo:hi, lo:hi] of its
-    transfer matrix, each diagonal of which is passed as a diagonal
-    multiplier; where an offset holds both, M_o + diag(t_o) is passed (still
-    PSD). A dense channel keeps the blocks E_i[lo:hi, lo:hi]. The full range
-    is the channel itself.
+    transfer matrix (all zeros when it has none). A dense channel keeps the
+    blocks E_i[lo:hi, lo:hi]. The full range is the channel itself.
     """
     if (lo, hi) == (0, ch.dim):
         return ch
@@ -448,13 +438,8 @@ def _compress(ch: KrausChannel, lo: int, hi: int) -> KrausChannel:
     w = hi - lo
     multipliers = {o: m[lo:hi - abs(o), lo:hi - abs(o)]
                    for o, m in ch.multipliers.items() if abs(o) < w}
-    if ch.transfer is not None:
-        block = ch.transfer[lo:hi, lo:hi]
-        for o in range(1 - w, w):
-            t = np.diagonal(block, o)
-            if t.any():
-                multipliers[o] = multipliers[o] + np.diag(t) if o in multipliers else t
-    return KrausChannel(multipliers=multipliers or {0: np.zeros(w)}, **meta)
+    transfer = np.zeros((w, w)) if ch.transfer is None else ch.transfer[lo:hi, lo:hi]
+    return KrausChannel(multipliers=multipliers, transfer=transfer, **meta)
 
 
 def tp_defect_on_block(ch: KrausChannel, block: int) -> float:

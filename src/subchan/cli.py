@@ -13,7 +13,8 @@ files, resource guards), 2 usage error (unknown subcommand or flags).
 
 An optional --config FILE supplies flat key=value defaults mirroring flag
 names; explicit flags override file values. SUBCHAN_SEED in the environment
-seeds `optimize` when --seed is absent.
+seeds `optimize` when --seed is absent. A closed-form/quadrature gap above
+CROSS_CHECK_TOL is marked ABOVE TOLERANCE, as verify marks its defects.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .fidelity import average_fidelity_closed, average_fidelity_quadrature
 from .fileio import load_channel, load_coefficient_rows
 from .fock import hs_norm
 from .subspaces import Subspace, fixed_point_space, invariant_hull_check
-from .tolerances import FIXED_POINT_TOL, TIE_TOL
+from .tolerances import CROSS_CHECK_TOL, FIXED_POINT_TOL, TIE_TOL
 
 DEFAULT_DIM = 32
 DEFAULT_STEPS = 11
@@ -87,6 +88,11 @@ def _fmt_tol(x: float) -> str:
     return f"{mantissa}e{int(exponent)}"
 
 
+def _fmt_gap(gap: float) -> str:
+    """The closed-form/quadrature gap, marked when it exceeds CROSS_CHECK_TOL."""
+    return f"{gap:.3e}" + ("" if gap <= CROSS_CHECK_TOL else " (ABOVE TOLERANCE)")
+
+
 def _parse_bool(raw: str) -> bool:
     if raw.lower() in ("1", "true", "yes", "on"):
         return True
@@ -117,11 +123,14 @@ def _merge_config(args: argparse.Namespace, config: dict[str, str]) -> None:
         if not hasattr(args, attr):
             continue  # key belongs to another subcommand
         current = getattr(args, attr)
-        if key == "quadrature":
-            if current is False:
-                setattr(args, attr, _parse_bool(raw))
-        elif current is None:
-            setattr(args, attr, _CONFIG_CONVERTERS[key](raw))
+        try:
+            if key == "quadrature":
+                if current is False:
+                    setattr(args, attr, _parse_bool(raw))
+            elif current is None:
+                setattr(args, attr, _CONFIG_CONVERTERS[key](raw))
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
 
 
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
@@ -206,7 +215,7 @@ def _cmd_fidelity(args) -> int:
     print(f"average fidelity (closed form): {_fmt(closed.value)}")
     if args.quadrature:
         print(f"average fidelity (quadrature):  {_fmt(quad.value)}")
-        print(f"cross-check gap: {abs(closed.value - quad.value):.3e}")
+        print(f"cross-check gap: {_fmt_gap(abs(closed.value - quad.value))}")
     return 0
 
 
@@ -249,9 +258,12 @@ def _cmd_optimize(args) -> int:
     if args.levels is None:
         raise ValueError("--levels is required for optimize")
     levels = _parse_levels(args.levels)
-    seed = args.seed
-    if seed is None and os.environ.get("SUBCHAN_SEED"):
-        seed = int(os.environ["SUBCHAN_SEED"])
+    seed, raw = args.seed, os.environ.get("SUBCHAN_SEED")
+    if seed is None and raw:
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"SUBCHAN_SEED must be an integer, got {raw!r}") from None
     restarts = DEFAULT_RESTARTS if args.restarts is None else args.restarts
     result = optimize_encoding(ch, levels, restarts=restarts, seed=seed)
     print(_channel_summary(ch))
@@ -293,7 +305,7 @@ def _cmd_sweep(args) -> int:
     print(f"eta sweep ({args.channel}, dim={dim}, encoding {enc.label})")
     for eta, (closed, quad, gap) in zip(grid, rows):
         print(f"  eta={_fmt(eta)}  closed={_fmt(closed)}  quadrature={_fmt(quad)}  "
-              f"gap={gap:.3e}")
+              f"gap={_fmt_gap(gap)}")
     if args.out:
         try:
             handle = open(args.out, "w", newline="")

@@ -21,8 +21,8 @@ there. The code words are complex. F is not concave in general, so each
 step's gain is checked rather than assumed. A start ends when a step raises
 F by less than SEESAW_TOL (converged), when a step lowers F by more than
 ROUNDOFF (non-ascent: the start keeps the code before that step), or after
-MAX_STEPS steps (step cap). Any number of levels is searched whose G and K
-pass the size guard.
+MAX_STEPS steps (step cap). Any number of levels is searched whose G passes
+the size guard; K is folded into G's place.
 """
 
 from __future__ import annotations
@@ -105,13 +105,14 @@ def realize_encoding(levels, frame, dim: int) -> Subspace:
 
 
 def _bloch_form(g: np.ndarray) -> np.ndarray:
-    """K with F(P) = vec(P) . K . vec(P^T) for a code projector P on G's levels, built
-    in place in a transposed copy of G so that G and K are all it holds."""
-    n2 = g.shape[0] ** 2
-    k = np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(n2, n2)
-    k += g.reshape(n2, n2)
-    k /= 6
-    return k
+    """K with F(P) = vec(P) . K . vec(P^T) for a code projector P on G's levels, written
+    over G: K[a,b,c,e] = (G[a,b,c,e] + G[a,c,b,e]) / 6 is symmetric in b, c."""
+    n = g.shape[0]
+    for b in range(n):  # the slice pairs (b, c) and (c, b) for c >= b
+        pair = g[:, b, b:] + g[:, b:, b]
+        pair /= 6
+        g[:, b, b:] = g[:, b:, b] = pair
+    return g.reshape(n * n, n * n)
 
 
 def _ascent_point(k: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -195,10 +196,10 @@ def optimize_encoding(
     complex Gaussian) from a generator seeded once with ``seed``, so
     identical inputs give identical results. Every start's code is scored
     once by ``average_fidelity_closed`` at the channel's full truncation;
-    ties between starts resolve to the earliest one. The level tensor G and
-    the form K (2 n^4 complex entries) go through the size guard before they
-    are built; a repeated or out-of-range level raises ValueError (from
-    ``level_process_tensor``).
+    ties between starts resolve to the earliest one. The level tensor G
+    (n^4 complex entries, which K then overwrites) goes through the size
+    guard before it is built; a repeated or out-of-range level raises
+    ValueError (from ``level_process_tensor``).
     """
     levels = tuple(levels)
     n = len(levels)
@@ -206,7 +207,7 @@ def optimize_encoding(
         raise ValueError(f"need at least 2 levels, got {n}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    _check_bytes(2 * n**4 * COMPLEX_BYTES, f"a search on {n} levels")
+    _check_bytes(n**4 * COMPLEX_BYTES, f"a search on {n} levels")
 
     rng = np.random.default_rng(seed)
     # The channel is linear, so its action on the level block is frozen into

@@ -152,9 +152,8 @@ def depolarizing(p: float, dim: int) -> KrausChannel:
         raise ValueError(f"depolarizing requires 0 <= p <= 1, got {p}")
     _check_dim("depolarizing", dim)
     identity = {0: np.full((1, dim), np.sqrt(p))} if p > 0.0 else None
-    weights = np.full(dim, (1.0 - p) / dim)
-    replacement = {o: weights[abs(o):] for o in range(1 - dim, dim)} if p < 1.0 else None
-    return KrausChannel(bands=identity, multipliers=replacement,
+    replacement = np.full((dim, dim), (1.0 - p) / dim) if p < 1.0 else None
+    return KrausChannel(bands=identity, transfer=replacement,
                         family="depolarizing", eta=float(p))
 
 

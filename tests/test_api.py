@@ -173,7 +173,7 @@ def _guarded_calls():
                      "the restriction to a 8-dimensional subspace"),
         "quadrature": (partial(average_fidelity_quadrature, pd8, Subspace.from_levels([0, 1], 8)),
                        (16**2 + 4 * 16 * 16) * 16, "a 16 x 16 quadrature grid"),
-        "search": (partial(optimize_encoding, ad8, range(6), restarts=1), 2 * 6**4 * 16,
+        "search": (partial(optimize_encoding, ad8, range(6), restarts=1), 6**4 * 16,
                    "a search on 6 levels"),
         "sweep grid": (partial(sweep.func, sweep), 4 * 1000 * 8, "a sweep of 1000 steps"),
         "coefficient rows": (partial(encoding_from_coefficients, *[[1]] * 8, dim=64),
@@ -200,9 +200,10 @@ def test_each_guard_refuses_by_estimate(monkeypatch, guard):
 
 
 def test_thresholds_at_the_real_limit(monkeypatch):
-    # The families, the search and the restriction stop where they did
-    # before the guard was shared; the sentinels stand for the allocations
-    # a passing estimate leads to.
+    # The families and the restriction stop where they did before the guard
+    # was shared, and the search, which holds one n^4 array, where the
+    # restriction does; the sentinels stand for the allocations a passing
+    # estimate leads to.
     class Passed(Exception):
         pass
 
@@ -218,9 +219,9 @@ def test_thresholds_at_the_real_limit(monkeypatch):
     monkeypatch.setattr(subchan.subspaces, "apply_channel", passed)
     ch = amplitude_damping(0.5, 65)
     with pytest.raises(Passed):
-        optimize_encoding(ch, range(53), restarts=1)
-    with pytest.raises(ResourceLimitError, match="a search on 54 levels"):
-        optimize_encoding(ch, range(54), restarts=1)
+        optimize_encoding(ch, range(64), restarts=1)
+    with pytest.raises(ResourceLimitError, match="a search on 65 levels"):
+        optimize_encoding(ch, range(65), restarts=1)
     with pytest.raises(Passed):
         restrict(ch, Subspace.from_levels(range(64), 65))
     with pytest.raises(ResourceLimitError, match="restriction to a 65-dimensional"):
@@ -232,15 +233,20 @@ def test_bloch_form_holds_one_array_beside_g():
     n = 12
     rng = np.random.default_rng(12)
     g = rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4)
+    given = g.copy()
+    # K is folded into G's place. Beside it the fold holds one n^3 row of
+    # slice pairs and the ufunc buffers of that size, not a second n^4 array.
     tracemalloc.start()
     try:
         k = _bloch_form(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= g.nbytes + 4096
+    assert peak <= 4 * g.nbytes // n + 4096
+    assert np.shares_memory(k, g)
     n2 = n * n
-    assert np.array_equal(k, (g.reshape(n2, n2) + g.transpose(0, 2, 1, 3).reshape(n2, n2)) / 6)
+    expect = (given.reshape(n2, n2) + given.transpose(0, 2, 1, 3).reshape(n2, n2)) / 6
+    assert np.array_equal(k, expect)
 
 
 # ---------------------------------------------------------------------------

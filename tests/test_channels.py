@@ -97,9 +97,10 @@ class TestConstruction:
             KrausChannel(bands={0: [[1.0, bad, 1.0]]})
         with pytest.raises(ValueError, match="multiplier 1 holds a non-finite entry"):
             KrausChannel(multipliers={0: np.eye(3), 1: [[1.0, 0.0], [0.0, bad]]})
-        with pytest.raises(ValueError, match="multiplier -1 holds a non-finite entry"):
-            # A diagonal multiplier must be real: a complex one is refused for that.
-            KrausChannel(bands={0: [[1.0, 1.0, 1.0]]}, multipliers={-1: [abs(bad), 0.5]})
+        transfer = np.full((3, 3), 0.5, dtype=np.result_type(bad))
+        transfer[2, 1] = bad
+        with pytest.raises(ValueError, match="transfer holds a non-finite entry"):
+            KrausChannel(bands={0: [[1.0, 1.0, 1.0]]}, transfer=transfer)
 
 
 class TestKrausSizeGuard:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,29 @@ class TestFidelityCommand:
         assert code == 0
         assert "quadrature" in out
         assert "cross-check gap" in out
+
+    def test_gap_above_tolerance_is_marked(self, capsys, monkeypatch):
+        # A quadrature value shifted past CROSS_CHECK_TOL is reported, not
+        # refused: the gap line carries the mark and the command exits 0.
+        quadrature = subchan.cli.average_fidelity_quadrature
+
+        def shifted(ch, enc):
+            report = quadrature(ch, enc)
+            return dataclasses.replace(report, value=report.value + 1e-6)
+
+        argv = ["fidelity", "--channel", "ad", "--eta", "0.5", "--levels", "0,1",
+                "--dim", "8", "--quadrature"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "TOLERANCE" not in out
+        monkeypatch.setattr(subchan.cli, "average_fidelity_quadrature", shifted)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "cross-check gap: 1.000e-06 (ABOVE TOLERANCE)\n" in out
+        code, out, _ = run(capsys, "sweep", "--channel", "pd", "--eta-start", "0.2",
+                           "--eta-end", "0.8", "--steps", "2", "--levels", "0,1", "--dim", "6")
+        assert code == 0
+        gaps = [line.partition("gap=")[2] for line in out.splitlines() if "gap=" in line]
+        assert len(gaps) == 2 and all(gap.endswith(" (ABOVE TOLERANCE)") for gap in gaps)
 
     def test_quadrature_grid_guard_exits_1(self, capsys, monkeypatch):
         # The limit is lowered so that the default grid is refused by its
@@ -343,6 +367,13 @@ class TestOptimizeCommand:
             assert "seed: 17" in out
             outputs.append(out)
         assert outputs[0] == outputs[1]
+        monkeypatch.setenv("SUBCHAN_SEED", "abc")
+        code, out, err = run(
+            capsys, "optimize", "--channel", "ad", "--eta", "0.5", "--dim", "6",
+            "--levels", "0,1", "--restarts", "2",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: SUBCHAN_SEED must be an integer, got 'abc'\n"
 
     def test_reports_starts_and_code_words(self, capsys):
         code, out, _ = run(
@@ -381,16 +412,16 @@ class TestOptimizeCommand:
         assert np.any(coefficients.imag != 0)
 
     def test_level_guard_exits_1(self, capsys, monkeypatch):
-        # The limit is lowered one byte below three levels' estimate, which
+        # The limit is lowered one byte below four levels' estimate, which
         # refuses them; the channel at dim 6 needs less, and the level tensor
         # is never built.
-        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 2 * 3**4 * 16 - 1)
+        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 4**4 * 16 - 1)
         code, _, err = run(
             capsys, "optimize", "--channel", "ad", "--eta", "0.5", "--dim", "6",
-            "--levels", "0,1,2", "--restarts", "1",
+            "--levels", "0,1,2,3", "--restarts", "1",
         )
         assert code == 1
-        assert "a search on 3 levels needs" in err
+        assert "a search on 4 levels needs" in err
 
 
 class TestSweepCommand:
@@ -528,6 +559,14 @@ class TestConfigFile:
         code, _, err = run(capsys, "fidelity", "--config", str(cfg))
         assert code == 1
         assert "key=value" in err
+        # A value that does not parse names its key.
+        for line, message in (
+                ("eta=", "config key 'eta': could not convert string to float: ''"),
+                ("dim=8.5", "config key 'dim': invalid literal for int() with base 10: '8.5'"),
+                ("quadrature=maybe", "config key 'quadrature': not a boolean: 'maybe'")):
+            cfg.write_text(f"channel=ad\ndim=8\nlevels=0,1\n{line}\n")
+            code, out, err = run(capsys, "fidelity", "--config", str(cfg))
+            assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestVerifyCommand:

@@ -386,9 +386,9 @@ class TestOptimizer:
             optimize_encoding(ch, [1, 1], restarts=2)
 
     def test_level_count_is_bounded_by_bytes(self, monkeypatch):
-        # Seven levels need 2 * 7^4 complex entries; the guard counts them
-        # before the level tensor is built.
-        monkeypatch.setattr(channels, "MAX_KRAUS_BYTES", 2 * 6**4 * 16)
+        # Seven levels need 7^4 complex entries (K is folded into G); the
+        # guard counts them before the level tensor is built.
+        monkeypatch.setattr(channels, "MAX_KRAUS_BYTES", 6**4 * 16)
         monkeypatch.setattr(encodings, "level_process_tensor", None)
         with pytest.raises(ResourceLimitError, match="7 levels needs 0.00 GB"):
             optimize_encoding(amplitude_damping(0.5, 8), range(7), restarts=1)

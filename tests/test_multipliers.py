@@ -1,10 +1,10 @@
 """Multiplier storage against independent references.
 
-Band channels are stored by their Schur multipliers M_o and the
-population-transfer matrix T of the diagonal ones. Every kernel that reads
-them is checked here against dense Kraus sums, one operator at a time, and
-the closed-form phase damping multiplier against the Poisson Kraus family
-summed term by term. Inputs supported on a few levels check the support
+Band channels are stored by, and built from, their Schur multipliers M_o
+and the population-transfer matrix T of the diagonal ones. Every kernel
+that reads them is checked here against dense Kraus sums, one operator at
+a time, and the closed-form phase damping multiplier against the Poisson
+Kraus family summed term by term. Inputs supported on a few levels check the support
 window of ``apply_channel``, and the full-size band sums of
 ``adjoint_apply``, against the same sums and against the full-size
 products, and the compression of a channel onto a window of levels against
@@ -107,16 +107,35 @@ class TestDepolarizingTransfer:
         assert np.max(np.abs(superoperator_of(reloaded) - superoperator_of(family))) < 1e-15
 
     def test_diagonal_multipliers_must_be_real_and_nonnegative(self):
-        with pytest.raises(ValueError, match="diagonal multiplier -1 must be"):
-            KrausChannel(multipliers={0: np.ones(3), -1: [0.5, -0.1], 1: [-1.0, 0.0]})
-        with pytest.raises(ValueError, match="diagonal multiplier 1 must be"):
-            KrausChannel(multipliers={0: np.ones(3), 1: np.array([0.5, 1j])})
+        # Diagonal multipliers are passed together as the transfer matrix,
+        # never as vectors.
+        with pytest.raises(ValueError, match=r"multiplier 1 has shape \(2,\)"):
+            KrausChannel(multipliers={0: np.eye(3), 1: [0.5, 0.5]})
+        with pytest.raises(ValueError, match=r"multiplier 0 has shape \(3,\)"):
+            KrausChannel(multipliers={0: np.ones(3)})
+        with pytest.raises(ValueError, match="transfer must be real and nonnegative"):
+            KrausChannel(multipliers={0: np.eye(3)}, transfer=np.diag([0.5, -0.1], -1))
+        with pytest.raises(ValueError, match="transfer must be real and nonnegative"):
+            KrausChannel(multipliers={0: np.eye(3)}, transfer=np.diag([0.5, 1j], 1))
+        with pytest.raises(ValueError, match=r"transfer has shape \(3, 2\)"):
+            KrausChannel(transfer=np.ones((3, 2)))
+        with pytest.raises(ValueError, match="imply different dims"):
+            KrausChannel(multipliers={0: np.eye(3)}, transfer=np.ones((2, 2)))
 
     def test_unit_bands_and_diagonals_add_on_shared_entries(self):
-        ch = KrausChannel(bands={1: [[0.0, 2.0]]}, multipliers={1: [0.5, 0.25], 0: [1.0, 0, 0]})
+        ch = KrausChannel(bands={1: [[0.0, 2.0]]},
+                          transfer=[[1.0, 0.5, 0.0], [0.0, 0.0, 0.25], [0.0, 0.0, 0.0]])
         expect = np.zeros((3, 3))
         expect[0, 0], expect[0, 1], expect[1, 2] = 1.0, 0.5, 4.0 + 0.25
         assert np.array_equal(ch.transfer, expect)
+
+    def test_transfer_is_copied_as_float(self):
+        given = np.full((2, 2), 1, dtype=np.float32)
+        ch = KrausChannel(transfer=given)
+        assert ch.transfer.dtype == float and not ch.transfer.flags.writeable
+        given[0, 0] = 0
+        assert np.array_equal(ch.transfer, np.ones((2, 2)))
+        assert ch.kraus_truncation == 4
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +197,20 @@ def multiplier_channels(draw):
 
 
 def _constructions(ops, full, units):
-    """The same channel from its dense stack, its bands and diagonal weights,
-    and its square and diagonal multipliers."""
+    """The same channel from its dense stack, from its bands and the transfer
+    matrix of its unit weights, and from its square multipliers (holding the
+    unit weights on their own offsets) and the transfer matrix of the rest."""
+    dim = ops.shape[1]
     square = {o: e.T @ e.conj() for o, e in full.items()}
     for o in set(square) & set(units):
         square[o] = square[o] + np.diag(units[o])
+
+    def transfer(offsets):
+        return sum((np.diag(units[o], o) for o in offsets), np.zeros((dim, dim)))
+
     return [KrausChannel(ops),
-            KrausChannel(bands=full, multipliers=units or None),
-            KrausChannel(multipliers={**units, **square})]
+            KrausChannel(bands=full, transfer=transfer(units) if units else None),
+            KrausChannel(multipliers=square, transfer=transfer(set(units) - set(square)))]
 
 
 class TestRandomMultiplierChannels:
@@ -329,8 +354,32 @@ class TestCompression:
                 assert window is ch
             assert np.max(np.abs(apply_channel(window, x[lo:hi, lo:hi]) - expect)) <= 1e-13
 
+    @pytest.mark.parametrize("build", ["dep", "random"])
+    def test_is_an_exact_slice(self, build):
+        # The window keeps the blocks of the multipliers and of T as they are,
+        # including a channel with a square multiplier and T on offset 0.
+        dim, lo, hi = 9, 2, 6
+        rng = np.random.default_rng(9)
+        if build == "dep":
+            ch = depolarizing(0.4, dim)
+        else:
+            e = {o: rng.normal(size=(2, dim - abs(o))) + 1j * rng.normal(size=(2, dim - abs(o)))
+                 for o in (0, 1, -3)}
+            ch = KrausChannel(multipliers={o: a.T @ a.conj() for o, a in e.items()},
+                              transfer=rng.random((dim, dim)))
+        assert 0 in ch.multipliers and np.diagonal(ch.transfer).all()
+        window = _compress(ch, lo, hi)
+        w = hi - lo
+        assert list(window.multipliers) == [o for o in ch.multipliers if abs(o) < w]
+        for o, m in window.multipliers.items():
+            assert np.array_equal(m, ch.multipliers[o][lo:hi - abs(o), lo:hi - abs(o)])
+        assert np.array_equal(window.transfer, ch.transfer[lo:hi, lo:hi])
+        x = _supported(dim, "window", lo, hi, 5)
+        gap = apply_channel(window, x[lo:hi, lo:hi]) - apply_channel(ch, x)[lo:hi, lo:hi]
+        assert np.max(np.abs(gap)) <= 1e-15
+
     def test_window_a_channel_leaves_is_the_zero_map(self):
         # |0><2| moves level 2 to level 0 and keeps nothing on level 1.
-        window = _compress(KrausChannel(multipliers={2: [1.0]}), 1, 2)
+        window = _compress(KrausChannel(transfer=np.diag([1.0], 2)), 1, 2)
         assert window.kraus_truncation == 0
         assert np.array_equal(apply_channel(window, np.ones((1, 1))), [[0.0]])
