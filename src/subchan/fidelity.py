@@ -15,18 +15,22 @@ rule in phi, for |psi> = cos(theta/2)|b_0> + e^{i phi} sin(theta/2)|b_1>.
 The integrand has degree <= 2 in u and harmonics |m| <= 2 in phi, so the
 QUADRATURE_NODES x QUADRATURE_NODES default (16 x 16) integrates it exactly
 up to roundoff, making this an independent oracle for the contraction.
+The Gauss-Legendre rule is computed once per n_theta and cached read-only.
 Every node state lies on the code's Fock window W, the smallest level range
 holding both code words, and its score reads Phi(x) only there. So the
-channel is compressed onto W once, x -> P_W Phi(P_W x P_W) P_W, and each
-node is applied through that compression: one channel application per node,
-to the plain density matrix |psi><psi|. The contraction builds T_K at the
-full truncation, so the two routes share nothing beyond the channel, and a
-compression error would show as a gap between them.
+channel is compressed onto W once, x -> P_W Phi(P_W x P_W) P_W. The kets of
+all nodes on W come in one product; the states x = |psi><psi| are built one
+theta row at a time, never all at once; and each node is applied through the
+compression: one channel application per node, to the plain density matrix.
+The contraction builds T_K at the full truncation, so the two routes share
+nothing beyond the channel, and a compression error would show as a gap
+between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,6 +155,14 @@ def average_fidelity_closed(ch: KrausChannel, subspace: Subspace) -> FidelityRep
     return _report(ch, subspace, _haar_average(t), "closed-form")
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(n)``'s nodes and weights, read-only, since every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def average_fidelity_quadrature(
     ch: KrausChannel,
     subspace: Subspace,
@@ -162,11 +174,13 @@ def average_fidelity_quadrature(
     The node states' amplitudes on the two code words, all n_theta * n_phi
     of them, theta major, are built in one vectorized step; they and
     leggauss's n_theta x n_theta companion matrix go through the size guard
-    first. The channel is compressed
-    once onto the code's Fock window [lo, hi), the smallest level range
-    holding every nonzero entry of the code words. Each node lifts its pair
-    to psi on that window and is scored as tr(x Phi(x)) with x = |psi><psi|:
-    one channel application per node, through the compression.
+    first. The rule is cached per n_theta. The channel is compressed once
+    onto the code's Fock window [lo, hi), the smallest level range holding
+    every nonzero entry of the code words. The kets of all nodes on that
+    window come in one product, and the states x = |psi><psi| one theta row
+    at a time; the kets and one row of states go through the size guard
+    before the compression. Each node is scored as tr(x Phi(x)): one channel
+    application per node, through the compression.
     """
     if n_theta < 8 or n_phi < 8:
         raise ValueError(f"need n_theta >= 8 and n_phi >= 8, got {n_theta}, {n_phi}")
@@ -182,19 +196,25 @@ def average_fidelity_quadrature(
                  f"a {n_theta} x {n_phi} quadrature grid")
     (used,) = np.nonzero(subspace.basis.any(axis=0))
     lo, hi = int(used[0]), int(used[-1]) + 1
+    w = hi - lo
+    # Every node's ket, then one theta row of states.
+    _check_bytes((n_theta * n_phi * w + n_phi * w * w) * COMPLEX_BYTES,
+                 f"the node states on a {w}-level window")
     window = _compress(ch, lo, hi)
-    basis = subspace.basis[:, lo:hi]
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    nodes, weights = _gauss_legendre(n_theta)
     half = np.arccos(nodes)[:, np.newaxis] / 2
     phase = np.exp(2j * np.pi * np.arange(n_phi) / n_phi)
     amplitudes = np.stack(np.broadcast_arrays(np.cos(half), phase * np.sin(half)), axis=-1)
-    scores = np.empty(n_theta * n_phi)
-    for node, amplitude in enumerate(amplitudes.reshape(-1, 2)):
-        psi = amplitude @ basis
-        x = outer(psi, psi)
-        scores[node] = np.vdot(x, apply_channel(window, x)).real
+    # A stack of 1 x 2 rows, so each ket is the vector-matrix product that a
+    # lone node's amplitude @ basis makes, rounding included.
+    kets = (amplitudes[:, :, np.newaxis, :] @ subspace.basis[:, lo:hi])[:, :, 0, :]
+    scores = np.empty((n_theta, n_phi))
+    for row_scores, row_kets in zip(scores, kets):
+        states = row_kets[:, :, np.newaxis] * row_kets.conj()[:, np.newaxis, :]
+        for node, x in enumerate(states):
+            row_scores[node] = np.vdot(x, apply_channel(window, x)).real
     # (1 / 4pi) * sum_ij w_i (2pi / n_phi) f_ij
-    total = weights @ scores.reshape(n_theta, n_phi).sum(axis=1)
+    total = weights @ scores.sum(axis=1)
     return _report(ch, subspace, _clip_unit(total / (2 * n_phi)), "quadrature")
 
 

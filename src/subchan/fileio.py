@@ -43,6 +43,14 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_complex_row(line: str, expected: int | None, context: str) -> np.ndarray:
     tokens = line.split()
     if expected is not None and len(tokens) != expected:
@@ -58,7 +66,7 @@ def parse_channel_text(text: str) -> KrausChannel:
     if not lines or not lines[0].startswith("dim"):
         raise ValueError("channel file must start with a 'dim N' line")
     parts = lines[0].split()
-    if len(parts) != 2:
+    if len(parts) != 2 or not _is_int(parts[1]):
         raise ValueError(f"malformed dim line: {lines[0]!r}")
     dim = int(parts[1])
     if dim < 1:
@@ -68,7 +76,7 @@ def parse_channel_text(text: str) -> KrausChannel:
     pos = 1
     while pos < len(lines):
         header = lines[pos].split()
-        if header[0] != "kraus" or len(header) != 2:
+        if header[0] != "kraus" or len(header) != 2 or not _is_int(header[1]):
             raise ValueError(f"expected 'kraus i' header, got {lines[pos]!r}")
         index = int(header[1])
         if index != len(ops):

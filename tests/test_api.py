@@ -156,6 +156,8 @@ def _guarded_calls():
     rng = np.random.default_rng(4)
     dense4 = channels.KrausChannel(
         np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0])
+    full64 = Subspace(dim=64, basis=np.linalg.qr(
+        rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2)))[0].T)
     sweep = build_parser().parse_args([
         "sweep", "--channel", "pd", "--eta-start", "0.1", "--eta-end", "0.9",
         "--steps", "1000", "--levels", "0,1", "--dim", "8"])
@@ -173,6 +175,8 @@ def _guarded_calls():
                      "the restriction to a 8-dimensional subspace"),
         "quadrature": (partial(average_fidelity_quadrature, pd8, Subspace.from_levels([0, 1], 8)),
                        (16**2 + 4 * 16 * 16) * 16, "a 16 x 16 quadrature grid"),
+        "node states": (partial(average_fidelity_quadrature, phase_damping(0.5, 64), full64),
+                        (16 * 16 * 64 + 16 * 64**2) * 16, "the node states on a 64-level window"),
         "search": (partial(optimize_encoding, ad8, range(6), restarts=1), 6**4 * 16,
                    "a search on 6 levels"),
         "sweep grid": (partial(sweep.func, sweep), 4 * 1000 * 8, "a sweep of 1000 steps"),

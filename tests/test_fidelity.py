@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import subchan.fidelity
 from kraus_reference import design_average, node_quadrature, reference_formula
-from subchan.channels import KrausChannel, apply_channel
+from subchan.channels import KrausChannel, _compress, apply_channel
 from subchan.errors import DimensionMismatchError, ResourceLimitError
 from subchan.families import amplitude_damping, depolarizing, identity_channel, phase_damping
+from subchan.fock import outer
 from subchan.fidelity import (
     FidelityReport,
     _clip_unit,
+    _gauss_legendre,
     _haar_average,
     average_fidelity_closed,
     average_fidelity_from_frames,
@@ -31,6 +34,31 @@ ETA_GRID = [round(0.1 * i, 1) for i in range(11)]
 
 def _pair(k, s, dim):
     return Subspace.from_levels([k, s], dim)
+
+
+def _random_code(dim, rng):
+    code, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
+    return Subspace(dim=dim, basis=code.T)
+
+
+def _node_by_node(ch, subspace, n_theta, n_phi):
+    """``average_fidelity_quadrature``'s value with every node built on its own:
+    per node ``amplitude @ basis``, ``fock.outer`` and ``np.vdot``."""
+    (used,) = np.nonzero(subspace.basis.any(axis=0))
+    lo, hi = int(used[0]), int(used[-1]) + 1
+    window = _compress(ch, lo, hi)
+    basis = subspace.basis[:, lo:hi]
+    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    half = np.arccos(nodes)[:, np.newaxis] / 2
+    phase = np.exp(2j * np.pi * np.arange(n_phi) / n_phi)
+    amplitudes = np.stack(np.broadcast_arrays(np.cos(half), phase * np.sin(half)), axis=-1)
+    scores = np.empty(n_theta * n_phi)
+    for node, amplitude in enumerate(amplitudes.reshape(-1, 2)):
+        psi = amplitude @ basis
+        x = outer(psi, psi)
+        scores[node] = np.vdot(x, apply_channel(window, x)).real
+    total = weights @ scores.reshape(n_theta, n_phi).sum(axis=1)
+    return _clip_unit(total / (2 * n_phi))
 
 
 class TestPureFidelity:
@@ -201,6 +229,42 @@ class TestQuadrature:
             assert shapes == [(w, w)] * (grid[0] * grid[1])
             oracle = node_quadrature(lambda x: apply_channel(ch, x), sub.basis, *grid)
             assert abs(value - oracle) <= 1e-14
+
+    @pytest.mark.parametrize("grid", [(16, 16), (8, 12), (13, 9)])
+    @pytest.mark.parametrize("maker", [phase_damping, amplitude_damping, depolarizing])
+    def test_bit_identical_to_node_by_node_loop(self, maker, grid):
+        # All kets in one product and the states one theta row at a time
+        # multiply the same numbers as the loop does per node.
+        rng = np.random.default_rng(20)
+        codes = [_pair(0, 1, 8), _pair(1, 4, 10), _pair(2, 5, 64)]
+        codes += [_random_code(dim, rng) for dim in (4, 10, 33)]
+        for sub in codes:
+            ch = maker(0.45, sub.dim)
+            assert average_fidelity_quadrature(ch, sub, *grid).value == _node_by_node(ch, sub, *grid)
+
+    def test_states_are_built_one_row_at_a_time(self):
+        # A code on every level of dim 64: the 256 node states would hold
+        # 16.8 MB at once; one row of them holds 1 MB.
+        sub = _random_code(64, np.random.default_rng(21))
+        ch = phase_damping(0.5, 64)
+        tracemalloc.start()
+        try:
+            average_fidelity_quadrature(ch, sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 64**2 * 16
+
+    def test_rule_is_cached_read_only(self):
+        nodes, weights = _gauss_legendre(16)
+        assert _gauss_legendre(16)[0] is nodes
+        for cached in (nodes, weights):
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+        ch, sub = amplitude_damping(0.3, 12), _pair(1, 3, 12)
+        first = average_fidelity_quadrature(ch, sub).value
+        average_fidelity_quadrature(ch, sub, 13, 9)
+        assert average_fidelity_quadrature(ch, sub).value == first
 
     def test_grid_size_guard(self, monkeypatch):
         # Checked by estimate only: with the limit below a 16 x 16 grid's

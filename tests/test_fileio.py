@@ -55,6 +55,14 @@ class TestParse:
         with pytest.raises(ValueError, match="kraus"):
             parse_channel_text("dim 2\noperator 0\n1 0\n0 1\n")
 
+    def test_non_integer_dim(self):
+        with pytest.raises(ValueError, match=r"^malformed dim line: 'dim abc'$"):
+            parse_channel_text("dim abc\nkraus 0\n1 0\n0 1\n")
+
+    def test_non_integer_kraus_index(self):
+        with pytest.raises(ValueError, match=r"^expected 'kraus i' header, got 'kraus x'$"):
+            parse_channel_text("dim 2\nkraus x\n1 0\n0 1\n")
+
     def test_out_of_order_headers(self):
         with pytest.raises(ValueError, match="out of order"):
             parse_channel_text("dim 2\nkraus 1\n1 0\n0 1\n")
