@@ -31,8 +31,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-# Unused here; bench/tracing.py patches this name until ROADMAP item 1 drops it.
-from scipy.optimize import minimize  # noqa: F401
 
 from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes, apply_channel
 from .fidelity import average_fidelity_closed, contract_haar_moments, level_process_tensor
@@ -52,6 +50,16 @@ MAX_STEPS = 1000
 
 # How a start ended (StartRecord.status).
 CONVERGED, STEP_CAP, NON_ASCENT = "converged", "step cap", "non-ascent"
+
+
+def __getattr__(name: str):
+    # The seesaw calls no optimizer. The benchmark tracer (bench/tracing.py) is
+    # the only reader of ``minimize`` and patches it; until ROADMAP item 1 drops
+    # that, it is imported on first access so that importing subchan loads no scipy.
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def encoding_from_coefficients(*rows, dim: int, label: str = "custom") -> Subspace:

@@ -29,11 +29,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes
 from .errors import PrecisionLossError
-from .fock import coherent_state, log_binomial, outer
+from .fock import coherent_state, log_binomial, log_factorials, outer
 from .tolerances import COHERENT_DEFICIT_TOL
 
 
@@ -109,7 +108,8 @@ def amplitude_damping(eta: float, dim: int) -> KrausChannel:
         log_loss = np.log1p(-eta)
         i = np.arange(dim)[:, np.newaxis]
         k = i + np.arange(dim)
-        log_c = gammaln(k + 1) - gammaln(i + 1) - gammaln(k - i + 1)
+        lf = log_factorials(2 * dim)
+        log_c = lf[k] - lf[i] - lf[k - i]
         vals = np.exp(0.5 * (log_c + (k - i) * log_eta + i * log_loss))
     bands = {i: vals[i:i + 1, :dim - i] for i in range(dim)}
     return KrausChannel(bands=bands, family="amplitude-damping", eta=float(eta))

@@ -63,9 +63,9 @@ def _parse_complex_row(line: str, expected: int | None, context: str) -> np.ndar
 
 def parse_channel_text(text: str) -> KrausChannel:
     lines = _content_lines(text)
-    if not lines or not lines[0].startswith("dim"):
+    parts = lines[0].split() if lines else []
+    if not parts or parts[0] != "dim":
         raise ValueError("channel file must start with a 'dim N' line")
-    parts = lines[0].split()
     if len(parts) != 2 or not _is_int(parts[1]):
         raise ValueError(f"malformed dim line: {lines[0]!r}")
     dim = int(parts[1])

@@ -1,14 +1,19 @@
 """Guards on the public signatures: tolerances and sample counts are module
 constants, not per-call options, so no caller can loosen a check. Beside
 them, guards on the source: one size limit read by one size guard, which
-every allocation estimate goes through, no unused imports, and no private
-helper that nothing reads."""
+every allocation estimate goes through, no unused imports, no private
+helper that nothing reads, and no run-time import beyond the declared
+dependencies (numpy)."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -297,3 +302,49 @@ def test_every_private_helper_has_a_reader():
                 read.add(node.attr)
     assert len(defined) > 40
     assert sorted((module, name) for module, name in defined if name not in read) == []
+
+
+# ---------------------------------------------------------------------------
+# Run-time dependencies
+# ---------------------------------------------------------------------------
+
+# The one import made only on demand: ``encodings.minimize``, whose only reader
+# is the benchmark tracer until ROADMAP item 1 drops it.
+ON_DEMAND = {("encodings", "__getattr__", "scipy")}
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(subchan.__file__).parents[2] / "pyproject.toml"
+    declared = {re.match(r"[\w.-]+", dep).group()
+                for dep in tomllib.loads(pyproject.read_text())["project"]["dependencies"]}
+    imported = set()
+    for path in SOURCES:
+        for owner, node in _nodes_by_function(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported.update((path.stem, owner, name.partition(".")[0]) for name in names)
+    third_party = {entry for entry in imported
+                   if entry[2] not in sys.stdlib_module_names | {"subchan"}}
+    assert ON_DEMAND <= third_party
+    assert {top for _, _, top in third_party - ON_DEMAND} == declared == {"numpy"}
+
+
+def test_import_and_a_command_load_no_scipy():
+    script = (
+        "import sys\n"
+        "import subchan, subchan.cli\n"
+        "code = subchan.cli.main(['fidelity', '--channel', 'ad', '--eta', '0.5',\n"
+        "                         '--dim', '32', '--levels', '0,1'])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(subchan.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    assert "fidelity" in done.stdout
+    assert done.stdout.splitlines()[-1] == "0 []"

@@ -589,6 +589,13 @@ class TestVerifyCommand:
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("header", ["dimension 2", "dim5 2"])
+    def test_misspelt_dim_line_refused(self, capsys, tmp_path, header):
+        path = tmp_path / "bad.chan"
+        path.write_text(f"{header}\nkraus 0\n1 0\n0 1\n")
+        code, out, err = run(capsys, "verify", "--channel", "custom", "--kraus-file", str(path))
+        assert (code, out, err) == (1, "", "error: channel file must start with a 'dim N' line\n")
+
 
 class TestPairsCommand:
     def test_phase_damping(self, capsys):

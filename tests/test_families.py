@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -102,6 +103,27 @@ class TestAmplitudeDamping:
 
     def test_exact_trace_preservation(self):
         assert amplitude_damping(0.37, 16).tp_defect <= 1e-12
+
+    @pytest.mark.parametrize("dim", [64, 128, 256])
+    @pytest.mark.parametrize("eta", [0.05, 0.5, 0.95])
+    def test_multipliers_match_exact_decimal(self, dim, eta):
+        # M_o[a, b] = e[a] e[b] with e[j]^2 = C(o + j, o) eta^j (1 - eta)^o, a
+        # binomial weight (so e[j] <= 1), evaluated in 40-digit Decimal from the
+        # binary eta; rounding e and the product to float costs under 2 ulp.
+        # Only entries above 1e-290 are compared, since underflow costs
+        # relative precision; both factors of such an entry are normal floats.
+        ch = amplitude_damping(eta, dim)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            d = Decimal(eta)
+            for o in (0, 1, dim // 4, dim // 2):
+                e = np.array([float((math.comb(o + j, o) * d ** j * (1 - d) ** o).sqrt())
+                              for j in range(dim - o)])
+                exact = np.outer(e, e)
+                normal = exact > 1e-290
+                assert normal.sum() > (dim - o) ** 2 // 2
+                stored = ch.multipliers[o][normal]
+                assert np.max(np.abs(stored - exact[normal]) / exact[normal]) <= 2e-12, o
 
     def test_closed_form_vacuum_fixed(self):
         out = amplitude_damping_closed(0.5, 0, 0, 4)

@@ -51,6 +51,11 @@ class TestParse:
         with pytest.raises(ValueError, match="dim"):
             parse_channel_text("kraus 0\n1 0\n0 1\n")
 
+    @pytest.mark.parametrize("header", ["dimension 2", "dim5 2"])
+    def test_dim_must_be_the_whole_first_word(self, header):
+        with pytest.raises(ValueError, match=r"^channel file must start with a 'dim N' line$"):
+            parse_channel_text(f"{header}\nkraus 0\n1 0\n0 1\n")
+
     def test_bad_header(self):
         with pytest.raises(ValueError, match="kraus"):
             parse_channel_text("dim 2\noperator 0\n1 0\n0 1\n")
