@@ -47,10 +47,7 @@ from .fidelity import (
     FidelityReport,
     average_fidelity_closed,
     average_fidelity_quadrature,
-    bloch_state,
-    cross_checked_fidelity,
     damping_fidelity_series,
-    pure_fidelity,
 )
 from .fileio import load_channel, load_coefficient_rows, save_channel
 from .fock import coherent_state, fock_state, log_binomial

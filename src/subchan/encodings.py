@@ -5,12 +5,13 @@ any d. On n chosen Fock levels it is the projector P onto that span. Its
 Haar-averaged fidelity, (sum_ij T[i,j,i,j] + sum_ik T[i,i,k,k]) / (d(d+1)) of
 its tensor T_K (Horodecki^3, PRA 60, 1888 (1999); Nielsen, quant-ph/0205035),
 is a quadratic form in P. With the level process tensor
-G[a,b,c,e] = <l_c|Phi(|l_a><l_b|)|l_e>, at d = 2,
+G[a,b,c,e] = <l_c|Phi(|l_a><l_b|)|l_e> (``fidelity.level_process_tensor``), at d = 2,
 
     F(P) = sum G[a,b,c,e] (P[a,b] P[e,c] + P[a,c] P[e,b]) / 6
          = vec(P) . K . vec(P^T),   K = (G[ab, ce] + G[ac, be]) / 6,
 
-which is ``fidelity.contract_haar_moments`` written in P.
+which is ``fidelity._haar_average`` written in P. Pair sweeps and the search's
+first start rank Fock pairs by the Haar average of their 2 x 2 x 2 x 2 G.
 
 ``optimize_encoding`` maximizes F over qubit codes by the fixed-channel
 iteration of Reimpell & Werner, PRL 94, 080501 (2005), quant-ph/0307138:
@@ -32,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes, apply_channel
-from .fidelity import average_fidelity_closed, contract_haar_moments, level_process_tensor
-from .fock import basis_operator
+from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes
+from .fidelity import _haar_average, average_fidelity_closed, level_process_tensor
 from .subspaces import Subspace
 from .tolerances import SPECTRAL_TOL, TIE_TOL
 
@@ -221,7 +221,7 @@ def optimize_encoding(
     # The channel is linear, so its action on the level block is frozen into
     # G once and every candidate code is scored by the quadratic form K.
     g = level_process_tensor(ch, levels)
-    pair = _ranked_pairs(np.einsum("aacc->ac", g), np.einsum("abab->ab", g))[0]
+    pair = _ranked_pairs(range(n), lambda p: g[np.ix_(p, p, p, p)])[0]
     warm = np.eye(n, dtype=complex)[:, [pair.k, pair.s]]
     k = _bloch_form(g)
 
@@ -264,33 +264,18 @@ class PairFidelity:
 
 
 def contiguous_pair_sweep(ch: KrausChannel, max_level: int) -> list[PairFidelity]:
-    """Average fidelity of every Fock-pair encoding span{|k>, |s>}, k < s <= max_level.
-
-    One image Phi(|a><b|) per a, b <= max_level; each pair contracts its 2 x 2
-    blocks of the populations T[a,a,c,c] = Phi(|a><a|)[c,c] and coherences
-    T[a,b,a,b] = Phi(|a><b|)[a,b], O(max_level^2) memory. Sorted by descending
-    fidelity, ties broken lexicographically on (k, s).
-    """
+    """Average fidelity of every Fock-pair encoding span{|k>, |s>}, k < s <= max_level, each
+    from its ``level_process_tensor``; best first, ties broken lexicographically on (k, s)."""
     if not 0 < max_level < ch.dim:
         raise ValueError(f"max_level must be in (0, {ch.dim}), got {max_level}")
-    n = max_level + 1
-    populations, coherences = np.empty((2, n, n), dtype=complex)
-    for a, b in np.ndindex(n, n):
-        image = apply_channel(ch, basis_operator(a, b, ch.dim))
-        if a == b:
-            populations[a] = image.diagonal()[:n]
-        coherences[a, b] = image[a, b]
-    return _ranked_pairs(populations, coherences)
+    return _ranked_pairs(range(max_level + 1), lambda pair: level_process_tensor(ch, pair))
 
 
-def _ranked_pairs(populations: np.ndarray, coherences: np.ndarray) -> list[PairFidelity]:
-    """Every pair k < s of indices scored from the 2 x 2 blocks of T_K's populations
-    T[a,a,c,c] and coherences T[a,b,a,b], best first, ties lexicographic on (k, s)."""
-    rows = []
-    for k, s in itertools.combinations(range(populations.shape[0]), 2):
-        pair = np.ix_([k, s], [k, s])
-        value = contract_haar_moments(populations[pair], coherences[pair])
-        rows.append(PairFidelity(k=k, s=s, value=value))
+def _ranked_pairs(levels, tensor_of) -> list[PairFidelity]:
+    """Every pair k < s of ``levels`` scored by ``_haar_average(tensor_of([k, s]))``, its
+    2 x 2 x 2 x 2 tensor T_K, best first, ties lexicographic on (k, s)."""
+    rows = [PairFidelity(k=k, s=s, value=_haar_average(tensor_of([k, s])))
+            for k, s in itertools.combinations(levels, 2)]
     return sorted(rows, key=lambda r: (-r.value, r.k, r.s))
 
 

@@ -29,41 +29,19 @@ between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes, _compress, apply_channel
 from .errors import DimensionMismatchError
-from .fock import log_binomial, outer
-from .subspaces import Subspace, restrict
-from .tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
+from .fock import log_binomial
+from .subspaces import Subspace, _fock_levels, restrict
+from .tolerances import SPECTRAL_TOL
 
 # Default quadrature nodes per Bloch angle.
 QUADRATURE_NODES = 16
-
-
-def bloch_state(subspace: Subspace, theta: float, phi: float) -> np.ndarray:
-    """cos(theta/2)|psi_0> + e^{i phi} sin(theta/2)|psi_1> on a d=2 subspace."""
-    if subspace.d != 2:
-        raise ValueError(f"need a d=2 subspace, got d={subspace.d}")
-    b0, b1 = subspace.basis
-    return np.cos(theta / 2) * b0 + np.exp(1j * phi) * np.sin(theta / 2) * b1
-
-
-def pure_fidelity(ch: KrausChannel, subspace: Subspace, theta: float, phi: float) -> float:
-    """<psi|Phi(|psi><psi|)|psi> for psi = bloch_state(subspace, theta, phi)."""
-    if ch.dim != subspace.dim:
-        raise DimensionMismatchError(
-            f"channel dim {ch.dim} does not match encoding dim {subspace.dim}"
-        )
-    psi = bloch_state(subspace, theta, phi)
-    out = apply_channel(ch, outer(psi, psi))
-    val = complex(np.conj(psi) @ out @ psi)
-    if abs(val.imag) > STRUCTURAL_TOL:
-        raise ArithmeticError(f"fidelity came out non-real: {val}")
-    return _clip_unit(val.real)
 
 
 def _clip_unit(value: float) -> float:
@@ -87,7 +65,6 @@ class FidelityReport:
     channel_tp_defect: float
     encoding: str
     code_dim: int  # d, the number of code words
-    cross_check_gap: float | None = None
 
     def __post_init__(self):
         if not -SPECTRAL_TOL <= self.value <= 1.0 + SPECTRAL_TOL:
@@ -108,14 +85,14 @@ def _report(ch: KrausChannel, subspace: Subspace, value: float, method: str) -> 
     )
 
 
-def contract_haar_moments(populations: np.ndarray, coherences: np.ndarray) -> float:
-    """Haar-averaged fidelity (sum_ij T[i,j,i,j] + sum_ik T[i,i,k,k]) / (d(d+1)) of T_K from
-    its populations[i, k] = T[i,i,k,k] and coherences[i, k] = T[i,k,i,k].
+def _haar_average(t: np.ndarray) -> float:
+    """Haar-averaged fidelity (sum_ij T[i,j,i,j] + sum_ik T[i,i,k,k]) / (d(d+1)) of T_K.
 
     The sums share their terms T[i,i,i,i], summed once and weighed twice: at
     d = 2 that is the Bloch-moment order, so qubit values keep every bit.
     """
-    d = populations.shape[0]
+    d = t.shape[0]
+    populations, coherences = np.einsum("iikk->ik", t), np.einsum("ikik->ik", t)
     apart = [(i, k) for i in range(d) for k in range(d) if i != k]
     shared = sum(populations[i, i] for i in range(d))
     rest = sum([populations[i, k] for i, k in apart] + [coherences[i, k] for i, k in apart])
@@ -125,20 +102,33 @@ def contract_haar_moments(populations: np.ndarray, coherences: np.ndarray) -> fl
     return _clip_unit(val.real)
 
 
-def _haar_average(t: np.ndarray) -> float:
-    """``contract_haar_moments`` of the tensor T_K."""
-    return contract_haar_moments(np.einsum("iikk->ik", t), np.einsum("ikik->ik", t))
-
-
 def level_process_tensor(ch: KrausChannel, levels) -> np.ndarray:
-    """G[a,b,c,e] = <l_c|Phi(|l_a><l_b|)|l_e> over the given Fock levels.
+    """G[i,j,k,l] = <L_k|Phi(|L_i><L_j|)|L_l> on the Fock levels L: T_K of their span.
 
-    G is T_K of the levels' span (ValueError for an empty, repeated or
-    out-of-range level). For frames supported on ``levels`` the fidelity
-    tensor is the bilinear contraction of G with the frame amplitudes (the
-    channel is linear), so repeated fidelity evaluations can reuse G.
+    ValueError for an empty, repeated or out-of-range level; G's n^4 complex
+    entries go through the size guard. A dense channel is restricted. A band
+    channel sends |a><b| to one diagonal, so G is a read of its storage:
+    G[i,j,k,l] = M_o[L_k - r, L_l - r] for o = L_i - L_k = L_j - L_l and
+    r = max(0, -o), then + T[L_k, L_i] where i = j and k = l (the order of
+    ``apply_channel``), else 0. The fidelity of frames on the levels contracts
+    G with their amplitudes, so repeated evaluations reuse G.
     """
-    return restrict(ch, Subspace.from_levels(levels, ch.dim)).tensor
+    levels = _fock_levels(levels, ch.dim)
+    if ch.multipliers is None:
+        return restrict(ch, Subspace.from_levels(levels, ch.dim)).tensor
+    n = len(levels)
+    _check_bytes(n**4 * COMPLEX_BYTES, f"the restriction to a {n}-dimensional subspace")
+    at = np.array(levels)
+    g = np.zeros((n,) * 4, dtype=complex)
+    shift = at[:, np.newaxis] - at  # shift[i, k] = L_i - L_k
+    for o in ch.multipliers.keys() & shift.ravel().tolist():
+        i, k = np.nonzero(shift == o)
+        source = at[k, np.newaxis] - max(0, -o)
+        g[i[:, np.newaxis], i, k[:, np.newaxis], k] = ch.multipliers[o][source, source.T]
+    if ch.transfer is not None:
+        i = np.arange(n)[:, np.newaxis]
+        g[i, i, i.T, i.T] += ch.transfer[at, at[:, np.newaxis]]
+    return g
 
 
 def average_fidelity_from_frames(g: np.ndarray, frames: np.ndarray) -> float:
@@ -216,13 +206,6 @@ def average_fidelity_quadrature(
     # (1 / 4pi) * sum_ij w_i (2pi / n_phi) f_ij
     total = weights @ scores.sum(axis=1)
     return _report(ch, subspace, _clip_unit(total / (2 * n_phi)), "quadrature")
-
-
-def cross_checked_fidelity(ch: KrausChannel, subspace: Subspace) -> FidelityReport:
-    """Closed-form average with the default quadrature's gap recorded on the report."""
-    closed = average_fidelity_closed(ch, subspace)
-    quad = average_fidelity_quadrature(ch, subspace)
-    return replace(closed, cross_check_gap=abs(closed.value - quad.value))
 
 
 # ---------------------------------------------------------------------------

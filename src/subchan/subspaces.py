@@ -4,8 +4,8 @@ A ``Subspace`` is an ordered orthonormal set of d vectors spanning K, with
 projector P = sum_j |b_j><b_j|. Restricting a channel to K gives the
 completely positive map x -> P Phi(x) P. ``restrict`` holds it as one tensor,
 T_K[i,j,k,l] = <b_k|Phi(|b_i><b_j|)|b_l>, built from d^2 images for d <= 64.
-The Haar-averaged fidelity, the level tensor, the restricted map and two
-distinct properties of it, kept apart on purpose, are all read from T_K:
+The Haar-averaged fidelity, a dense channel's level tensor, the restricted
+map and two distinct properties of it, kept apart on purpose, are read from T_K:
 
 * trace preservation: the restriction preserves trace for every input on K
   exactly when P Phi*(P) P = P, i.e. (sum_k T_K[:,:,k,k])^T = I_d;
@@ -79,13 +79,22 @@ class Subspace:
     @classmethod
     def from_levels(cls, levels, dim: int) -> "Subspace":
         """Span of the number states |k> for k in ``levels``."""
-        levels = list(levels)
-        if not levels:
-            raise ValueError("the level list is empty; need at least one level")
-        if len(set(levels)) != len(levels):
-            raise ValueError(f"levels must be distinct, got {levels}")
+        levels = _fock_levels(levels, dim)
         basis = np.stack([fock_state(k, dim) for k in levels])
         return cls(dim=dim, basis=basis, label="levels " + ",".join(map(str, levels)))
+
+
+def _fock_levels(levels, dim: int) -> list[int]:
+    """``levels`` as a list; ValueError when it is empty, repeats a level or leaves [0, dim)."""
+    levels = list(levels)
+    if not levels:
+        raise ValueError("the level list is empty; need at least one level")
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"levels must be distinct, got {levels}")
+    for k in levels:
+        if not 0 <= k < dim:
+            raise ValueError(f"level index k={k} out of range for dim={dim}")
+    return levels
 
 
 def cat_state_subspace(alpha: complex, dim: int) -> Subspace:

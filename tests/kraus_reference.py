@@ -12,6 +12,7 @@ no support window: it reads only a channel's public ``multipliers`` and
 ``transfer``. ``node_quadrature`` is the Bloch quadrature evaluated node by
 node, each state built on its own. ``design_average`` is the Haar average of
 a code of any dimension as a finite weighted sum of pure-state fidelities.
+``pure_fidelity`` is one Bloch state's fidelity, through ``apply_channel``.
 """
 
 import itertools
@@ -19,6 +20,12 @@ import math
 
 import numpy as np
 from scipy.stats import poisson
+
+from subchan.channels import apply_channel
+from subchan.errors import DimensionMismatchError
+from subchan.fidelity import _clip_unit
+from subchan.fock import outer
+from subchan.tolerances import STRUCTURAL_TOL
 
 
 def dense_apply(ops, x):
@@ -181,3 +188,25 @@ def diagonal_kraus_apply(diags, x):
 def diagonal_kraus_adjoint(diags, x):
     """Phi*(x) = sum_i E_i^dag x E_i for diagonal E_i = diag(diags[i])."""
     return sum(e.conj()[:, None] * x * e[None, :] for e in diags)
+
+
+def bloch_state(subspace, theta: float, phi: float) -> np.ndarray:
+    """cos(theta/2)|psi_0> + e^{i phi} sin(theta/2)|psi_1> on a d=2 subspace."""
+    if subspace.d != 2:
+        raise ValueError(f"need a d=2 subspace, got d={subspace.d}")
+    b0, b1 = subspace.basis
+    return np.cos(theta / 2) * b0 + np.exp(1j * phi) * np.sin(theta / 2) * b1
+
+
+def pure_fidelity(ch, subspace, theta: float, phi: float) -> float:
+    """<psi|Phi(|psi><psi|)|psi> for psi = bloch_state(subspace, theta, phi)."""
+    if ch.dim != subspace.dim:
+        raise DimensionMismatchError(
+            f"channel dim {ch.dim} does not match encoding dim {subspace.dim}"
+        )
+    psi = bloch_state(subspace, theta, phi)
+    out = apply_channel(ch, outer(psi, psi))
+    val = complex(np.conj(psi) @ out @ psi)
+    if abs(val.imag) > STRUCTURAL_TOL:
+        raise ArithmeticError(f"fidelity came out non-real: {val}")
+    return _clip_unit(val.real)

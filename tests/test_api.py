@@ -27,7 +27,7 @@ from subchan.cli import build_parser
 from subchan.encodings import _bloch_form, encoding_from_coefficients, optimize_encoding
 from subchan.errors import ResourceLimitError
 from subchan.families import _check_dim, amplitude_damping, phase_damping
-from subchan.fidelity import average_fidelity_quadrature
+from subchan.fidelity import average_fidelity_quadrature, level_process_tensor
 from subchan.subspaces import Subspace, fixed_point_space, restrict
 
 SOURCES = sorted(Path(subchan.__file__).parent.glob("*.py"))
@@ -178,6 +178,8 @@ def _guarded_calls():
                             "the SVD of a 16 x 16 superoperator block"),
         "restrict": (partial(restrict, ad16, Subspace.from_levels(range(8), 16)), 8**4 * 16,
                      "the restriction to a 8-dimensional subspace"),
+        "level tensor": (partial(level_process_tensor, ad16, range(8)), 8**4 * 16,
+                         "the restriction to a 8-dimensional subspace"),
         "quadrature": (partial(average_fidelity_quadrature, pd8, Subspace.from_levels([0, 1], 8)),
                        (16**2 + 4 * 16 * 16) * 16, "a 16 x 16 quadrature grid"),
         "node states": (partial(average_fidelity_quadrature, phase_damping(0.5, 64), full64),

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import subchan.channels as channels
 import subchan.encodings as encodings
+import subchan.subspaces as subspaces
 from kraus_reference import design_average, reference_formula
 from test_multipliers import dense_stacks
 from subchan.channels import KrausChannel, apply_channel
@@ -431,16 +432,31 @@ class TestPairSweep:
             code = Subspace.from_levels([row.k, row.s], ch.dim)
             assert row.value == average_fidelity_closed(ch, code).value
 
-    def test_applies_the_channel_once_per_level_image(self, monkeypatch):
+    def test_counts_channel_applications(self, monkeypatch):
+        # Band channels' pairs, level tensors and search tensor G are reads of
+        # their storage: the search applies the channel only to score each
+        # start's code (d^2 = 4 images). A dense stack is restricted per pair.
         calls = []
 
         def counted(ch, x):
             calls.append(x)
             return apply_channel(ch, x)
 
-        monkeypatch.setattr(encodings, "apply_channel", counted)
-        contiguous_pair_sweep(amplitude_damping(0.5, 32), 4)
-        assert len(calls) == 25
+        monkeypatch.setattr(subspaces, "apply_channel", counted)
+        for family in (phase_damping, amplitude_damping, depolarizing):
+            ch = family(0.5, 32)
+            contiguous_pair_sweep(ch, 4)
+            level_process_tensor(ch, [3, 0, 7])
+            assert calls == []
+            optimize_encoding(ch, [0, 1, 2], restarts=3, seed=0)
+            assert len(calls) == 4 * 3
+            calls.clear()
+        rng = np.random.default_rng(6)
+        unitary = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+        dense = KrausChannel(unitary)
+        assert dense.multipliers is None
+        contiguous_pair_sweep(dense, 4)
+        assert len(calls) == 4 * 10
 
     def test_refuses_a_fidelity_above_one(self):
         # A map that gains trace is not a channel; its pair "fidelity" exceeds 1.

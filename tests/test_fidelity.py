@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import subchan.fidelity
-from kraus_reference import design_average, node_quadrature, reference_formula
+from kraus_reference import (
+    bloch_state,
+    design_average,
+    node_quadrature,
+    pure_fidelity,
+    reference_formula,
+)
 from subchan.channels import KrausChannel, _compress, apply_channel
 from subchan.errors import DimensionMismatchError, ResourceLimitError
 from subchan.families import amplitude_damping, depolarizing, identity_channel, phase_damping
@@ -20,11 +26,8 @@ from subchan.fidelity import (
     average_fidelity_closed,
     average_fidelity_from_frames,
     average_fidelity_quadrature,
-    bloch_state,
-    cross_checked_fidelity,
     damping_fidelity_series,
     level_process_tensor,
-    pure_fidelity,
 )
 from subchan.subspaces import Subspace, restrict
 from test_multipliers import _constructions, dense_stacks, multiplier_channels
@@ -284,8 +287,9 @@ class TestQuadrature:
             for maker in (phase_damping, amplitude_damping):
                 ch = maker(eta, 16)
                 for k, s in subspaces:
-                    rep = cross_checked_fidelity(ch, _pair(k, s, 16))
-                    assert rep.cross_check_gap <= 1e-10
+                    closed = average_fidelity_closed(ch, _pair(k, s, 16)).value
+                    quad = average_fidelity_quadrature(ch, _pair(k, s, 16)).value
+                    assert abs(closed - quad) <= 1e-10
 
     def test_range_floor_on_test_matrix(self):
         for eta in ETA_GRID:
@@ -368,6 +372,30 @@ class TestLevelProcessTensor:
             fast = average_fidelity_from_frames(g, frames)
             slow = average_fidelity_closed(ch, sub).value
             assert fast == pytest.approx(slow, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(multiplier_channels(), st.data())
+    def test_band_read_is_the_restriction(self, case, data):
+        # Read from the storage, G keeps every bit of the restriction's T_K on
+        # levels in any order, for every way a band channel can be built.
+        dim = case[0].shape[1]
+        levels = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim,
+                                    unique=True))
+        for ch in _constructions(*case):
+            assert ch.multipliers is not None
+            expect = restrict(ch, Subspace.from_levels(levels, dim)).tensor
+            assert np.array_equal(level_process_tensor(ch, levels), expect)
+
+    @pytest.mark.parametrize("family, eta", [
+        (phase_damping, 1.0), (phase_damping, 0.3), (amplitude_damping, 0.0),
+        (amplitude_damping, 1.0), (amplitude_damping, 0.3), (depolarizing, 0.0),
+        (depolarizing, 1.0), (depolarizing, 0.3)])
+    @pytest.mark.parametrize("dim", [1, 9])
+    def test_families_read_as_restricted(self, family, eta, dim):
+        ch = family(eta, dim)
+        levels = np.random.default_rng(dim).permutation(dim)[:5].tolist()
+        expect = restrict(ch, Subspace.from_levels(levels, dim)).tensor
+        assert np.array_equal(level_process_tensor(ch, levels), expect)
 
     @pytest.mark.parametrize("levels, message", [
         ([-1, 0], "out of range"), ([1, 1], "distinct"), ([], "empty")])
