@@ -39,7 +39,6 @@ from .families import (
     amplitude_damping_closed,
     coherent_action_closed,
     depolarizing,
-    identity_channel,
     phase_damping,
     phase_damping_closed,
 )

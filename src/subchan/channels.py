@@ -65,9 +65,9 @@ to ``_check_bytes``, the one reader of the one limit MAX_KRAUS_BYTES.
 Coherence-order blocks. A band channel's superoperator is block diagonal,
 one block per diagonal q of x (Holevo, Quantum Systems, Channels,
 Information). ``_coherence_blocks`` yields them, or one whole block for a
-channel with no band form, and both ``superoperator_of`` and
-``subspaces.fixed_point_space`` read them. Diagonal o of an n x n array is
-addressed as one strided slice of its flattening, ``_diagonal(o, n)``.
+channel with no band form; ``superoperator_of`` and ``fixed_point_space``
+read them, and the Fock-pair tables read B_0. Diagonal o of an n x n array
+is addressed as one strided slice of its flattening, ``_diagonal(o, n)``.
 """
 
 from __future__ import annotations
@@ -86,8 +86,9 @@ MAX_SUPEROPERATOR_DIM = 64
 COMPLEX_BYTES = 16
 MAX_KRAUS_BYTES = MAX_SUPEROPERATOR_DIM**4 * COMPLEX_BYTES
 
-# Random inputs per verify_channel run: each of hermiticity and positivity.
+# Random inputs per verify_channel run, each of hermiticity and positivity, and their seed.
 VERIFY_SAMPLES = 20
+VERIFY_SEED = 1234
 
 KNOWN_FAMILIES = ("phase-damping", "amplitude-damping", "depolarizing", "custom")
 
@@ -473,20 +474,18 @@ class ChannelVerification:
     positivity_ok: bool
 
 
-def verify_channel(
-    ch: KrausChannel, block: int | None = None, *, seed: int = 1234
-) -> ChannelVerification:
+def verify_channel(ch: KrausChannel, block: int | None = None) -> ChannelVerification:
     """Check trace preservation on a block plus hermiticity/positivity on samples.
 
     VERIFY_SAMPLES random density matrices (and hermitian operators)
     supported on the leading ``block`` levels are drawn from a generator
-    seeded with ``seed``; the seed is recorded in the report. Trace
+    seeded with VERIFY_SEED; the seed is recorded in the report. Trace
     preservation and positivity are judged at SPECTRAL_TOL, hermiticity at
     STRUCTURAL_TOL.
     """
     block = ch.dim if block is None else block
     tp = tp_defect_on_block(ch, block)  # checks the block
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VERIFY_SEED)
 
     herms, eigs = [], []
     for _ in range(VERIFY_SAMPLES):
@@ -507,7 +506,7 @@ def verify_channel(
         hermiticity_defect=herm,
         min_eigenvalue=min_eig,
         samples=VERIFY_SAMPLES,
-        seed=seed,
+        seed=VERIFY_SEED,
         tp_ok=tp <= SPECTRAL_TOL,
         hermiticity_ok=herm <= STRUCTURAL_TOL,
         positivity_ok=min_eig >= -SPECTRAL_TOL,
@@ -519,21 +518,8 @@ def verify_channel(
 # ---------------------------------------------------------------------------
 
 
-def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(x).flatten(order="F")
-
-
-def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v)
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
-    return v.reshape((dim, dim), order="F")
-
-
 def superoperator_of(ch: KrausChannel) -> np.ndarray:
-    """dim^2 x dim^2 matrix sum_i conj(E_i) kron E_i acting on :func:`vec` of an operator.
+    """dim^2 x dim^2 sum_i conj(E_i) kron E_i on column-stacked vec(x) = x.flatten(order="F").
 
     A band channel's is its coherence-order blocks written into place.
     """
@@ -554,25 +540,23 @@ def superoperator_of(ch: KrausChannel) -> np.ndarray:
 
 
 def _coherence_blocks(ch: KrausChannel):
-    """Yield (positions, block): the superoperator on a slice of :func:`vec` positions.
-
-    For a band channel, one block per coherence order q = 1-dim, ..., dim-1,
-    built when reached: output x[a, a+q] reads input x[a+o, a+q+o] with
-    weight M_o[a, a+q], so diagonal o of B_q is diagonal q of M_o, and T adds
-    to B_0. vec(x) flattens x^T, so diagonal q of x sits at the flat
-    positions of diagonal -q. A channel with no band form is one block.
-    """
-    n = ch.dim
+    """Yield (positions, block) per coherence order q, built when reached, at the vec positions
+    of diagonal -q (vec flattens x^T); a channel with no band form is one whole block."""
     if ch.multipliers is None:
         yield slice(None), superoperator_of(ch)
         return
-    dtype = np.result_type(float, *ch.multipliers.values())
-    for q in range(1 - n, n):
-        size = n - abs(q)
-        block = np.zeros((size, size), dtype=dtype)
-        for offset, m in ch.multipliers.items():
-            if abs(offset) < size:
-                block.reshape(-1)[_diagonal(offset, size)] = np.diagonal(m, q)
-        if q == 0 and ch.transfer is not None:
-            block += ch.transfer
-        yield _diagonal(-q, n), block
+    for q in range(1 - ch.dim, ch.dim):
+        yield _diagonal(-q, ch.dim), _coherence_block(ch, q)
+
+
+def _coherence_block(ch: KrausChannel, q: int) -> np.ndarray:
+    """A band channel's superoperator B_q on diagonal q of x: x[a, a+q] reads x[a+o, a+q+o]
+    times M_o[a, a+q], and T adds to B_0, so B_0[c, a] is what |a><a| puts on |c><c|."""
+    size = ch.dim - abs(q)
+    block = np.zeros((size, size), dtype=np.result_type(float, *ch.multipliers.values()))
+    for offset, m in ch.multipliers.items():
+        if abs(offset) < size:
+            block.reshape(-1)[_diagonal(offset, size)] = np.diagonal(m, q)
+    if q == 0 and ch.transfer is not None:
+        block += ch.transfer
+    return block

@@ -258,12 +258,15 @@ def _cmd_optimize(args) -> int:
     if args.levels is None:
         raise ValueError("--levels is required for optimize")
     levels = _parse_levels(args.levels)
-    seed, raw = args.seed, os.environ.get("SUBCHAN_SEED")
+    seed, raw, source = args.seed, os.environ.get("SUBCHAN_SEED"), "--seed"
     if seed is None and raw:
+        source = "SUBCHAN_SEED"
         try:
             seed = int(raw)
         except ValueError:
             raise ValueError(f"SUBCHAN_SEED must be an integer, got {raw!r}") from None
+    if seed is not None and seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
     restarts = DEFAULT_RESTARTS if args.restarts is None else args.restarts
     result = optimize_encoding(ch, levels, restarts=restarts, seed=seed)
     print(_channel_summary(ch))

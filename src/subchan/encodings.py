@@ -10,8 +10,8 @@ G[a,b,c,e] = <l_c|Phi(|l_a><l_b|)|l_e> (``fidelity.level_process_tensor``), at d
     F(P) = sum G[a,b,c,e] (P[a,b] P[e,c] + P[a,c] P[e,b]) / 6
          = vec(P) . K . vec(P^T),   K = (G[ab, ce] + G[ac, be]) / 6,
 
-which is ``fidelity._haar_average`` written in P. Pair sweeps and the search's
-first start rank Fock pairs by the Haar average of their 2 x 2 x 2 x 2 G.
+which is ``fidelity._haar_average`` written in P. Pair sweeps and the search's first
+start rank all Fock pairs at once from two level tables, G[a,a,c,c] and G[a,c,a,c].
 
 ``optimize_encoding`` maximizes F over qubit codes by the fixed-channel
 iteration of Reimpell & Werner, PRL 94, 080501 (2005), quant-ph/0307138:
@@ -28,13 +28,13 @@ the size guard; K is folded into G's place.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes
-from .fidelity import _haar_average, average_fidelity_closed, level_process_tensor
+from .fidelity import _fock_tables, _haar_average, _moments, average_fidelity_closed
+from .fidelity import level_process_tensor
 from .subspaces import Subspace
 from .tolerances import SPECTRAL_TOL, TIE_TOL
 
@@ -221,7 +221,7 @@ def optimize_encoding(
     # The channel is linear, so its action on the level block is frozen into
     # G once and every candidate code is scored by the quadratic form K.
     g = level_process_tensor(ch, levels)
-    pair = _ranked_pairs(range(n), lambda p: g[np.ix_(p, p, p, p)])[0]
+    pair = _ranked_pairs(*_moments(g))[0]
     warm = np.eye(n, dtype=complex)[:, [pair.k, pair.s]]
     k = _bloch_form(g)
 
@@ -264,19 +264,20 @@ class PairFidelity:
 
 
 def contiguous_pair_sweep(ch: KrausChannel, max_level: int) -> list[PairFidelity]:
-    """Average fidelity of every Fock-pair encoding span{|k>, |s>}, k < s <= max_level, each
-    from its ``level_process_tensor``; best first, ties broken lexicographically on (k, s)."""
+    """Average fidelity of every Fock-pair encoding span{|k>, |s>}, k < s <= max_level, from
+    the tables of levels 0..max_level; best first, ties broken lexicographically on (k, s)."""
     if not 0 < max_level < ch.dim:
         raise ValueError(f"max_level must be in (0, {ch.dim}), got {max_level}")
-    return _ranked_pairs(range(max_level + 1), lambda pair: level_process_tensor(ch, pair))
+    return _ranked_pairs(*_fock_tables(ch, max_level + 1))
 
 
-def _ranked_pairs(levels, tensor_of) -> list[PairFidelity]:
-    """Every pair k < s of ``levels`` scored by ``_haar_average(tensor_of([k, s]))``, its
-    2 x 2 x 2 x 2 tensor T_K, best first, ties lexicographic on (k, s)."""
-    rows = [PairFidelity(k=k, s=s, value=_haar_average(tensor_of([k, s])))
-            for k, s in itertools.combinations(levels, 2)]
-    return sorted(rows, key=lambda r: (-r.value, r.k, r.s))
+def _ranked_pairs(populations: np.ndarray, coherences: np.ndarray) -> list[PairFidelity]:
+    """All level pairs k < s, scored by one ``_haar_average`` of their 2 x 2 blocks."""
+    k, s = np.triu_indices(len(populations), 1)
+    pair = np.stack([k, s], axis=1)
+    block = pair[:, :, np.newaxis], pair[:, np.newaxis]
+    values = _haar_average(populations[block], coherences[block])
+    return [PairFidelity(int(k[r]), int(s[r]), values[r]) for r in np.lexsort((s, k, -values))]
 
 
 def leading_ties(rows: list[PairFidelity]) -> list[PairFidelity]:

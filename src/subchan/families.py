@@ -47,11 +47,6 @@ def _check_dim(family: str, dim: int, every_offset: bool = False) -> None:
     _check_bytes(tables * dim * dim * COMPLEX_BYTES // 2, f"{family} at dim {dim}")
 
 
-def identity_channel(dim: int) -> KrausChannel:
-    """Single-Kraus identity map, handy as a reference point."""
-    return KrausChannel(np.eye(dim, dtype=complex)[np.newaxis], family="custom")
-
-
 # ---------------------------------------------------------------------------
 # Phase damping
 # ---------------------------------------------------------------------------
@@ -211,7 +206,6 @@ def _dim_for_deficit(alpha: complex, tol: float) -> int:
 
 
 __all__ = [
-    "identity_channel",
     "phase_damping",
     "phase_damping_closed",
     "amplitude_damping",

@@ -34,9 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes, _compress, apply_channel
+from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes, _coherence_block, _compress
+from .channels import apply_channel
 from .errors import DimensionMismatchError
-from .fock import log_binomial
+from .fock import basis_operator, log_binomial
 from .subspaces import Subspace, _fock_levels, restrict
 from .tolerances import SPECTRAL_TOL
 
@@ -44,12 +45,10 @@ from .tolerances import SPECTRAL_TOL
 QUADRATURE_NODES = 16
 
 
-def _clip_unit(value: float) -> float:
-    if -SPECTRAL_TOL <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + SPECTRAL_TOL:
-        return 1.0
-    return value
+def _clip_unit(value):
+    """``value`` with entries within SPECTRAL_TOL of [0, 1] moved onto it, elementwise."""
+    near = (value >= -SPECTRAL_TOL) & (value <= 1.0 + SPECTRAL_TOL)
+    return np.where(near, np.clip(value, 0.0, 1.0), value)[()]
 
 
 @dataclass(frozen=True)
@@ -85,21 +84,43 @@ def _report(ch: KrausChannel, subspace: Subspace, value: float, method: str) -> 
     )
 
 
-def _haar_average(t: np.ndarray) -> float:
-    """Haar-averaged fidelity (sum_ij T[i,j,i,j] + sum_ik T[i,i,k,k]) / (d(d+1)) of T_K.
+def _haar_average(populations: np.ndarray, coherences: np.ndarray):
+    """Haar-averaged fidelity (sum_ik P[i,k] + sum_{i != k} C[i,k]) / (d(d+1)) over any
+    leading axes of the tables P[i,k] = T[i,i,k,k] and C[i,k] = T[i,k,i,k] of T_K.
 
-    The sums share their terms T[i,i,i,i], summed once and weighed twice: at
-    d = 2 that is the Bloch-moment order, so qubit values keep every bit.
-    """
-    d = t.shape[0]
-    populations, coherences = np.einsum("iikk->ik", t), np.einsum("ikik->ik", t)
+    The terms P[i,i] = T[i,i,i,i] are summed once and weighed twice: at d = 2 that
+    is the Bloch-moment order, so qubit values keep every bit."""
+    d = populations.shape[-1]
     apart = [(i, k) for i in range(d) for k in range(d) if i != k]
-    shared = sum(populations[i, i] for i in range(d))
-    rest = sum([populations[i, k] for i, k in apart] + [coherences[i, k] for i, k in apart])
+    shared = sum(populations[..., i, i] for i in range(d))
+    rest = sum([table[..., i, k] for table in (populations, coherences) for i, k in apart])
     val = shared / (d * (d + 1) // 2) + rest / (d * (d + 1))
-    if abs(val.imag) > SPECTRAL_TOL:
+    if np.any(abs(val.imag) > SPECTRAL_TOL):
         raise ArithmeticError(f"average fidelity came out non-real: {val}")
     return _clip_unit(val.real)
+
+
+def _moments(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tables (T[i,i,k,k], T[i,k,i,k]) of T_K that ``_haar_average`` reads."""
+    return np.einsum("iikk->ik", t), np.einsum("ikik->ik", t)
+
+
+def _fock_tables(ch: KrausChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_moments(level_process_tensor(ch, range(n)))`` entry for entry, with no G: a band
+    channel's transposed B_0 block and its M_0 (or zeros) with B_0's diagonal, T[i,i,i,i];
+    a dense channel's image of each matrix unit |i><k|, read at (k, k) and at (i, k)."""
+    if ch.multipliers is None:
+        populations, coherences = np.empty((2, n, n), dtype=complex)
+        for i, k in np.ndindex(n, n):
+            image = apply_channel(ch, basis_operator(i, k, ch.dim))
+            coherences[i, k] = image[i, k]
+            if i == k:
+                populations[i] = image.diagonal()[:n]
+    else:
+        populations = _coherence_block(ch, 0)[:n, :n].T.astype(complex)
+        coherences = ch.multipliers.get(0, np.zeros((n, n)))[:n, :n].astype(complex)
+        np.fill_diagonal(coherences, populations.diagonal())
+    return populations, coherences
 
 
 def level_process_tensor(ch: KrausChannel, levels) -> np.ndarray:
@@ -110,8 +131,7 @@ def level_process_tensor(ch: KrausChannel, levels) -> np.ndarray:
     channel sends |a><b| to one diagonal, so G is a read of its storage:
     G[i,j,k,l] = M_o[L_k - r, L_l - r] for o = L_i - L_k = L_j - L_l and
     r = max(0, -o), then + T[L_k, L_i] where i = j and k = l (the order of
-    ``apply_channel``), else 0. The fidelity of frames on the levels contracts
-    G with their amplitudes, so repeated evaluations reuse G.
+    ``apply_channel``), else 0. Pair sweeps read only two tables of G (``_fock_tables``).
     """
     levels = _fock_levels(levels, ch.dim)
     if ch.multipliers is None:
@@ -132,17 +152,16 @@ def level_process_tensor(ch: KrausChannel, levels) -> np.ndarray:
 
 
 def average_fidelity_from_frames(g: np.ndarray, frames: np.ndarray) -> float:
-    """Haar average for the code whose words are the rows of ``frames`` (coefficients
-    on the tensor's levels)."""
+    """Haar average of the code whose words are the rows of ``frames``, on G's levels."""
     t = np.einsum("ia,jb,kc,le,abce->ijkl", frames, frames.conj(),
                   frames.conj(), frames, g)
-    return _haar_average(t)
+    return _haar_average(*_moments(t))
 
 
 def average_fidelity_closed(ch: KrausChannel, subspace: Subspace) -> FidelityReport:
     """Haar average over the code's pure states: the contraction of T_K, for any d."""
     t = restrict(ch, subspace).tensor
-    return _report(ch, subspace, _haar_average(t), "closed-form")
+    return _report(ch, subspace, _haar_average(*_moments(t)), "closed-form")
 
 
 @lru_cache(maxsize=8)

@@ -13,6 +13,7 @@ no support window: it reads only a channel's public ``multipliers`` and
 node, each state built on its own. ``design_average`` is the Haar average of
 a code of any dimension as a finite weighted sum of pure-state fidelities.
 ``pure_fidelity`` is one Bloch state's fidelity, through ``apply_channel``.
+``identity_channel``, ``vec`` and ``unvec`` are small helpers the tests share.
 """
 
 import itertools
@@ -21,11 +22,29 @@ import math
 import numpy as np
 from scipy.stats import poisson
 
-from subchan.channels import apply_channel
+from subchan.channels import KrausChannel, apply_channel
 from subchan.errors import DimensionMismatchError
 from subchan.fidelity import _clip_unit
 from subchan.fock import outer
 from subchan.tolerances import STRUCTURAL_TOL
+
+
+def identity_channel(dim):
+    """Single-Kraus identity map, a reference point."""
+    return KrausChannel(np.eye(dim, dtype=complex)[np.newaxis], family="custom")
+
+
+def vec(x):
+    """Column-stack a matrix into a vector: the convention of ``superoperator_of``."""
+    return np.asarray(x).flatten(order="F")
+
+
+def unvec(v, dim=None):
+    """Inverse of :func:`vec`."""
+    v = np.asarray(v)
+    if dim is None:
+        dim = int(round(np.sqrt(v.size)))
+    return v.reshape((dim, dim), order="F")
 
 
 def dense_apply(ops, x):

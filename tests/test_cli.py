@@ -375,6 +375,23 @@ class TestOptimizeCommand:
         assert (code, out) == (1, "")
         assert err == "error: SUBCHAN_SEED must be an integer, got 'abc'\n"
 
+    def test_negative_seed_flag_is_named(self, capsys):
+        code, out, err = run(
+            capsys, "optimize", "--channel", "ad", "--eta", "0.5", "--dim", "6",
+            "--levels", "0,1", "--restarts", "2", "--seed", "-3",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --seed must be a non-negative integer, got -3\n"
+
+    def test_negative_env_seed_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUBCHAN_SEED", "-3")
+        code, out, err = run(
+            capsys, "optimize", "--channel", "ad", "--eta", "0.5", "--dim", "6",
+            "--levels", "0,1", "--restarts", "2",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: SUBCHAN_SEED must be a non-negative integer, got -3\n"
+
     def test_reports_starts_and_code_words(self, capsys):
         code, out, _ = run(
             capsys, "optimize", "--channel", "ad", "--eta", "0.5", "--dim", "6",
@@ -598,6 +615,13 @@ class TestVerifyCommand:
 
 
 class TestPairsCommand:
+    def test_amplitude_damping_at_dim_256(self, capsys):
+        # The README's largest truncation: every one of the 255 * 256 / 2 pairs.
+        code, out, _ = run(capsys, "pairs", "--channel", "ad", "--eta", "0.5", "--dim", "256")
+        assert code == 0
+        assert "(32640 pairs, best first)" in out
+        assert sum(line.startswith("  (") for line in out.splitlines()) == 32640
+
     def test_phase_damping(self, capsys):
         code, out, _ = run(
             capsys, "pairs", "--channel", "pd", "--eta", "0.5", "--dim", "8",

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import subchan.channels as channels
 import subchan.encodings as encodings
+import subchan.fidelity as fidelity
 import subchan.subspaces as subspaces
 from kraus_reference import design_average, reference_formula
 from test_multipliers import dense_stacks
@@ -29,6 +30,7 @@ from subchan.errors import ConstraintError, ResourceLimitError
 from subchan.families import amplitude_damping, depolarizing, phase_damping
 from subchan.fidelity import (
     _haar_average,
+    _moments,
     average_fidelity_closed,
     average_fidelity_quadrature,
     level_process_tensor,
@@ -218,7 +220,7 @@ class TestBlochForm:
         for _ in range(3):
             v = _isometry(rng, len(levels))
             code = realize_encoding(levels, v.T, ch.dim)
-            want = _haar_average(restrict(ch, code).tensor)
+            want = _haar_average(*_moments(restrict(ch, code).tensor))
             assert _ascent_point(k, v)[0] == pytest.approx(want, abs=1e-12)
 
     def test_gradient_is_the_derivative(self):
@@ -435,7 +437,8 @@ class TestPairSweep:
     def test_counts_channel_applications(self, monkeypatch):
         # Band channels' pairs, level tensors and search tensor G are reads of
         # their storage: the search applies the channel only to score each
-        # start's code (d^2 = 4 images). A dense stack is restricted per pair.
+        # start's code (d^2 = 4 images). A dense stack's pair tables take one
+        # image per matrix unit on the levels.
         calls = []
 
         def counted(ch, x):
@@ -443,6 +446,7 @@ class TestPairSweep:
             return apply_channel(ch, x)
 
         monkeypatch.setattr(subspaces, "apply_channel", counted)
+        monkeypatch.setattr(fidelity, "apply_channel", counted)
         for family in (phase_damping, amplitude_damping, depolarizing):
             ch = family(0.5, 32)
             contiguous_pair_sweep(ch, 4)
@@ -456,7 +460,21 @@ class TestPairSweep:
         dense = KrausChannel(unitary)
         assert dense.multipliers is None
         contiguous_pair_sweep(dense, 4)
-        assert len(calls) == 4 * 10
+        assert len(calls) == 5**2
+
+    @pytest.mark.parametrize("family", [phase_damping, amplitude_damping, depolarizing])
+    def test_band_sweep_reads_the_storage_alone(self, monkeypatch, family):
+        ch = family(0.5, 32)
+        expect = contiguous_pair_sweep(ch, 31)
+
+        def refused(*args):
+            raise AssertionError("a band sweep applies no channel and builds no level tensor")
+
+        for module in (channels, fidelity, subspaces):
+            monkeypatch.setattr(module, "apply_channel", refused)
+        for module in (fidelity, encodings):
+            monkeypatch.setattr(module, "level_process_tensor", refused)
+        assert contiguous_pair_sweep(ch, 31) == expect
 
     def test_refuses_a_fidelity_above_one(self):
         # A map that gains trace is not a channel; its pair "fidelity" exceeds 1.

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -10,19 +11,22 @@ import subchan.fidelity
 from kraus_reference import (
     bloch_state,
     design_average,
+    identity_channel,
     node_quadrature,
     pure_fidelity,
     reference_formula,
 )
 from subchan.channels import KrausChannel, _compress, apply_channel
 from subchan.errors import DimensionMismatchError, ResourceLimitError
-from subchan.families import amplitude_damping, depolarizing, identity_channel, phase_damping
+from subchan.families import amplitude_damping, depolarizing, phase_damping
 from subchan.fock import outer
 from subchan.fidelity import (
     FidelityReport,
     _clip_unit,
+    _fock_tables,
     _gauss_legendre,
     _haar_average,
+    _moments,
     average_fidelity_closed,
     average_fidelity_from_frames,
     average_fidelity_quadrature,
@@ -152,13 +156,13 @@ class TestHaarContraction:
         for ch in channels:
             t = restrict(ch, code).tensor
             want = design_average(functools.partial(apply_channel, ch), code.basis)
-            assert _haar_average(t) == pytest.approx(want, abs=1e-12)
+            assert _haar_average(*_moments(t)) == pytest.approx(want, abs=1e-12)
             if d == 2:
                 # The qubit Bloch-moment formula, bit for bit, so printed qubit
                 # fidelities and cross-check gaps are those of that formula.
                 bloch = (t[0, 0, 0, 0] + t[1, 1, 1, 1]) / 3 + (
                     t[0, 0, 1, 1] + t[1, 1, 0, 0] + t[0, 1, 0, 1] + t[1, 0, 1, 0]) / 6
-                assert _haar_average(t) == _clip_unit(bloch.real)
+                assert _haar_average(*_moments(t)) == _clip_unit(bloch.real)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("eta", [0.2, 0.5, 0.9])
@@ -396,6 +400,29 @@ class TestLevelProcessTensor:
         levels = np.random.default_rng(dim).permutation(dim)[:5].tolist()
         expect = restrict(ch, Subspace.from_levels(levels, dim)).tensor
         assert np.array_equal(level_process_tensor(ch, levels), expect)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(multiplier_channels(), dense_stacks()), st.data())
+    def test_fock_tables_are_the_moments_of_g(self, case, data):
+        # The pair tables keep every bit of the moments of G on levels 0..n-1,
+        # for every way a band channel can be built and for dense stacks.
+        channels = _constructions(*case) if isinstance(case, tuple) else [KrausChannel(case)]
+        n = data.draw(st.integers(min_value=1, max_value=channels[0].dim))
+        for ch in channels:
+            moments = _moments(level_process_tensor(ch, range(n)))
+            for table, moment in zip(_fock_tables(ch, n), moments, strict=True):
+                assert table.dtype == complex and np.array_equal(table, moment)
+
+    @pytest.mark.parametrize("family, etas", [
+        (phase_damping, (1e-3, 1.0)), (amplitude_damping, (0.0, 1.0)),
+        (depolarizing, (0.0, 1.0))])
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_family_tables_are_the_moments_of_g(self, family, etas, dim):
+        for eta, n in itertools.product(etas, range(1, dim + 1)):
+            ch = family(eta, dim)
+            moments = _moments(level_process_tensor(ch, range(n)))
+            for table, moment in zip(_fock_tables(ch, n), moments, strict=True):
+                assert table.dtype == complex and np.array_equal(table, moment)
 
     @pytest.mark.parametrize("levels, message", [
         ([-1, 0], "out of range"), ([1, 1], "distinct"), ([], "empty")])

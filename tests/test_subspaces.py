@@ -6,7 +6,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import subchan.channels
 import subchan.subspaces
-from kraus_reference import dense_fixed_points, dense_superoperator, span_projector
+from kraus_reference import (
+    dense_fixed_points,
+    dense_superoperator,
+    identity_channel,
+    span_projector,
+)
 from subchan.channels import (
     MAX_KRAUS_BYTES,
     MAX_SUPEROPERATOR_DIM,
@@ -22,7 +27,7 @@ from subchan.errors import (
     ResourceLimitError,
     SupportError,
 )
-from subchan.families import amplitude_damping, depolarizing, identity_channel, phase_damping
+from subchan.families import amplitude_damping, depolarizing, phase_damping
 from subchan.fock import basis_operator, fock_state, hs_norm, operator_norm
 from subchan.subspaces import (
     Subspace,
