@@ -19,11 +19,15 @@ from the best Fock pair on the levels, then from Haar-random starts, each
 step replaces P by the projector onto the top two eigenvectors of the
 hermitian gradient of F at P, the code that maximizes F's linearization
 there. The code words are complex. F is not concave in general, so each
-step's gain is checked rather than assumed. A start ends when a step raises
-F by less than SEESAW_TOL (converged), when a step lowers F by more than
-ROUNDOFF (non-ascent: the start keeps the code before that step), or after
-MAX_STEPS steps (step cap). Any number of levels is searched whose G passes
-the size guard; K is folded into G's place.
+step's gain is checked rather than assumed. All starts are drawn up front and
+run in lockstep as one (R, n, 2) stack: a step is one stacked ``eigh`` over
+the starts still running, and LAPACK takes each matrix of a stack on its own,
+so every start follows the path it would follow alone. A start leaves the
+stack on the step that ends it: when the step raises F by less than
+SEESAW_TOL (converged), when it lowers F by more than ROUNDOFF (non-ascent:
+the start keeps the code before that step), or after MAX_STEPS steps (step
+cap). Any number of levels is searched whose G passes the size guard; K is
+folded into G's place.
 """
 
 from __future__ import annotations
@@ -123,37 +127,61 @@ def _bloch_form(g: np.ndarray) -> np.ndarray:
     return g.reshape(n * n, n * n)
 
 
-def _ascent_point(k: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+def _ascent_point(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F(P) and H = C^T + conj(C) for P = v v^dag, where C[a, b] = dF/dP[a, b].
 
-    For hermitian X, dF(P)[X] = tr(H X) / 2, so H is twice the hermitian
-    gradient of F at P.
+    ``v`` is one (n, 2) isometry or a stack (..., n, 2) of them; F and H keep
+    its leading axes. Each product of a stack is the product a lone start
+    makes, so a start's values do not depend on the others in its stack. For
+    hermitian X, dF(P)[X] = tr(H X) / 2, so H is twice the hermitian gradient
+    of F at P.
     """
-    n = v.shape[0]
-    p = v @ v.conj().T
-    vec_p, vec_pt = p.ravel(), p.T.ravel()
-    k_pt = k @ vec_pt
-    c = k_pt.reshape(n, n) + (vec_p @ k).reshape(n, n).T
-    return float((vec_p @ k_pt).real), c.T + c.conj()
+    *lead, n, _ = v.shape
+    p = v @ v.conj().swapaxes(-1, -2)
+    vec_p = p.reshape(*lead, n * n)
+    vec_pt = p.swapaxes(-1, -2).reshape(*lead, n * n)
+    row_p = vec_p[..., np.newaxis, :]
+    k_pt = (k @ vec_pt[..., np.newaxis])[..., 0]
+    c = k_pt.reshape(*lead, n, n) + (row_p @ k).reshape(*lead, n, n).swapaxes(-1, -2)
+    value = (row_p @ k_pt[..., np.newaxis])[..., 0, 0].real
+    return value, c.swapaxes(-1, -2) + c.conj()
 
 
-def _seesaw(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int, str]:
-    """Ascend F from the code spanned by the columns of the isometry ``v``.
+def _seesaw(k: np.ndarray, v: np.ndarray):
+    """Ascend F from the codes spanned by the columns of the isometries ``v``, in lockstep.
 
-    Each step takes the top two eigenvectors of H at the current code.
-    Returns the final isometry, the steps accepted and how the start ended.
+    ``v`` is a stack (R, n, 2) of starts, or one (n, 2) start. Each step takes
+    the top two eigenvectors of every running start's H in one stacked
+    ``eigh``; a start leaves the stack on the step that ends it. Returns the
+    final isometries, the steps each accepted and how each ended (for one
+    start: its isometry, steps and status).
     """
+    if v.ndim == 2:
+        ends, steps, statuses = _seesaw(k, v[np.newaxis])
+        return ends[0], steps[0], statuses[0]
+    ends = v.copy()
+    steps, statuses = [MAX_STEPS] * len(v), [STEP_CAP] * len(v)
+    running = np.arange(len(v))
     value, h = _ascent_point(k, v)
     for step in range(MAX_STEPS):
-        nxt = np.linalg.eigh(h)[1][:, -2:]
+        nxt = np.linalg.eigh(h)[1][..., -2:]
         new_value, new_h = _ascent_point(k, nxt)
-        if new_value < value - ROUNDOFF:
-            return v, step, NON_ASCENT
-        gain = new_value - value
+        drop = new_value < value - ROUNDOFF
+        done = drop | (new_value - value < SEESAW_TOL)
+        if done.any():
+            for i in np.flatnonzero(done):
+                start = running[i]
+                if drop[i]:
+                    ends[start], steps[start], statuses[start] = v[i], step, NON_ASCENT
+                else:
+                    ends[start], steps[start], statuses[start] = nxt[i], step + 1, CONVERGED
+            kept = ~done
+            running, nxt, new_value, new_h = running[kept], nxt[kept], new_value[kept], new_h[kept]
         v, value, h = nxt, new_value, new_h
-        if gain < SEESAW_TOL:
-            return v, step + 1, CONVERGED
-    return v, MAX_STEPS, STEP_CAP
+        if not running.size:
+            break
+    ends[running] = v
+    return ends, steps, statuses
 
 
 def _gauge(v: np.ndarray) -> np.ndarray:
@@ -200,14 +228,17 @@ def optimize_encoding(
 
     The first start is the Fock pair on the levels that scores best on G
     (ties to the pair first in the order the levels are given). Each other
-    start draws a Haar-random complex isometry on the levels (QR of a
-    complex Gaussian) from a generator seeded once with ``seed``, so
-    identical inputs give identical results. Every start's code is scored
-    once by ``average_fidelity_closed`` at the channel's full truncation;
-    ties between starts resolve to the earliest one. The level tensor G
-    (n^4 complex entries, which K then overwrites) goes through the size
-    guard before it is built; a repeated or out-of-range level raises
-    ValueError (from ``level_process_tensor``).
+    start is a Haar-random complex isometry on the levels (QR of a complex
+    Gaussian) from a generator seeded once with ``seed``, so identical inputs
+    give identical results. All starts are drawn up front and run in lockstep;
+    each leaves the stack as it ends. Every start's code is scored once by
+    ``average_fidelity_closed`` at the channel's full truncation; ties between
+    starts resolve to the earliest one. The level tensor G (n^4 complex
+    entries, which K then overwrites) and the start stack (H, its
+    eigenvectors and P: 3 R n^2 complex entries for R starts, so at most 1365
+    starts on 64 levels) go through the size guard before either is built; a
+    repeated or out-of-range level raises ValueError (from
+    ``level_process_tensor``).
     """
     levels = tuple(levels)
     n = len(levels)
@@ -216,6 +247,7 @@ def optimize_encoding(
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     _check_bytes(n**4 * COMPLEX_BYTES, f"a search on {n} levels")
+    _check_bytes(3 * restarts * n**2 * COMPLEX_BYTES, f"{restarts} seesaw starts on {n} levels")
 
     rng = np.random.default_rng(seed)
     # The channel is linear, so its action on the level block is frozen into
@@ -224,13 +256,12 @@ def optimize_encoding(
     pair = _ranked_pairs(*_moments(g))[0]
     warm = np.eye(n, dtype=complex)[:, [pair.k, pair.s]]
     k = _bloch_form(g)
+    haar = [np.linalg.qr(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))[0]
+            for _ in range(restarts - 1)]
 
     best_value, best_frame, best_encoding = -np.inf, None, None
     history = []
-    for restart in range(restarts):
-        start = warm if restart == 0 else np.linalg.qr(
-            rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))[0]
-        v, steps, status = _seesaw(k, start)
+    for v, steps, status in zip(*_seesaw(k, np.stack([warm, *haar]))):
         frame = _gauge(v)
         encoding = realize_encoding(levels, frame, ch.dim)
         value = average_fidelity_closed(ch, encoding).value

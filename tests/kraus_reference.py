@@ -14,6 +14,8 @@ node, each state built on its own. ``design_average`` is the Haar average of
 a code of any dimension as a finite weighted sum of pure-state fidelities.
 ``pure_fidelity`` is one Bloch state's fidelity, through ``apply_channel``.
 ``identity_channel``, ``vec`` and ``unvec`` are small helpers the tests share.
+``seesaw_one_start`` is the search's seesaw run on one start alone, with its
+own products, against which the lockstep stack is checked.
 """
 
 import itertools
@@ -22,6 +24,7 @@ import math
 import numpy as np
 from scipy.stats import poisson
 
+import subchan.encodings as encodings
 from subchan.channels import KrausChannel, apply_channel
 from subchan.errors import DimensionMismatchError
 from subchan.fidelity import _clip_unit
@@ -229,3 +232,32 @@ def pure_fidelity(ch, subspace, theta: float, phi: float) -> float:
     if abs(val.imag) > STRUCTURAL_TOL:
         raise ArithmeticError(f"fidelity came out non-real: {val}")
     return _clip_unit(val.real)
+
+
+def _one_ascent_point(k, v):
+    """F(P) and H for P = v v^dag of one (n, 2) isometry v, as ``encodings._ascent_point``."""
+    n = v.shape[0]
+    p = v @ v.conj().T
+    vec_p, vec_pt = p.ravel(), p.T.ravel()
+    k_pt = k @ vec_pt
+    c = k_pt.reshape(n, n) + (vec_p @ k).reshape(n, n).T
+    return float((vec_p @ k_pt).real), c.T + c.conj()
+
+
+def seesaw_one_start(k, v):
+    """The seesaw from one start: (final isometry, steps accepted, how it ended).
+
+    Reads MAX_STEPS and the tolerances from ``subchan.encodings`` at call time,
+    so a test that patches them patches both routes.
+    """
+    value, h = _one_ascent_point(k, v)
+    for step in range(encodings.MAX_STEPS):
+        nxt = np.linalg.eigh(h)[1][:, -2:]
+        new_value, new_h = _one_ascent_point(k, nxt)
+        if new_value < value - encodings.ROUNDOFF:
+            return v, step, encodings.NON_ASCENT
+        gain = new_value - value
+        v, value, h = nxt, new_value, new_h
+        if gain < encodings.SEESAW_TOL:
+            return v, step + 1, encodings.CONVERGED
+    return v, encodings.MAX_STEPS, encodings.STEP_CAP

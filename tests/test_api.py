@@ -186,6 +186,8 @@ def _guarded_calls():
                         (16 * 16 * 64 + 16 * 64**2) * 16, "the node states on a 64-level window"),
         "search": (partial(optimize_encoding, ad8, range(6), restarts=1), 6**4 * 16,
                    "a search on 6 levels"),
+        "start stack": (partial(optimize_encoding, ad8, [0, 1], restarts=1000),
+                        3 * 1000 * 2**2 * 16, "1000 seesaw starts on 2 levels"),
         "sweep grid": (partial(sweep.func, sweep), 4 * 1000 * 8, "a sweep of 1000 steps"),
         "coefficient rows": (partial(encoding_from_coefficients, *[[1]] * 8, dim=64),
                              8 * 64 * 16, "8 code words at dim 64"),

@@ -8,7 +8,7 @@ import subchan.channels as channels
 import subchan.encodings as encodings
 import subchan.fidelity as fidelity
 import subchan.subspaces as subspaces
-from kraus_reference import design_average, reference_formula
+from kraus_reference import design_average, reference_formula, seesaw_one_start
 from test_multipliers import dense_stacks
 from subchan.channels import KrausChannel, apply_channel
 from subchan.encodings import (
@@ -268,6 +268,26 @@ class TestSeesaw:
         if steps == 0:
             assert np.array_equal(v, start)
 
+    @pytest.mark.parametrize("route", ["ascent", "descent", "step cap"])
+    @settings(max_examples=30, deadline=None)
+    @given(channels_with_levels(), st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_lockstep_matches_each_start_alone(self, route, case, seed, count):
+        # -K makes starts end non-ascent; a cap of 3 steps ends the rest there.
+        ch, levels = case
+        k = _bloch_form(level_process_tensor(ch, levels))
+        if route == "descent":
+            k = -k
+        rng = np.random.default_rng(seed)
+        starts = np.stack([_isometry(rng, len(levels)) for _ in range(count)])
+        with pytest.MonkeyPatch.context() as mp:
+            if route == "step cap":
+                mp.setattr(encodings, "MAX_STEPS", 3)
+            ends, steps, statuses = _seesaw(k, starts)
+            alone = [seesaw_one_start(k, start) for start in starts]
+        assert list(zip(steps, statuses)) == [(steps, status) for _, steps, status in alone]
+        for end, (want, _, _) in zip(ends, alone):
+            assert end.tobytes() == want.tobytes()
+
     def test_step_cap_is_recorded(self, monkeypatch):
         # The first start is the best Fock pair, (0, 1) here, an optimum; the
         # random starts after it run into the cap.
@@ -329,6 +349,32 @@ class TestOptimizer:
         again = optimize_encoding(ch, levels, restarts=3, seed=seed)
         assert np.array_equal(again.best_params, result.best_params)
         assert again.history == result.history
+
+    def test_history_of_a_known_search(self):
+        # Recorded from the search that ran its starts one after another.
+        result = optimize_encoding(amplitude_damping(0.6, 32), (0, 1, 2, 3), restarts=4, seed=3)
+        assert [(r.steps, r.status) for r in result.history] == [
+            (1, CONVERGED), (102, CONVERGED), (88, CONVERGED), (96, CONVERGED)]
+        assert result.best_fidelity == 0.8581988897471611
+
+    @pytest.mark.parametrize("search", [
+        (amplitude_damping(0.6, 32), (0, 1, 2, 3), 3),
+        (amplitude_damping(0.5, 16), (10, 7, 8, 12), 2),  # its longest start ends non-ascent
+    ])
+    def test_one_eigh_per_step_of_the_longest_start(self, monkeypatch, search):
+        # All starts share each step's eigh; a non-ascent start made one more
+        # step than it accepted.
+        ch, levels, seed = search
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(h):
+            calls.append(h.shape)
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        result = optimize_encoding(ch, levels, restarts=4, seed=seed)
+        extra = [r.steps + (r.status == NON_ASCENT) for r in result.history]
+        assert len(calls) == max(extra) < sum(extra)
 
     def test_result_compares_and_hashes_by_identity(self):
         ch = amplitude_damping(0.4, 6)
@@ -395,6 +441,23 @@ class TestOptimizer:
         monkeypatch.setattr(encodings, "level_process_tensor", None)
         with pytest.raises(ResourceLimitError, match="7 levels needs 0.00 GB"):
             optimize_encoding(amplitude_damping(0.5, 8), range(7), restarts=1)
+
+
+    def test_start_count_at_the_real_limit(self, monkeypatch):
+        # The start stack's guard runs before G is built: 1365 starts pass on
+        # 64 levels, as the docstring says, and 1366 do not.
+        class Passed(Exception):
+            pass
+
+        def passed(*args):
+            raise Passed
+
+        monkeypatch.setattr(encodings, "level_process_tensor", passed)
+        ch = amplitude_damping(0.5, 64)
+        with pytest.raises(Passed):
+            optimize_encoding(ch, range(64), restarts=1365)
+        with pytest.raises(ResourceLimitError, match="^1366 seesaw starts on 64 levels needs"):
+            optimize_encoding(ch, range(64), restarts=1366)
 
 
 class TestPairSweep:
