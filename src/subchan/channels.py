@@ -27,16 +27,30 @@ Support window. An encoded state sits on a few low levels of a much larger
 truncation, so most of each shifted product multiplies zeros. When a
 channel stores a multiplier off offset 0, ``apply_channel`` first finds
 [lo, hi), the smallest index range holding every nonzero row and column of
-x (one O(dim^2) pass). Each shifted product is then cut to the rows a whose
-source a + o lies in that range, and offsets that miss it are skipped. The
-offset-0 product and the transfer matvec stay full size. Only exact zero
-terms are dropped, so the result equals the full-size sum entry for entry.
+x (one O(dim^2) pass), the union over a stack. Each shifted product is then
+cut to the rows a whose source a + o lies in that range, and offsets that
+miss it are skipped. The offset-0 product and the transfer matvec stay full
+size. Only exact zero terms are dropped, so the result equals the full-size
+sum entry for entry.
 ``adjoint_apply`` sums its shifted products at full size: Phi* reads x at
 the rows a themselves, so an input on a few levels still meets almost every
 offset, and the window would save little. A caller that applies
 a channel many times to inputs on one window, and reads the outputs only
 there, can instead take the channel's compression onto it once
 (``_compress``) and apply that at the window's size.
+
+Stacks. ``apply_channel`` and ``adjoint_apply`` take one (dim, dim) operator
+or a stack (..., dim, dim), and each matrix of the output equals the 2-D
+call on that matrix, entry for entry. Each band product broadcasts over the
+leading axes, under the stack's union window: a matrix whose own window is
+smaller only gains added exact zeros. The transfer term is one matrix-vector
+product per matrix, since one GEMM over the stack would round differently.
+A dense channel makes two GEMMs per term and matrix, and their
+(stack, terms, dim, dim) temporaries go through the size guard first. A
+stack of one matrix is applied as that matrix: numpy rounds a complex
+product of one element differently when it broadcasts. ``verify_channel``
+draws and applies its samples in stacks of at most VERIFY_STACK_BYTES of
+inputs.
 
 A diagonal multiplier only moves populations, Phi(x)[a, a] picks up
 M_o[a, a] x[a+o, a+o]. All of them, on every offset, are kept together as
@@ -78,7 +92,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, ResourceLimitError
-from .fock import hermiticity_defect, operator_norm, random_density_matrix, random_hermitian
+from .fock import _hermitian_from, _state_from, hermiticity_defect, operator_norm
 from .tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
 
 # N^4 superoperator entries get unwieldy past this point.
@@ -89,6 +103,8 @@ MAX_KRAUS_BYTES = MAX_SUPEROPERATOR_DIM**4 * COMPLEX_BYTES
 # Random inputs per verify_channel run, each of hermiticity and positivity, and their seed.
 VERIFY_SAMPLES = 20
 VERIFY_SEED = 1234
+# Bytes of the (dim, dim) inputs that verify_channel applies in one stack.
+VERIFY_STACK_BYTES = 2**18
 
 KNOWN_FAMILIES = ("phase-damping", "amplitude-damping", "depolarizing", "custom")
 
@@ -254,6 +270,11 @@ class KrausChannel:
                 for o, m in sorted({**zero, **self.multipliers}.items(), key=lambda i: abs(i[0]))]
 
     @cached_property
+    def _complex_transfer(self) -> np.ndarray:
+        """``transfer`` as complex, so the kernels' matrix-vector products cast nothing per call."""
+        return _readonly(self.transfer.astype(complex))
+
+    @cached_property
     def _adjoint_identity(self) -> np.ndarray:
         """Diagonal of Phi*(I) = sum_i E_i^dag E_i, which is diagonal for band channels."""
         col = np.zeros(self.dim)
@@ -370,56 +391,90 @@ def _detect_bands(stack: np.ndarray) -> dict[int, np.ndarray] | None:
 
 def _check_dims(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
-    if x.shape != (ch.dim, ch.dim):
-        raise DimensionMismatchError(
-            f"operator shape {x.shape} does not match channel dim {ch.dim}"
-        )
+    n = ch.dim
+    if x.shape != (n, n) and (x.ndim < 2 or x.shape[-2:] != (n, n)):
+        raise DimensionMismatchError(f"operator shape {x.shape} does not match channel dim {n}")
     return x
 
 
-def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
-    """Phi(x) = sum_i E_i x E_i^dag.
+def _dense_sum(e: np.ndarray, x: np.ndarray, adjoint: bool) -> np.ndarray:
+    """sum_i E_i x E_i^dag, or sum_i E_i^dag x E_i, for each matrix of x: two GEMMs per term
+    and matrix, and each matrix's terms summed in order. The conjugate stack and the two
+    (stack, terms, dim, dim) temporaries go through the size guard first."""
+    _check_bytes((2 * x.size + x.shape[-1] ** 2) * len(e) * COMPLEX_BYTES,
+                 "a dense channel's products")
+    left, right = e, e.conj().transpose(0, 2, 1)
+    if adjoint:
+        left, right = right, left
+    if x.ndim > 2:
+        x = x[..., np.newaxis, :, :]  # the terms axis
+    return ((left @ x) @ right).sum(axis=-3)
 
-    A band channel with multipliers off offset 0 first finds the support
-    window [lo, hi) of x, the smallest index range holding every nonzero row
-    and column. Each shifted product then keeps only the rows a whose source
-    a + o lies in [lo, hi), and offsets that miss it are skipped; the terms
-    dropped are exact zeros.
+
+def _add_moved_populations(out: np.ndarray, ch: KrausChannel, x: np.ndarray, adjoint: bool):
+    """out[..., a, a] += (T @ diag(x))[a], or (diag(x) @ T)[a] for the adjoint: one
+    matrix-vector product per matrix, since one GEMM over a stack would round differently."""
+    t, n = ch._complex_transfer, ch.dim
+    d = x.diagonal(0, -2, -1)
+    if x.ndim == 2:
+        out.reshape(-1)[::n + 1] += d @ t if adjoint else t @ d
+    elif adjoint:
+        out.reshape(*x.shape[:-2], n * n)[..., ::n + 1] += (d[..., np.newaxis, :] @ t)[..., 0, :]
+    else:
+        out.reshape(*x.shape[:-2], n * n)[..., ::n + 1] += (t @ d[..., np.newaxis])[..., 0]
+
+
+def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
+    """Phi(x) = sum_i E_i x E_i^dag, for one (dim, dim) operator or a stack (..., dim, dim).
+
+    Each matrix of a stack comes out as the 2-D call on it returns it. A band
+    channel with multipliers off offset 0 cuts its shifted products to the
+    support window of x, the union over a stack; the terms dropped are exact
+    zeros. A dense channel's (stack, terms, dim, dim) products go through the
+    size guard first.
     """
     x = _check_dims(ch, x)
+    if x.ndim > 2 and x.size == ch.dim**2:  # a stack of one matrix: see "Stacks" above
+        return apply_channel(ch, x.reshape(x.shape[-2:])).reshape(x.shape)
     if ch.multipliers is None:
-        e = ch.kraus_ops
-        return ((e @ x) @ e.conj().transpose(0, 2, 1)).sum(axis=0)
+        return _dense_sum(ch.kraus_ops, x, adjoint=False)
     out = ch._products[0][2] * x
     if len(ch._products) > 1:
-        (used,) = np.nonzero(x.any(axis=0) | x.any(axis=1))
+        used = x.any(axis=-1) | x.any(axis=-2)
+        if used.ndim > 1:
+            used = used.reshape(-1, ch.dim).any(axis=0)
+        (used,) = np.nonzero(used)
         lo, hi = (int(used[0]), int(used[-1]) + 1) if used.size else (0, 0)
         for rows, cols, m in ch._products[1:]:
             start, stop = max(lo, cols.start), min(hi, cols.stop)
             if start < stop:
                 first, last = start - cols.start, stop - cols.start
                 target = slice(rows.start + first, rows.start + last)
-                out[target, target] += m[first:last, first:last] * x[start:stop, start:stop]
+                view = out[..., target, target]  # adding in place skips a second indexing
+                view += m[first:last, first:last] * x[..., start:stop, start:stop]
     if ch.transfer is not None:
-        out.reshape(-1)[::ch.dim + 1] += ch.transfer @ x.diagonal()
+        _add_moved_populations(out, ch, x, adjoint=False)
     return out
 
 
 def adjoint_apply(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
-    """Conjugate map Phi*(x) = sum_i E_i^dag x E_i.
+    """Conjugate map Phi*(x) = sum_i E_i^dag x E_i, for one operator or a stack (..., dim, dim).
 
     Satisfies tr(x1 Phi*(x2)) = tr(Phi(x1) x2); unital exactly when Phi is
-    trace-preserving.
+    trace-preserving. Each matrix of a stack comes out as the 2-D call on it
+    returns it.
     """
     x = _check_dims(ch, x)
+    if x.ndim > 2 and x.size == ch.dim**2:
+        return adjoint_apply(ch, x.reshape(x.shape[-2:])).reshape(x.shape)
     if ch.multipliers is None:
-        e = ch.kraus_ops
-        return ((e.conj().transpose(0, 2, 1) @ x) @ e).sum(axis=0)
+        return _dense_sum(ch.kraus_ops, x, adjoint=True)
     out = ch._products[0][2].conj() * x
     for rows, cols, m in ch._products[1:]:
-        out[cols, cols] += m.conj() * x[rows, rows]
+        view = out[..., cols, cols]
+        view += m.conj() * x[..., rows, rows]
     if ch.transfer is not None:
-        out.reshape(-1)[::ch.dim + 1] += x.diagonal() @ ch.transfer
+        _add_moved_populations(out, ch, x, adjoint=True)
     return out
 
 
@@ -477,26 +532,34 @@ class ChannelVerification:
 def verify_channel(ch: KrausChannel, block: int | None = None) -> ChannelVerification:
     """Check trace preservation on a block plus hermiticity/positivity on samples.
 
-    VERIFY_SAMPLES random density matrices (and hermitian operators)
-    supported on the leading ``block`` levels are drawn from a generator
-    seeded with VERIFY_SEED; the seed is recorded in the report. Trace
+    VERIFY_SAMPLES random hermitian operators and as many density matrices,
+    supported on the leading ``block`` levels, are drawn from a generator
+    seeded with VERIFY_SEED (recorded in the report), in the order of one
+    ``random_hermitian`` and one ``random_density_matrix`` call per sample.
+    They go through ``apply_channel`` in stacks of at most VERIFY_STACK_BYTES
+    of (dim, dim) inputs, one stack of each kind at a time, and the report
+    is the one that applying each sample on its own gives. Trace
     preservation and positivity are judged at SPECTRAL_TOL, hermiticity at
     STRUCTURAL_TOL.
     """
     block = ch.dim if block is None else block
     tp = tp_defect_on_block(ch, block)  # checks the block
     rng = np.random.default_rng(VERIFY_SEED)
-
+    stack = max(1, VERIFY_STACK_BYTES // (ch.dim**2 * COMPLEX_BYTES))
     herms, eigs = [], []
-    for _ in range(VERIFY_SAMPLES):
-        h = np.zeros((ch.dim, ch.dim), dtype=complex)
-        h[:block, :block] = random_hermitian(block, rng)
-        herms.append(hermiticity_defect(apply_channel(ch, h)))
-
-        rho = np.zeros((ch.dim, ch.dim), dtype=complex)
-        rho[:block, :block] = random_density_matrix(block, rng)
-        out = apply_channel(ch, rho)
-        eigs.append(np.linalg.eigvalsh((out + out.conj().T) / 2).min())
+    for first in range(0, VERIFY_SAMPLES, stack):
+        # Per sample: a hermitian operator's real and imaginary parts, then a state's.
+        g = rng.normal(size=(min(stack, VERIFY_SAMPLES - first), 2, 2, block, block))
+        x = np.zeros((len(g), ch.dim, ch.dim), dtype=complex)
+        x[:, :block, :block] = _hermitian_from(g[:, 0])
+        herms.append(hermiticity_defect(apply_channel(ch, x)))
+        x[:, :block, :block] = _state_from(g[:, 1])
+        del g
+        out = apply_channel(ch, x)
+        # (out + out^dag) / 2, written over the inputs.
+        np.add(out, out.conj().swapaxes(-1, -2), out=x)
+        x /= 2
+        eigs.append(np.linalg.eigvalsh(x).min())
     # np.max and np.min propagate NaN, which Python's max and min would drop.
     herm, min_eig = float(np.max(herms)), float(np.min(eigs))
 

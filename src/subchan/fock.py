@@ -98,9 +98,9 @@ def log_binomial(k: int, i: int) -> float:
 
 
 def hermiticity_defect(op: np.ndarray) -> float:
-    """max |op[k, s] - conj(op[s, k])|."""
+    """max |op[..., k, s] - conj(op[..., s, k])| over one operator or a stack of them."""
     op = np.asarray(op)
-    return float(np.max(np.abs(op - op.conj().T))) if op.size else 0.0
+    return float(np.max(np.abs(op - op.conj().swapaxes(-1, -2)))) if op.size else 0.0
 
 
 def operator_norm(op: np.ndarray) -> float:
@@ -120,11 +120,39 @@ def hs_norm(op: np.ndarray) -> float:
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank mixed state from a square Ginibre factor G: rho = G G^dag / tr."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return _state_from(rng.normal(size=(2, dim, dim)))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2
+    return _hermitian_from(rng.normal(size=(2, dim, dim)))
+
+
+# Both take standard normals g of shape (..., 2, dim, dim), real parts then
+# imaginary parts, and build one operator per leading index: a stack of draws
+# gives the operators that drawing them one at a time in that order gives.
+# Sums and quotients are formed in place, which keeps verify_channel's stacks
+# from holding extra temporaries; the terms of a sum commute bit for bit.
+
+
+def _ginibre(g: np.ndarray) -> np.ndarray:
+    """g[..., 0, :, :] + 1j g[..., 1, :, :]."""
+    a = 1j * g[..., 1, :, :]
+    a += g[..., 0, :, :]
+    return a
+
+
+def _state_from(g: np.ndarray) -> np.ndarray:
+    """G G^dag / tr(G G^dag) for the Ginibre factor G of ``g``."""
+    g = _ginibre(g)
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
+    return rho
+
+
+def _hermitian_from(g: np.ndarray) -> np.ndarray:
+    """(A + A^dag) / 2 for the Ginibre factor A of ``g``."""
+    a = _ginibre(g)
+    h = a.conj().swapaxes(-1, -2)
+    h += a
+    h /= 2
+    return h

@@ -16,6 +16,8 @@ a code of any dimension as a finite weighted sum of pure-state fidelities.
 ``identity_channel``, ``vec`` and ``unvec`` are small helpers the tests share.
 ``seesaw_one_start`` is the search's seesaw run on one start alone, with its
 own products, against which the lockstep stack is checked.
+``verify_one_sample_at_a_time`` is ``verify_channel`` drawing, applying and
+scoring each sample on its own, against which the stacked samples are checked.
 """
 
 import itertools
@@ -25,11 +27,18 @@ import numpy as np
 from scipy.stats import poisson
 
 import subchan.encodings as encodings
-from subchan.channels import KrausChannel, apply_channel
+from subchan.channels import (
+    VERIFY_SAMPLES,
+    VERIFY_SEED,
+    ChannelVerification,
+    KrausChannel,
+    apply_channel,
+    tp_defect_on_block,
+)
 from subchan.errors import DimensionMismatchError
 from subchan.fidelity import _clip_unit
 from subchan.fock import outer
-from subchan.tolerances import STRUCTURAL_TOL
+from subchan.tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
 
 
 def identity_channel(dim):
@@ -261,3 +270,38 @@ def seesaw_one_start(k, v):
         if gain < encodings.SEESAW_TOL:
             return v, step + 1, encodings.CONVERGED
     return v, encodings.MAX_STEPS, encodings.STEP_CAP
+
+
+def _ginibre(block, rng):
+    return rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+
+
+def verify_one_sample_at_a_time(ch, block=None):
+    """``verify_channel``'s report from one 2-D ``apply_channel`` per sample.
+
+    Per sample, in this order: a hermitian (A + A^dag) / 2 and a state
+    G G^dag / tr from Ginibre factors drawn real part first, each supported
+    on the leading ``block`` levels.
+    """
+    block = ch.dim if block is None else block
+    tp = tp_defect_on_block(ch, block)
+    rng = np.random.default_rng(VERIFY_SEED)
+    herms, eigs = [], []
+    for _ in range(VERIFY_SAMPLES):
+        a = _ginibre(block, rng)
+        h = np.zeros((ch.dim, ch.dim), dtype=complex)
+        h[:block, :block] = (a + a.conj().T) / 2
+        out = apply_channel(ch, h)
+        herms.append(np.max(np.abs(out - out.conj().T)))
+
+        g = _ginibre(block, rng)
+        rho = g @ g.conj().T
+        x = np.zeros((ch.dim, ch.dim), dtype=complex)
+        x[:block, :block] = rho / np.trace(rho).real
+        out = apply_channel(ch, x)
+        eigs.append(np.linalg.eigvalsh((out + out.conj().T) / 2).min())
+    herm, min_eig = float(np.max(herms)), float(np.min(eigs))
+    return ChannelVerification(
+        block=block, tp_defect=tp, hermiticity_defect=herm, min_eigenvalue=min_eig,
+        samples=VERIFY_SAMPLES, seed=VERIFY_SEED, tp_ok=tp <= SPECTRAL_TOL,
+        hermiticity_ok=herm <= STRUCTURAL_TOL, positivity_ok=min_eig >= -SPECTRAL_TOL)

@@ -170,6 +170,8 @@ def _guarded_calls():
         "family": (partial(phase_damping, 0.5, 64), 5 * 64**2 * 8, "phase damping at dim 64"),
         "kraus_ops": (partial(getattr, pd32, "kraus_ops"), 32 * 32**2 * 16,
                       "the dense Kraus stack of 32 terms"),
+        "dense products": (partial(channels.apply_channel, dense4, np.zeros((50, 4, 4), complex)),
+                           (2 * 50 + 1) * 4**2 * 16, "a dense channel's products"),
         "superoperator": (partial(channels.superoperator_of, ad16), 16**4 * 16,
                           "the superoperator at dim 16"),
         "fixed points": (partial(fixed_point_space, pd32), 32 * 32**2 * 16,

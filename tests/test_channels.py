@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import subchan.channels as channels
 from kraus_reference import (
     dense_adjoint,
     dense_apply,
@@ -10,6 +13,7 @@ from kraus_reference import (
     identity_channel,
     unvec,
     vec,
+    verify_one_sample_at_a_time,
 )
 from subchan.channels import (
     KrausChannel,
@@ -256,6 +260,51 @@ class TestVerify:
             verify_channel(ch, block=0)
         with pytest.raises(ValueError):
             tp_defect_on_block(ch, 5)
+
+    @pytest.mark.parametrize("build, dim", [
+        *((family, dim) for family in ("pd", "ad", "dep") for dim in (1, 2, 7, 16, 33, 64)),
+        ("dense", 2), ("dense", 7), ("dense", 16)])
+    def test_stacks_report_what_single_samples_do(self, build, dim):
+        # Drawn and applied in stacks (all 20 up to dim 28, 15 at dim 33, 4 at 64),
+        # the samples give every field of the one-at-a-time report exactly.
+        rng = np.random.default_rng(dim)
+        if build == "dense":
+            ch = KrausChannel(rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim)))
+            assert ch.multipliers is None
+        else:
+            family = {"pd": phase_damping, "ad": amplitude_damping, "dep": depolarizing}[build]
+            ch = family(float(rng.uniform(0.1, 0.9)), dim)
+        for block in sorted({1, (dim + 1) // 2, dim}):
+            assert verify_channel(ch, block) == verify_one_sample_at_a_time(ch, block)
+
+    def test_stacks_are_bounded_by_bytes(self, monkeypatch):
+        sizes = []
+
+        def counted(ch, x):
+            sizes.append(x.shape)
+            return apply_channel(ch, x)
+
+        monkeypatch.setattr(channels, "apply_channel", counted)
+        for dim, stacks in ((16, [20]), (64, [4] * 5)):
+            verify_channel(amplitude_damping(0.5, dim))
+            # One hermitian stack, then one state stack, of n samples each.
+            assert sizes == [(n, dim, dim) for n in stacks for _ in range(2)]
+            assert max(n for n, _, _ in sizes) * dim**2 * 16 <= channels.VERIFY_STACK_BYTES
+            sizes.clear()
+
+    def test_traced_peak_at_dim_64(self):
+        # A first call also traces numpy's lazy imports (about 0.8 MB), so
+        # one small call comes first; the parent's per-sample loop peaked at
+        # 0.46 MB, and the stacks of 4 inputs here at about 2 MB.
+        verify_channel(amplitude_damping(0.5, 2))
+        ch = amplitude_damping(0.5, 64)
+        tracemalloc.start()
+        try:
+            verify_channel(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
     def test_partial_block_of_truncated_family(self):
         # Only the top level of the truncated amplitude-damping sum is exact;

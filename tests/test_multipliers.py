@@ -8,7 +8,8 @@ Kraus family summed term by term. Inputs supported on a few levels check the sup
 window of ``apply_channel``, and the full-size band sums of
 ``adjoint_apply``, against the same sums and against the full-size
 products, and the compression of a channel onto a window of levels against
-the same sums cut to that window.
+the same sums cut to that window. A stack of inputs is checked matrix by
+matrix against the 2-D calls.
 """
 
 import numpy as np
@@ -35,6 +36,7 @@ from subchan.channels import (
     superoperator_of,
     tp_defect_on_block,
 )
+from subchan.errors import DimensionMismatchError
 from subchan.families import amplitude_damping, depolarizing, phase_damping
 from subchan.fock import random_hermitian
 from subchan.subspaces import fixed_point_space
@@ -383,3 +385,86 @@ class TestCompression:
         window = _compress(KrausChannel(transfer=np.diag([1.0], 2)), 1, 2)
         assert window.kraus_truncation == 0
         assert np.array_equal(apply_channel(window, np.ones((1, 1))), [[0.0]])
+
+
+# ---------------------------------------------------------------------------
+# Stacks of inputs
+# ---------------------------------------------------------------------------
+
+LEADING_SHAPES = ((1,), (3,), (2, 3))
+
+
+def _stack(dim, shape, data):
+    """Random operators of shape ``shape + (dim, dim)``, each with its own support
+    (so their windows differ), "zero" among them."""
+    x = np.zeros(shape + (dim, dim), dtype=complex)
+    for index in np.ndindex(shape):
+        lo = data.draw(st.integers(min_value=0, max_value=dim - 1))
+        hi = data.draw(st.integers(min_value=lo + 1, max_value=dim))
+        x[index] = _supported(dim, data.draw(st.sampled_from(SUPPORTS)), lo, hi,
+                              data.draw(st.integers(0, 10**6)))
+    return x
+
+
+def _channels_of(case):
+    return _constructions(*case) if isinstance(case, tuple) else [KrausChannel(case)]
+
+
+class TestStacks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(multiplier_channels(), dense_stacks()), st.sampled_from(LEADING_SHAPES),
+           st.data())
+    def test_each_matrix_is_the_2d_call(self, case, shape, data):
+        # Band products over the union window, the transfer term and the
+        # dense GEMMs give every matrix of a stack the bits of its own call.
+        channels = _channels_of(case)
+        x = _stack(channels[0].dim, shape, data)
+        for ch in channels:
+            for kernel in (apply_channel, adjoint_apply):
+                out = kernel(ch, x)
+                assert out.shape == x.shape and out.dtype == complex
+                for index in np.ndindex(shape):
+                    assert np.array_equal(out[index], kernel(ch, x[index]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(multiplier_channels(), dense_stacks()), st.sampled_from(LEADING_SHAPES),
+           st.data())
+    def test_duality_per_matrix(self, case, shape, data):
+        # tr(x1 Phi*(x2)) = tr(Phi(x1) x2) for every pair of matching matrices.
+        channels = _channels_of(case)
+        dim = channels[0].dim
+        x1, x2 = _stack(dim, shape, data), _stack(dim, shape, data)
+        for ch in channels:
+            lhs = np.einsum("...ab,...ba->...", x1, adjoint_apply(ch, x2))
+            rhs = np.einsum("...ab,...ba->...", apply_channel(ch, x1), x2)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1 + np.max(np.abs(lhs)))
+
+    def test_a_stack_of_one_is_its_matrix(self):
+        # On offset 1 of dim 2 each product has one element. numpy rounds these
+        # two values' product one bit apart when a matrix broadcasts against a
+        # stack of one matrix, and the kernels take such a stack as its matrix.
+        m, v = -0.535669373161111 + 1.3040000451301372j, 0.36159505490948474 + 0.9470809631292422j
+        ch = KrausChannel(multipliers={0: np.eye(2), 1: np.array([[m]])})
+        for kernel, level in ((apply_channel, 1), (adjoint_apply, 0)):
+            x = np.zeros((1, 1, 2, 2), dtype=complex)
+            x[..., level, level] = v  # the one entry that offset 1 reads
+            out = kernel(ch, x)
+            assert out.shape == x.shape
+            assert np.array_equal(out[0, 0], kernel(ch, x[0, 0]))
+
+    @pytest.mark.parametrize("family", [phase_damping, amplitude_damping, depolarizing])
+    def test_families_on_stacks(self, family):
+        ch = family(0.4, 12)
+        x = np.stack([_probe(12, seed) for seed in range(4)]).reshape(2, 2, 12, 12)
+        x[1, 0] = 0.0
+        x[0, 1, 3:, :] = x[0, 1, :, 3:] = 0.0
+        for kernel in (apply_channel, adjoint_apply):
+            out = kernel(ch, x)
+            for index in np.ndindex(2, 2):
+                assert np.array_equal(out[index], kernel(ch, x[index]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 5, 4), (4, 4, 3), (3, 4)])
+    def test_rejects_other_matrix_shapes(self, shape):
+        for kernel in (apply_channel, adjoint_apply):
+            with pytest.raises(DimensionMismatchError):
+                kernel(amplitude_damping(0.5, 4), np.zeros(shape))
