@@ -23,15 +23,27 @@ stores the M_o, and every kernel reads them: applying it is one elementwise
 product per offset, and Phi*(I) is diagonal, which makes the
 trace-preservation defect a maximum over its entries.
 
+Factored multipliers. A rank-one M_o = e^T e with a nonnegative float64
+factor is stored as the vector e (see :mod:`subchan.bands`, which folds the
+storage): amplitude damping holds O(dim^2) floats where its square
+multipliers took sum_o (dim - o)^2. A channel whose multipliers, and T if
+kept as entries, fit in FORMED_BYTES once formed runs its kernels on formed
+arrays, as before factoring: the multipliers formed at construction, T on
+first use. At small dim, forming a block on each call costs more than
+holding it. ``multipliers`` forms M_o anew, size-guarded, on each read.
+
 Support window. An encoded state sits on a few low levels of a much larger
 truncation, so most of each shifted product multiplies zeros. When a
-channel stores a multiplier off offset 0, ``apply_channel`` first finds
-[lo, hi), the smallest index range holding every nonzero row and column of
-x (one O(dim^2) pass), the union over a stack. Each shifted product is then
-cut to the rows a whose source a + o lies in that range, and offsets that
-miss it are skipped. The offset-0 product and the transfer matvec stay full
-size. Only exact zero terms are dropped, so the result equals the full-size
-sum entry for entry.
+channel stores a multiplier off offset 0, or a vector on it, ``apply_channel``
+first finds [lo, hi), the smallest index range holding every nonzero row
+and column of x (one O(dim^2) pass), the union over a stack. Only the
+offsets whose sources a + o meet that range are visited, o < hi above 0 and
+-o < dim - lo below it (a prefix of each, found by bisection), and each
+product is cut to the rows a whose source lies in the range. A vector on
+offset 0 is formed on the window alone: it has no sign bit set, so outside
+the window M_0 * x holds the signed zeros of 1.0 * x. A square M_0 and the
+transfer term stay full size. Only exact zero terms are dropped, so the
+result equals the full-size sum entry for entry.
 ``adjoint_apply`` sums its shifted products at full size: Phi* reads x at
 the rows a themselves, so an input on a few levels still meets almost every
 offset, and the window would save little. A caller that applies
@@ -56,21 +68,28 @@ A diagonal multiplier only moves populations, Phi(x)[a, a] picks up
 M_o[a, a] x[a+o, a+o]. All of them, on every offset, are kept together as
 one population-transfer matrix T[a, a+o] = M_o[a, a] (``transfer``) and
 applied as one product T @ diag(x). It can be passed as ``transfer``, and
-band terms that are all single matrix units are added onto it.
+band terms that are all single matrix units are added onto it. A T with at
+most one entry per row and column that was not passed in is stored as its
+entries (see :mod:`subchan.bands`); the kernels add each entry's product
+onto zeros, then update the whole diagonal, as the matrix-vector product
+does.
 
 Every built-in family is a band channel: phase damping is the closed-form
 M_0[a, b] = eta^((a-b)^2), amplitude damping has one rank-one multiplier
-per offset, depolarizing is p J on offset 0 plus T = (1-p)/dim everywhere.
-A dense stack passed as ``kraus_ops`` is inspected, and takes the band form
-when each operator sits on one offset (a reloaded channel file of a
-built-in family does). Only channels with an operator spanning several
-offsets keep the dense path of batched matrix products.
+per offset, stored as its vector, and T's one entry; depolarizing is p J
+on offset 0, stored as the vector of sqrt(p), plus the dense
+T = (1-p)/dim. A dense stack passed as ``kraus_ops`` is inspected, and
+takes the band form when each operator sits on one offset (a reloaded
+channel file of a built-in family does, with complex bands). Only channels
+with an operator spanning several offsets keep the dense path of batched
+matrix products.
 
 The dense (terms, dim, dim) stack of a band channel is built only when asked
 for (``kraus_ops``, used by ``save_channel``) by factoring the multipliers:
-offset by offset, ascending, the rows of a pivoted Cholesky factor of M_o,
-then one scaled matrix unit per nonzero entry of T on that offset, by row.
-Its term count ``kraus_truncation`` is fixed at construction.
+offset by offset, ascending, the rows of a pivoted Cholesky factor of M_o
+(formed from its vector as ``multipliers`` forms it), then one scaled
+matrix unit per nonzero entry of T on that offset, by row. Its term count
+``kraus_truncation`` is fixed at construction.
 
 Size guard. Every allocation in the package that scales with terms * dim^2,
 dim^3 or dim^4 is estimated first, as the bytes held at its peak, and passed
@@ -80,17 +99,20 @@ Coherence-order blocks. A band channel's superoperator is block diagonal,
 one block per diagonal q of x (Holevo, Quantum Systems, Channels,
 Information). ``_coherence_blocks`` yields them, or one whole block for a
 channel with no band form; ``superoperator_of`` and ``fixed_point_space``
-read them, and the Fock-pair tables read B_0. Diagonal o of an n x n array
-is addressed as one strided slice of its flattening, ``_diagonal(o, n)``.
+read them, and the Fock-pair tables read B_0.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .bands import (
+    _detect_bands, _diagonal, _factor, _fold, _Multipliers, _outer, _readonly, _scatter,
+)
 from .errors import DimensionMismatchError, ResourceLimitError
 from .fock import _hermitian_from, _state_from, hermiticity_defect, operator_norm
 from .tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
@@ -98,6 +120,10 @@ from .tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
 # N^4 superoperator entries get unwieldy past this point.
 MAX_SUPEROPERATOR_DIM = 64
 COMPLEX_BYTES = 16
+REAL_BYTES = 8
+# A band channel whose vectors' multipliers and entries' T, formed, fit in this many bytes
+# forms them at construction and runs its kernels on them (see "Factored multipliers").
+FORMED_BYTES = 2**20
 MAX_KRAUS_BYTES = MAX_SUPEROPERATOR_DIM**4 * COMPLEX_BYTES
 
 # Random inputs per verify_channel run, each of hermiticity and positivity, and their seed.
@@ -107,13 +133,6 @@ VERIFY_SEED = 1234
 VERIFY_STACK_BYTES = 2**18
 
 KNOWN_FAMILIES = ("phase-damping", "amplitude-damping", "depolarizing", "custom")
-
-
-def _diagonal(offset: int, n: int) -> slice:
-    """Flat positions of diagonal ``offset`` of a C-ordered n x n array, by ascending row."""
-    if offset >= 0:
-        return slice(offset, n * (n - offset), n + 1)
-    return slice(-offset * n, n * n, n + 1)
 
 
 def _check_bytes(nbytes: int, what: str) -> None:
@@ -126,7 +145,7 @@ def _check_bytes(nbytes: int, what: str) -> None:
 
 
 class KrausChannel:
-    """Immutable channel with family metadata; a band channel keeps only its multipliers.
+    """Immutable channel with family metadata; a band channel keeps only its band storage.
 
     Parameters
     ----------
@@ -141,9 +160,9 @@ class KrausChannel:
         ``{offset: M_o}``: a positive semidefinite (dim - |offset|) square
         matrix, taken as it is (PSD is not checked).
     transfer : array_like, optional
-        Real nonnegative (dim, dim) population-transfer matrix T, stored as
-        ``transfer``. ``bands``, ``multipliers`` and ``transfer`` may be
-        given together; the channel is then their sum.
+        Real nonnegative (dim, dim) population-transfer matrix T, kept
+        dense. ``bands``, ``multipliers`` and ``transfer`` may be given
+        together; the channel is then their sum.
 
         A NaN or inf entry in any of the four raises ValueError.
     family : str
@@ -161,12 +180,22 @@ class KrausChannel:
         length; else per square multiplier the band terms it was summed from
         (its size when passed as a matrix), plus the nonzero entries of
         ``transfer`` (unit terms on one entry merge).
-    multipliers : dict or None
-        Square multipliers M_o by ascending offset (read-only arrays); None
-        when some operator spans several offsets.
+    multipliers : Mapping or None
+        Read-only view {offset: M_o} by ascending offset; None when some
+        operator spans several offsets. A multiplier stored as its vector e
+        (see :mod:`subchan.bands`) is formed as
+        e^T e on each read, after the size guard, so each read allocates
+        (dim - |o|)^2 floats; no kernel reads it.
     transfer : ndarray or None
         Real (dim, dim) population-transfer matrix T: the given ``transfer``
-        plus the unit bands, read-only; None when it is zero.
+        plus the unit bands, read-only; None when it is zero. T stored as
+        its entries is scattered into a new array on each access, after the
+        size guard.
+    stored_bytes : int
+        Bytes of the arrays the channel holds from construction on: its
+        vectors, square and formed multipliers, T or its entries, and a
+        given stack. Arrays built on first use (``kraus_ops``, the complex
+        T of the kernels) are not counted.
     tp_defect : float
         Operator norm of (sum_i E_i^dag E_i - I) on the full truncated
         space, computed at construction: 0 for the exact built-in families
@@ -188,10 +217,8 @@ class KrausChannel:
             raise ValueError("provide kraus_ops, or any of bands, multipliers and transfer")
         if family not in KNOWN_FAMILIES:
             raise ValueError(f"unknown channel family {family!r}")
-        self.family = family
-        self.eta = eta
 
-        self._stack: np.ndarray | None = None
+        stack = None
         if kraus_ops is not None:
             stack = np.array(kraus_ops, dtype=complex, order="C")
             if stack.ndim == 2:
@@ -203,51 +230,125 @@ class KrausChannel:
             if not np.isfinite(stack).all():
                 raise ValueError("kraus_ops holds a non-finite entry")
             stack.flags.writeable = False
-            self._stack = stack
             bands = _detect_bands(stack)
         if bands is None and multipliers is None and transfer is None:
-            self.dim = int(self._stack.shape[1])
-            self.multipliers = self.transfer = None
+            storage = (int(stack.shape[1]), None, None, {}, None, None)
         else:
-            self.dim, self.multipliers, self._ranks, self.transfer = _fold(
-                bands or {}, multipliers or {}, transfer)
-        if self._stack is not None:
-            self.kraus_truncation = int(self._stack.shape[0])
+            storage = _fold(bands or {}, multipliers or {}, transfer)
+        self._assemble(*storage, stack=stack, family=family, eta=eta)
+
+    def _assemble(self, dim, factors, blocks, ranks, transfer, units, *, stack, family, eta):
+        """Set the storage: ``factors`` {offset: e} for M_o = e^T e, ``blocks`` {offset: M_o}
+        (both None for a dense channel), ``ranks`` {offset: terms}, and T as the dense
+        ``transfer`` or as ``units`` (rows, cols, weights); then the term count and tp_defect."""
+        self.family, self.eta, self.dim = family, eta, dim
+        self._stack, self._factors, self._blocks = stack, factors, blocks
+        self._ranks, self._transfer, self._units = ranks, transfer, units
+        self._moves = transfer is not None or units is not None  # T is not zero
+        # The bands by ascending |o|, below 0 first on ties (the order the kernels sum
+        # in), as (o, e or M_o, factored). A channel whose vectors' multipliers and
+        # entries' T fit in FORMED_BYTES, formed, forms them here: e[a] e[b] for each M_o.
+        stored = [(o, e, True) for o, e in (factors or {}).items()]
+        stored += [(o, m, False) for o, m in (blocks or {}).items()]
+        self._stored = sorted(stored, key=_magnitude)
+        formed = sum(e.size**2 for e in (factors or {}).values()) * REAL_BYTES
+        formed += 0 if units is None else dim**2 * COMPLEX_BYTES
+        self._formed = formed <= FORMED_BYTES
+        self._bands = [(o, _readonly(_outer(m)) if factored and self._formed else m,
+                        factored and not self._formed) for o, m, factored in self._stored]
+        # The kernels' plan: the band on offset 0 as (e or M_0, factored), or None; the
+        # bands above 0 and below 0, as (o, e or M_o, factored, source, target) with
+        # sources a + o and targets a from max(0, o) and max(0, -o) on, and the |o| of
+        # each. A window of sources [lo, hi) meets o > 0 when o < hi and o < 0 when
+        # -o < dim - lo: a prefix of each.
+        self._zero = self._bands[0][1:] if self._bands and self._bands[0][0] == 0 else None
+        shifted = [(o, m, factored, max(0, o), max(0, -o)) for o, m, factored in self._bands if o]
+        self._ahead = [t for t in shifted if t[0] > 0]
+        self._behind = [t for t in shifted if t[0] < 0]
+        self._reach = [t[0] for t in self._ahead], [-t[0] for t in self._behind]
+        self._windowed = bool(self._ahead or self._behind or self._zero and self._zero[1])
+        if stack is not None:
+            self.kraus_truncation = int(stack.shape[0])
         else:
-            units = 0 if self.transfer is None else int(np.count_nonzero(self.transfer))
-            self.kraus_truncation = sum(self._ranks.values()) + units
-        # The multiplier of a channel stored on offset 0 alone, else None;
-        # the benchmark's tracing reads it to size the Kraus storage.
-        self._diagonals = (self.multipliers[0] if self.transfer is None
-                           and list(self.multipliers or ()) == [0] else None)
+            moved = (len(units[2]) if units is not None
+                     else 0 if transfer is None else int(np.count_nonzero(transfer)))
+            self.kraus_truncation = sum(ranks.values()) + moved
+        # What a channel stored on offset 0 alone keeps there (its vector or M_0), else
+        # None; the benchmark's tracing reads it to size the Kraus storage.
+        alone = not self._moves and list(ranks) == [0]
+        self._diagonals = {**factors, **blocks}[0] if alone else None
         self.tp_defect = tp_defect_on_block(self, self.dim)
 
     # -- storage ------------------------------------------------------------
+
+    @property
+    def multipliers(self) -> _Multipliers | None:
+        return None if self._factors is None else _Multipliers(self)
+
+    @property
+    def transfer(self) -> np.ndarray | None:
+        if self._units is None:
+            return self._transfer
+        _check_bytes(self.dim**2 * REAL_BYTES, f"the transfer matrix at dim {self.dim}")
+        return _readonly(_scatter(self._units, self.dim))
+
+    @property
+    def stored_bytes(self) -> int:
+        arrays = [self._stack, self._transfer, *(self._units or ())]
+        arrays += [m for _, m, _ in self._stored + self._bands]  # formed ones too
+        return sum(a.nbytes for a in {id(a): a for a in arrays if a is not None}.values())
+
+    def _multiplier(self, offset: int) -> np.ndarray:
+        """M_o, formed from its vector e as the one-row product e^T e that folding the band
+        made, after the size guard."""
+        if offset in self._blocks:
+            return self._blocks[offset]
+        e = self._factors[offset][np.newaxis]
+        _check_bytes(e.size**2 * REAL_BYTES, f"multiplier {offset} at dim {self.dim}")
+        return _readonly(e.T @ e.conj())
+
+    def _entries(self, offset: int, rows, cols) -> np.ndarray:
+        """M_o[rows, cols] for broadcast index arrays; e[rows] e[cols] from a vector."""
+        if offset in self._factors:
+            e = self._factors[offset]
+            return e[rows] * e[cols]
+        return self._blocks[offset][rows, cols]
+
+    def _transfer_entries(self, rows, cols) -> np.ndarray:
+        """T[rows, cols] for broadcast index arrays of a channel that ``_moves``."""
+        if self._units is None:
+            return self._transfer[rows, cols]
+        held_rows, held_cols, weights = self._units
+        col_of, weight_of = np.full(self.dim, -1), np.zeros(self.dim)
+        col_of[held_rows], weight_of[held_rows] = held_cols, weights
+        return np.where(col_of[rows] == cols, weight_of[rows], 0.0)
 
     @cached_property
     def kraus_ops(self) -> np.ndarray:
         """Dense (terms, dim, dim) stack; read-only.
 
         A band channel factors its multipliers, offset by offset: the rows
-        of a pivoted Cholesky factor of M_o, then the scaled matrix units of
-        ``transfer`` by row. A band channel's stack goes through the size
-        guard before it is allocated.
+        of a pivoted Cholesky factor of M_o (formed from its vector when it
+        is stored as one), then the scaled matrix units of ``transfer`` by
+        row. A band channel's stack goes through the size guard before it is
+        allocated.
         """
         if self._stack is not None:
             return self._stack
         n, terms = self.dim, self.kraus_truncation
         _check_bytes(terms * n * n * COMPLEX_BYTES, f"the dense Kraus stack of {terms} terms")
+        transfer = self.transfer
         stack = np.zeros((terms, n, n), dtype=complex)
         flat = stack.reshape(terms, n * n)
         first = 0
         for offset in range(1 - n, n):
             diagonal = _diagonal(offset, n)
-            if offset in self.multipliers:
-                factor = _factor(self.multipliers[offset], self._ranks[offset])
+            if offset in self._ranks:
+                factor = _factor(self._multiplier(offset), self._ranks[offset])
                 flat[first:first + len(factor), diagonal] = factor
                 first += len(factor)
-            if self.transfer is not None:
-                weights = self.transfer.reshape(-1)[diagonal]
+            if transfer is not None:
+                weights = transfer.reshape(-1)[diagonal]
                 (hit,) = np.nonzero(weights)
                 units = flat[first:first + hit.size, diagonal]
                 units[np.arange(hit.size), hit] = np.sqrt(weights[hit])
@@ -256,32 +357,24 @@ class KrausChannel:
         return stack
 
     @cached_property
-    def _products(self) -> list[tuple[slice, slice, np.ndarray]]:
-        """(rows, cols, M_o) per offset, so Phi(x)[rows, rows] += M_o * x[cols, cols].
-
-        The rows a of E[a, a+o] on the truncation, and the columns a+o, by
-        ascending |o|. Offset 0 comes first and is always present (M_0 = 0
-        when no square multiplier lies on it), so its full-size product can
-        start the sum.
-        """
-        n = self.dim
-        zero = {} if 0 in self.multipliers else {0: np.zeros((n, n))}
-        return [(slice(max(0, -o), n - max(0, o)), slice(max(0, o), n - max(0, -o)), m)
-                for o, m in sorted({**zero, **self.multipliers}.items(), key=lambda i: abs(i[0]))]
-
-    @cached_property
     def _complex_transfer(self) -> np.ndarray:
-        """``transfer`` as complex, so the kernels' matrix-vector products cast nothing per call."""
-        return _readonly(self.transfer.astype(complex))
+        """T as complex, formed from its entries when ``_formed``, so the kernels'
+        matrix-vector products cast nothing per call."""
+        t = self._transfer if self._units is None else _scatter(self._units, self.dim)
+        return _readonly(t.astype(complex))
 
     @cached_property
     def _adjoint_identity(self) -> np.ndarray:
         """Diagonal of Phi*(I) = sum_i E_i^dag E_i, which is diagonal for band channels."""
-        col = np.zeros(self.dim)
-        for _, cols, m in self._products:
-            col[cols] += m.diagonal().real
-        if self.transfer is not None:
-            col += self.transfer.sum(axis=0)
+        n = self.dim
+        col = np.zeros(n)
+        for o, m, factored in self._stored:
+            col[max(0, o):n - max(0, -o)] += m * m if factored else m.diagonal().real
+        if self._transfer is not None:
+            col += self._transfer.sum(axis=0)
+        elif self._units is not None:
+            _, cols, weights = self._units  # one entry per column: its column sum
+            col[cols] += weights
         return col
 
     def __repr__(self) -> str:
@@ -290,103 +383,6 @@ class KrausChannel:
             f"KrausChannel({self.family}{eta}, dim={self.dim}, "
             f"terms={self.kraus_truncation}, tp_defect={self.tp_defect:.3e})"
         )
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _fold(bands, multipliers, transfer):
-    """(dim, square multipliers by ascending offset, their term counts, T or None).
-
-    T starts as a float copy of ``transfer`` (checked real and nonnegative),
-    or as zeros. A band whose terms each hold exactly one nonzero entry is
-    added onto T, its squared entries summed per position; any other band
-    becomes the square multiplier e^T conj(e) (one GEMM, a real one for real
-    terms) and counts its terms. A square multiplier counts its size.
-    """
-    parts = [(f"band {o}", int(o), _float_or_complex(e)) for o, e in bands.items()]
-    parts += [(f"multiplier {o}", int(o), _float_or_complex(m)) for o, m in multipliers.items()]
-    parts += [] if transfer is None else [("transfer", 0, _float_or_complex(transfer))]
-    for name, _, a in parts:
-        if 0 in a.shape or a.ndim != 2 or not (name[:4] == "band" or a.shape[0] == a.shape[1]):
-            raise ValueError(f"{name} has shape {a.shape}")
-    dims = {a.shape[-1] + abs(offset) for _, offset, a in parts}
-    if not dims:
-        raise ValueError("band storage needs at least one offset")
-    if len(dims) != 1:
-        raise ValueError(f"band lengths imply different dims {sorted(dims)}")
-    n = dims.pop()
-    # One check over all parts: per part, its fixed cost would exceed the fold.
-    if not np.isfinite(np.concatenate([a.ravel() for _, _, a in parts])).all():
-        name = next(name for name, _, a in parts if not np.isfinite(a).all())
-        raise ValueError(f"{name} holds a non-finite entry")
-    if transfer is not None:
-        transfer = parts.pop()[2]
-        if transfer.dtype.kind == "c" or transfer.min() < 0:
-            raise ValueError("transfer must be real and nonnegative")
-    t = np.zeros((n, n)) if transfer is None else np.array(transfer, dtype=float)
-    full, ranks = {}, {}
-    for name, offset, a in parts:
-        band = name[:4] == "band"
-        if band and np.all(np.count_nonzero(a, axis=1) == 1):
-            t.reshape(-1)[_diagonal(offset, n)] += (np.abs(a) ** 2).sum(axis=0)
-        else:
-            m = a.T @ a.conj() if band else a.copy()
-            full[offset] = full[offset] + m if offset in full else m
-            ranks[offset] = ranks.get(offset, 0) + a.shape[0]
-    full = {o: _readonly(full[o]) for o in sorted(full)}
-    return n, full, ranks, _readonly(t) if np.any(t) else None
-
-
-def _float_or_complex(a) -> np.ndarray:
-    a = np.asarray(a)
-    return a if a.dtype.kind in "fc" else a.astype(float)
-
-
-def _factor(m: np.ndarray, terms: int) -> np.ndarray:
-    """``terms`` rows e_i with sum_i e_i[a] conj(e_i[b]) = m[a, b]: a pivoted Cholesky factor.
-
-    Each step pivots on the largest remaining diagonal entry; once all of
-    them are at most size * eps times the largest diagonal entry of ``m``
-    the rest of the rows stay zero. Pivoting is what lets the exact phase
-    damping multiplier through: it is positive definite but numerically
-    singular for eta near 1, where a plain Cholesky fails. A row is scaled
-    as (column / pivot) * sqrt(pivot), so a multiplier c J, J all ones,
-    yields sqrt(c) exactly.
-    """
-    size = m.shape[0]
-    rows = np.zeros((terms, size), dtype=m.dtype)
-    residual = np.array(m)
-    floor = size * np.finfo(float).eps * max(float(residual.diagonal().real.max()), 0.0)
-    for row in rows[:size]:
-        diag = residual.diagonal().real
-        pivot = int(np.argmax(diag))
-        if diag[pivot] <= floor:
-            break
-        row[:] = residual[:, pivot] / diag[pivot] * np.sqrt(diag[pivot])
-        residual -= np.outer(row, row.conj())
-    return rows
-
-
-def _detect_bands(stack: np.ndarray) -> dict[int, np.ndarray] | None:
-    """Band form of a dense stack when each operator sits on one offset, else None.
-
-    All-zero operators are placed on offset 0.
-    """
-    n = stack.shape[1]
-    grid = np.arange(n, dtype=np.int16)
-    offset = grid[np.newaxis, :] - grid[:, np.newaxis]  # column minus row
-    nonzero = stack != 0
-    lo = np.where(nonzero, offset, n).min(axis=(1, 2))
-    hi = np.where(nonzero, offset, -n).max(axis=(1, 2))
-    empty = lo == n
-    if np.any((lo != hi) & ~empty):
-        return None
-    offsets = np.where(empty, 0, lo)
-    return {int(o): np.diagonal(stack[offsets == o], offset=int(o), axis1=1, axis2=2)
-            for o in np.unique(offsets)}
 
 
 def _check_dims(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -413,48 +409,100 @@ def _dense_sum(e: np.ndarray, x: np.ndarray, adjoint: bool) -> np.ndarray:
 
 def _add_moved_populations(out: np.ndarray, ch: KrausChannel, x: np.ndarray, adjoint: bool):
     """out[..., a, a] += (T @ diag(x))[a], or (diag(x) @ T)[a] for the adjoint: one
-    matrix-vector product per matrix, since one GEMM over a stack would round differently."""
-    t, n = ch._complex_transfer, ch.dim
+    matrix-vector product per matrix, since one GEMM over a stack would round differently.
+
+    T kept as entries, at most one per row and per column, adds each entry's product
+    onto zeros, as the product's accumulator does, and then every diagonal entry."""
+    n = ch.dim
     d = x.diagonal(0, -2, -1)
+    diagonal = out.reshape(*x.shape[:-2], n * n)[..., ::n + 1]
+    if ch._units is not None and not ch._formed:
+        rows, cols, weights = ch._units
+        moved = np.zeros(d.shape, dtype=complex)
+        if adjoint:
+            moved[..., cols] += d[..., rows] * weights
+        else:
+            moved[..., rows] += weights * d[..., cols]
+        diagonal += moved
+        return
+    t = ch._complex_transfer
     if x.ndim == 2:
-        out.reshape(-1)[::n + 1] += d @ t if adjoint else t @ d
+        diagonal += d @ t if adjoint else t @ d
     elif adjoint:
-        out.reshape(*x.shape[:-2], n * n)[..., ::n + 1] += (d[..., np.newaxis, :] @ t)[..., 0, :]
+        diagonal += (d[..., np.newaxis, :] @ t)[..., 0, :]
     else:
-        out.reshape(*x.shape[:-2], n * n)[..., ::n + 1] += (t @ d[..., np.newaxis])[..., 0]
+        diagonal += (t @ d[..., np.newaxis])[..., 0]
+
+
+def _window(x: np.ndarray) -> tuple[int, int]:
+    """[lo, hi): the smallest index range holding every nonzero row and column of x, the union
+    over a stack; (0, 0) when x is zero."""
+    used = x.astype(bool)
+    used = used.any(axis=-1) | used.any(axis=-2)
+    if used.ndim > 1:
+        used = used.reshape(-1, x.shape[-1]).any(axis=0)
+    (used,) = np.nonzero(used)
+    return (int(used[0]), int(used[-1]) + 1) if used.size else (0, 0)
+
+
+def _offset_zero(ch: KrausChannel, x: np.ndarray, lo: int, hi: int, adjoint: bool) -> np.ndarray:
+    """M_0 * x, or conj(M_0) * x, in C order (T's kernel writes through a reshape), for x
+    zero outside the window [lo, hi).
+
+    A vector e of M_0 has no sign bit set, so neither has M_0, and out of the
+    window M_0 * x holds the signed zeros of 1.0 * x: the vector's block is
+    formed on the window alone. Without M_0 the product is 0.0 * x."""
+    if ch._zero is None:
+        return np.multiply(x, 0.0, order="C")
+    m, factored = ch._zero
+    if not factored:
+        return (m.conj() if adjoint else m) * x  # m is C-ordered, and so is the product
+    out = np.multiply(x, 1.0, order="C")
+    inside = (..., slice(lo, hi), slice(lo, hi))
+    np.multiply(_outer(m[lo:hi]), x[inside], out=out[inside])
+    return out
 
 
 def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     """Phi(x) = sum_i E_i x E_i^dag, for one (dim, dim) operator or a stack (..., dim, dim).
 
     Each matrix of a stack comes out as the 2-D call on it returns it. A band
-    channel with multipliers off offset 0 cuts its shifted products to the
-    support window of x, the union over a stack; the terms dropped are exact
-    zeros. A dense channel's (stack, terms, dim, dim) products go through the
-    size guard first.
+    channel storing a vector or a multiplier off offset 0 cuts its products
+    to the support window of x, the union over a stack, and visits only the
+    offsets whose sources meet it; the terms dropped are exact zeros. A
+    dense channel's (stack, terms, dim, dim) products go through the size
+    guard first.
     """
     x = _check_dims(ch, x)
     if x.ndim > 2 and x.size == ch.dim**2:  # a stack of one matrix: see "Stacks" above
         return apply_channel(ch, x.reshape(x.shape[-2:])).reshape(x.shape)
-    if ch.multipliers is None:
+    if ch._factors is None:
         return _dense_sum(ch.kraus_ops, x, adjoint=False)
-    out = ch._products[0][2] * x
-    if len(ch._products) > 1:
-        used = x.any(axis=-1) | x.any(axis=-2)
-        if used.ndim > 1:
-            used = used.reshape(-1, ch.dim).any(axis=0)
-        (used,) = np.nonzero(used)
-        lo, hi = (int(used[0]), int(used[-1]) + 1) if used.size else (0, 0)
-        for rows, cols, m in ch._products[1:]:
-            start, stop = max(lo, cols.start), min(hi, cols.stop)
-            if start < stop:
-                first, last = start - cols.start, stop - cols.start
-                target = slice(rows.start + first, rows.start + last)
-                view = out[..., target, target]  # adding in place skips a second indexing
-                view += m[first:last, first:last] * x[..., start:stop, start:stop]
-    if ch.transfer is not None:
+    zero = ch._zero
+    if not ch._windowed:  # at most a square M_0: the many small calls of a quadrature
+        out = zero[0] * x if zero else np.multiply(x, 0.0, order="C")
+    else:
+        n = ch.dim
+        lo, hi = _window(x)
+        out = zero[0] * x if zero and not zero[1] else _offset_zero(ch, x, lo, hi, adjoint=False)
+        ahead, behind = ch._reach
+        reached = ch._ahead[:bisect_left(ahead, hi)]
+        if behind:
+            reached += ch._behind[:bisect_left(behind, n - lo)]
+            reached.sort(key=_magnitude)
+        for _, m, factored, source, target in reached if lo < hi else ():
+            start, stop = max(lo, source), min(hi, n - target)
+            first, last = start - source, stop - source
+            block = _outer(m[first:last]) if factored else m[first:last, first:last]
+            view = out[..., target + first:target + last, target + first:target + last]
+            view += block * x[..., start:stop, start:stop]  # in place: one indexing
+    if ch._moves:
         _add_moved_populations(out, ch, x, adjoint=False)
     return out
+
+
+def _magnitude(term) -> tuple[int, int]:
+    return abs(term[0]), term[0]
 
 
 def adjoint_apply(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -467,13 +515,16 @@ def adjoint_apply(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     x = _check_dims(ch, x)
     if x.ndim > 2 and x.size == ch.dim**2:
         return adjoint_apply(ch, x.reshape(x.shape[-2:])).reshape(x.shape)
-    if ch.multipliers is None:
+    if ch._factors is None:
         return _dense_sum(ch.kraus_ops, x, adjoint=True)
-    out = ch._products[0][2].conj() * x
-    for rows, cols, m in ch._products[1:]:
+    n = ch.dim
+    lo, hi = _window(x) if ch._zero and ch._zero[1] else (0, n)
+    out = _offset_zero(ch, x, lo, hi, adjoint=True)
+    for o, m, factored in ch._bands[1:] if ch._zero else ch._bands:
+        rows, cols = slice(max(0, -o), n - max(0, o)), slice(max(0, o), n - max(0, -o))
         view = out[..., cols, cols]
-        view += m.conj() * x[..., rows, rows]
-    if ch.transfer is not None:
+        view += (_outer(m) if factored else m.conj()) * x[..., rows, rows]
+    if ch._moves:
         _add_moved_populations(out, ch, x, adjoint=True)
     return out
 
@@ -481,28 +532,40 @@ def adjoint_apply(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
 def _compress(ch: KrausChannel, lo: int, hi: int) -> KrausChannel:
     """The compression x -> P Phi(P x P) P onto the levels [lo, hi), as a channel of dim hi - lo.
 
-    A band channel keeps the blocks M_o[lo:hi-|o|, lo:hi-|o|] of its
-    multipliers with |o| < hi - lo and the block T[lo:hi, lo:hi] of its
-    transfer matrix (all zeros when it has none). A dense channel keeps the
-    blocks E_i[lo:hi, lo:hi]. The full range is the channel itself.
+    A band channel keeps, for |o| < hi - lo, the entries [lo, hi - |o|) of
+    its vectors and the blocks M_o[lo:hi-|o|, lo:hi-|o|] of its square
+    multipliers (each counting its size in terms), and the entries of T
+    inside [lo, hi)^2, kept as T is. A dense channel keeps the blocks
+    E_i[lo:hi, lo:hi]. The full range is the channel itself.
     """
     if (lo, hi) == (0, ch.dim):
         return ch
     meta = {"family": ch.family, "eta": ch.eta}
-    if ch.multipliers is None:
+    if ch._factors is None:
         return KrausChannel(ch.kraus_ops[:, lo:hi, lo:hi], **meta)
     w = hi - lo
-    multipliers = {o: m[lo:hi - abs(o), lo:hi - abs(o)]
-                   for o, m in ch.multipliers.items() if abs(o) < w}
-    transfer = np.zeros((w, w)) if ch.transfer is None else ch.transfer[lo:hi, lo:hi]
-    return KrausChannel(multipliers=multipliers, transfer=transfer, **meta)
+    factors = {o: e[lo:hi - abs(o)] for o, e in ch._factors.items() if abs(o) < w}
+    blocks = {o: m[lo:hi - abs(o), lo:hi - abs(o)].copy()
+              for o, m in ch._blocks.items() if abs(o) < w}
+    ranks = {o: ch._ranks[o] if o in factors else w - abs(o) for o in {**factors, **blocks}}
+    transfer = units = None
+    if ch._transfer is not None:
+        transfer = ch._transfer[lo:hi, lo:hi]
+        transfer = transfer if transfer.any() else None
+    elif ch._units is not None:
+        rows, cols, weights = ch._units
+        inside = (rows >= lo) & (rows < hi) & (cols >= lo) & (cols < hi)
+        units = (rows[inside] - lo, cols[inside] - lo, weights[inside]) if inside.any() else None
+    window = KrausChannel.__new__(KrausChannel)
+    window._assemble(w, factors, blocks, ranks, transfer, units, stack=None, **meta)
+    return window
 
 
 def tp_defect_on_block(ch: KrausChannel, block: int) -> float:
     """Operator norm of (sum_i E_i^dag E_i - I) restricted to the leading block."""
     if not 1 <= block <= ch.dim:
         raise ValueError(f"block must be in [1, {ch.dim}], got {block}")
-    if ch.multipliers is not None:
+    if ch._factors is not None:
         return float(np.max(np.abs(ch._adjoint_identity[:block] - 1.0)))
     flat = ch.kraus_ops[:, :, :block].reshape(-1, block)
     gram = flat.conj().T @ flat
@@ -588,7 +651,7 @@ def superoperator_of(ch: KrausChannel) -> np.ndarray:
     """
     n = ch.dim
     _check_bytes(n**4 * COMPLEX_BYTES, f"the superoperator at dim {n}")
-    if ch.multipliers is not None:
+    if ch._factors is not None:
         s = np.zeros((n * n, n * n), dtype=complex)
         for positions, block in _coherence_blocks(ch):
             s[positions, positions] = block
@@ -605,7 +668,7 @@ def superoperator_of(ch: KrausChannel) -> np.ndarray:
 def _coherence_blocks(ch: KrausChannel):
     """Yield (positions, block) per coherence order q, built when reached, at the vec positions
     of diagonal -q (vec flattens x^T); a channel with no band form is one whole block."""
-    if ch.multipliers is None:
+    if ch._factors is None:
         yield slice(None), superoperator_of(ch)
         return
     for q in range(1 - ch.dim, ch.dim):
@@ -614,12 +677,21 @@ def _coherence_blocks(ch: KrausChannel):
 
 def _coherence_block(ch: KrausChannel, q: int) -> np.ndarray:
     """A band channel's superoperator B_q on diagonal q of x: x[a, a+q] reads x[a+o, a+q+o]
-    times M_o[a, a+q], and T adds to B_0, so B_0[c, a] is what |a><a| puts on |c><c|."""
+    times M_o[a, a+q], and T adds to B_0, so B_0[c, a] is what |a><a| puts on |c><c|.
+
+    Diagonal q of a vector's M_o is e[a] e[a+|q|] (a formed M_o is read as a square one).
+    T's entries are added as the dense T adds them: with 0.0 everywhere else."""
     size = ch.dim - abs(q)
-    block = np.zeros((size, size), dtype=np.result_type(float, *ch.multipliers.values()))
-    for offset, m in ch.multipliers.items():
+    block = np.zeros((size, size), dtype=np.result_type(float, *ch._blocks.values()))
+    for offset, m, factored in ch._bands:
         if abs(offset) < size:
-            block.reshape(-1)[_diagonal(offset, size)] = np.diagonal(m, q)
-    if q == 0 and ch.transfer is not None:
-        block += ch.transfer
+            length = size - abs(offset)
+            block.reshape(-1)[_diagonal(offset, size)] = (
+                m[:length] * m[abs(q):] if factored else np.diagonal(m, q))
+    if q == 0 and ch._transfer is not None:
+        block += ch._transfer
+    elif q == 0 and ch._units is not None:
+        rows, cols, weights = ch._units
+        block += 0.0
+        block[rows, cols] += weights
     return block

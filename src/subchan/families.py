@@ -30,21 +30,22 @@ import math
 
 import numpy as np
 
-from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes
+from .channels import FORMED_BYTES, REAL_BYTES, KrausChannel, _check_bytes
 from .errors import PrecisionLossError
 from .fock import coherent_state, log_binomial, log_factorials, outer
 from .tolerances import COHERENT_DEFICIT_TOL
 
 
-def _check_dim(family: str, dim: int, every_offset: bool = False) -> None:
-    """ValueError for dim < 1. Then the size guard, before allocating, on the real
-    dim x dim arrays a family holds while it is built and folded: five, plus, for
-    multipliers on ``every_offset`` (amplitude damping), their
-    sum_o (dim - o)^2 = dim (dim + 1) (2 dim + 1) / 6 entries."""
+def _check_dim(family: str, dim: int, vectors: bool = False) -> None:
+    """ValueError for dim < 1. Then the size guard, before allocating, on five real
+    dim x dim arrays, what a family holds while it is built and folded. A family
+    stored as ``vectors`` (amplitude damping: its dim (dim + 1) / 2 band entries,
+    held three times over while folded) adds the multipliers it forms when they
+    fit in FORMED_BYTES: at most sum_o (dim - o)^2 floats."""
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    tables = 5 + (math.ceil((dim + 1) * (2 * dim + 1) / (6 * dim)) if every_offset else 0)
-    _check_bytes(tables * dim * dim * COMPLEX_BYTES // 2, f"{family} at dim {dim}")
+    formed = min(dim * (dim + 1) * (2 * dim + 1) // 6 * REAL_BYTES, FORMED_BYTES) if vectors else 0
+    _check_bytes(5 * dim * dim * REAL_BYTES + formed, f"{family} at dim {dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +88,13 @@ def amplitude_damping(eta: float, dim: int) -> KrausChannel:
     """Amplitude damping channel; exactly dim Kraus operators on dim levels.
 
     Operator i lies on offset i: its diagonal holds the values at k = i + j
-    for j < dim - i.
+    for j < dim - i, all computed in one dim x dim table. Each diagonal is a
+    real nonnegative band, stored as its vector; the one-entry band on
+    offset dim - 1 is T's one entry.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"amplitude damping requires 0 <= eta <= 1, got {eta}")
-    _check_dim("amplitude damping", dim, every_offset=True)
+    _check_dim("amplitude damping", dim, vectors=True)
     vals = np.zeros((dim, dim))
     if eta == 1.0:
         vals[0] = 1.0
@@ -99,13 +102,17 @@ def amplitude_damping(eta: float, dim: int) -> KrausChannel:
         # Continuous limit: E_i = |0><i|, everything damps to the vacuum.
         vals[:, 0] = 1.0
     else:
-        log_eta = np.log(eta)
-        log_loss = np.log1p(-eta)
-        i = np.arange(dim)[:, np.newaxis]
-        k = i + np.arange(dim)
+        # vals[i, j] at k = i + j, in place: lf[k] - lf[i] - lf[j] + j ln(eta) + i ln(1-eta),
+        # halved, exponentiated. A sliding view of lf reads lf[i + j] with no index array.
         lf = log_factorials(2 * dim)
-        log_c = lf[k] - lf[i] - lf[k - i]
-        vals = np.exp(0.5 * (log_c + (k - i) * log_eta + i * log_loss))
+        level = np.arange(dim)
+        np.subtract(np.lib.stride_tricks.sliding_window_view(lf, dim)[:dim],
+                    lf[:dim, np.newaxis], out=vals)
+        vals -= lf[:dim]
+        vals += level * np.log(eta)
+        vals += level[:, np.newaxis] * np.log1p(-eta)
+        vals *= 0.5
+        np.exp(vals, out=vals)
     bands = {i: vals[i:i + 1, :dim - i] for i in range(dim)}
     return KrausChannel(bands=bands, family="amplitude-damping", eta=float(eta))
 

@@ -109,7 +109,7 @@ def _fock_tables(ch: KrausChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``_moments(level_process_tensor(ch, range(n)))`` entry for entry, with no G: a band
     channel's transposed B_0 block and its M_0 (or zeros) with B_0's diagonal, T[i,i,i,i];
     a dense channel's image of each matrix unit |i><k|, read at (k, k) and at (i, k)."""
-    if ch.multipliers is None:
+    if ch._factors is None:
         populations, coherences = np.empty((2, n, n), dtype=complex)
         for i, k in np.ndindex(n, n):
             image = apply_channel(ch, basis_operator(i, k, ch.dim))
@@ -118,7 +118,9 @@ def _fock_tables(ch: KrausChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
                 populations[i] = image.diagonal()[:n]
     else:
         populations = _coherence_block(ch, 0)[:n, :n].T.astype(complex)
-        coherences = ch.multipliers.get(0, np.zeros((n, n)))[:n, :n].astype(complex)
+        level = np.arange(n)
+        coherences = (ch._entries(0, level[:, np.newaxis], level) if 0 in ch._ranks
+                      else np.zeros((n, n))).astype(complex)
         np.fill_diagonal(coherences, populations.diagonal())
     return populations, coherences
 
@@ -134,20 +136,20 @@ def level_process_tensor(ch: KrausChannel, levels) -> np.ndarray:
     ``apply_channel``), else 0. Pair sweeps read only two tables of G (``_fock_tables``).
     """
     levels = _fock_levels(levels, ch.dim)
-    if ch.multipliers is None:
+    if ch._factors is None:
         return restrict(ch, Subspace.from_levels(levels, ch.dim)).tensor
     n = len(levels)
     _check_bytes(n**4 * COMPLEX_BYTES, f"the restriction to a {n}-dimensional subspace")
     at = np.array(levels)
     g = np.zeros((n,) * 4, dtype=complex)
     shift = at[:, np.newaxis] - at  # shift[i, k] = L_i - L_k
-    for o in ch.multipliers.keys() & shift.ravel().tolist():
+    for o in ch._ranks.keys() & shift.ravel().tolist():
         i, k = np.nonzero(shift == o)
         source = at[k, np.newaxis] - max(0, -o)
-        g[i[:, np.newaxis], i, k[:, np.newaxis], k] = ch.multipliers[o][source, source.T]
-    if ch.transfer is not None:
+        g[i[:, np.newaxis], i, k[:, np.newaxis], k] = ch._entries(o, source, source.T)
+    if ch._moves:
         i = np.arange(n)[:, np.newaxis]
-        g[i, i, i.T, i.T] += ch.transfer[at, at[:, np.newaxis]]
+        g[i, i, i.T, i.T] += ch._transfer_entries(at, at[:, np.newaxis])
     return g
 
 

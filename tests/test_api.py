@@ -225,11 +225,11 @@ def test_thresholds_at_the_real_limit(monkeypatch):
     def passed(*args):
         raise Passed
 
-    for family, every_offset, last in (("phase damping", False, 2590),
-                                       ("amplitude damping", True, 459)):
-        _check_dim(family, last, every_offset)
+    for family, vectors, last in (("phase damping", False, 2590),
+                                  ("amplitude damping", True, 2585)):
+        _check_dim(family, last, vectors)
         with pytest.raises(ResourceLimitError):
-            _check_dim(family, last + 1, every_offset)
+            _check_dim(family, last + 1, vectors)
     monkeypatch.setattr(subchan.encodings, "level_process_tensor", passed)
     monkeypatch.setattr(subchan.subspaces, "apply_channel", passed)
     ch = amplitude_damping(0.5, 65)

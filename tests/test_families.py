@@ -249,25 +249,21 @@ class TestSizeGuard:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_estimate_covers_the_stored_arrays(self, monkeypatch, family):
         # Lowered to exactly what the channel stores, the limit refuses it:
-        # the estimate counts at least its multipliers and transfer matrix.
+        # the estimate counts at least its vectors, multipliers and transfer.
         ch = family(0.5, 40)
-        stored = sum(m.nbytes for m in ch.multipliers.values())
-        stored += 0 if ch.transfer is None else ch.transfer.nbytes
-        assert stored <= MAX_KRAUS_BYTES
+        stored = ch.stored_bytes
+        assert 0 < stored <= MAX_KRAUS_BYTES
         monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", stored)
         with pytest.raises(ResourceLimitError, match="at dim 40 needs"):
             family(0.5, 40)
 
-    def test_amplitude_damping_counts_cubic_multipliers(self, monkeypatch):
-        # sum_o (dim - o)^2 ~ dim^3 / 3 multiplier entries: at dim 600 that is
-        # 201 dim x dim real tables, beside the temporaries, and a limit of 200
-        # refuses it. pd and dep need a few tables. Only the estimates run, so
-        # nothing is allocated.
-        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 200 * 600**2 * 8)
-        with pytest.raises(ResourceLimitError, match="amplitude damping at dim 600 needs"):
-            amplitude_damping(0.5, 600)
-        for family in (phase_damping, depolarizing):
-            monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 4 * 600**2 * 8)
+    def test_every_family_counts_five_tables(self, monkeypatch):
+        # Amplitude damping holds its dim (dim + 1) / 2 band entries a few
+        # times over while it is built, as the others hold a few dim x dim
+        # tables: a limit of four tables refuses each at dim 600. Only the
+        # estimates run, so nothing is allocated.
+        monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 4 * 600**2 * 8)
+        for family in FAMILIES:
             with pytest.raises(ResourceLimitError, match="at dim 600 needs"):
                 family(0.5, 600)
 
