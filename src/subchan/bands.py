@@ -3,15 +3,15 @@ transfer matrix into, and how a dense stack is read back as bands or a multiplie
 Kraus rows. The kernels that read the storage are in :mod:`subchan.channels`.
 
 Factored multipliers. When a lone one-row band of float64 entries with no
-sign bit set is all there is on an offset, M_o = e^T e is stored as the
-vector e: dim - |o| floats instead of (dim - |o|)^2. Its entries e[a] e[b]
-carry the value and the sign of the one-row GEMM that would form M_o, so
-every reader forms what it needs from e with the same bits: a kernel the
-block on its window, the coherence blocks and Fock-level tables their
-entries. Amplitude damping is such a band on every offset, O(dim^2) floats
-in all where its square multipliers took sum_o (dim - o)^2. Complex, signed
-or multi-row bands, and square multipliers passed in, stay square. The
-vectors of a channel are views of one array.
+sign bit set, none so large that its square overflows, is all there is on an
+offset, M_o = e^T e is stored as the vector e: dim - |o| floats instead of
+(dim - |o|)^2. Its entries e[a] e[b] carry the value and the sign of the
+one-row GEMM that would form M_o, so every reader forms what it needs from e
+with the same bits: a kernel the block on its window, the coherence blocks
+and Fock-level tables their entries. Amplitude damping is such a band on
+every offset, O(dim^2) floats in all where its square multipliers took sum_o
+(dim - o)^2. Complex, signed or multi-row bands, and square multipliers
+passed in, stay square. The vectors of a channel are views of one array.
 
 Transfer entries. Bands whose terms are single matrix units go into the
 population-transfer matrix T. Passed a ``transfer``, a channel keeps T
@@ -31,6 +31,11 @@ from collections.abc import Mapping
 from itertools import accumulate
 
 import numpy as np
+
+
+# The largest float whose square is finite: a vector of entries at most this has finite
+# products e[a] e[b], so a kernel that skips its zero terms skips no inf * 0 = NaN.
+_FINITE_SQUARE = np.sqrt(np.finfo(float).max)
 
 
 def _diagonal(offset: int, n: int) -> slice:
@@ -62,7 +67,8 @@ def _fold(bands, multipliers, transfer):
     squared entries summed per position. On each other offset, a lone
     one-row band of float64 entries with no sign bit set is kept as its
     vector e: M_o = e^T e is then e[a] e[b] entry for entry, the value and
-    sign of the one-row GEMM that would form it. Any other band becomes
+    sign of the one-row GEMM that would form it. A band with an entry past
+    _FINITE_SQUARE, whose M_o overflows, stays square. Any other band becomes
     e^T conj(e) (one GEMM, a real one for real terms), summed per offset
     with the square multipliers given there; a band counts its terms and a
     square multiplier its size.
@@ -96,13 +102,15 @@ def _fold(bands, multipliers, transfer):
         if transfer.dtype.kind == "c" or transfer.min() < 0:
             raise ValueError("transfer must be real and nonnegative")
     # Per band, from one pass each over all of them (they lead ``parts`` and ``flat``):
-    # its nonzero entries, and whether any entry has its sign bit set.
+    # its nonzero entries, and whether any entry has its sign bit set or is past
+    # _FINITE_SQUARE: either keeps it square.
     sizes = [a.size for name, _, a in parts if name[:4] == "band"]
-    counts = signed = []
+    counts = unfit = []
     if sizes:
         starts, flat = list(accumulate(sizes[:-1], initial=0)), flat[:sum(sizes)]
         counts = np.add.reduceat(flat != 0, starts, dtype=np.intp).tolist()
-        signed = np.logical_or.reduceat(np.signbit(flat.real), starts).tolist()
+        unfit = np.signbit(flat.real) | (flat.real > _FINITE_SQUARE)
+        unfit = np.logical_or.reduceat(unfit, starts).tolist()
     del flat  # a copy of every part: not held while the multipliers are built
     moved, grouped = [], {}
     for i, (_, offset, a) in enumerate(parts):
@@ -111,13 +119,13 @@ def _fold(bands, multipliers, transfer):
                 len(a) == 1 or np.all(np.count_nonzero(a, axis=1) == 1)):
             moved.append((offset, (np.abs(a) ** 2).sum(axis=0)))
         else:
-            grouped.setdefault(offset, []).append((band, a, band and signed[i]))
+            grouped.setdefault(offset, []).append((band, a, band and unfit[i]))
     factored, blocks, ranks = [], {}, {}
     for offset in sorted(grouped):
         group = grouped[offset]
         ranks[offset] = sum(len(a) for _, a, _ in group)
-        band, a, sign = group[0]
-        if len(group) == 1 and band and len(a) == 1 and a.dtype == np.float64 and not sign:
+        band, a, unfit_band = group[0]
+        if len(group) == 1 and band and len(a) == 1 and a.dtype == np.float64 and not unfit_band:
             factored.append((offset, a[0]))
             continue
         square = [a.T @ a.conj() if band else a.copy() for band, a, _ in group]

@@ -243,6 +243,16 @@ class TestVerify:
         assert not report.hermiticity_ok
         assert not (report.tp_ok or report.positivity_ok)
 
+    def test_nan_outside_the_samples_block_fails_the_checks(self, monkeypatch):
+        # M_0[1:, 1:] = inf from a finite vector: samples on level 0 alone are
+        # zero there, and the output holds inf * 0 = NaN, also where the kernels
+        # would window a vector instead of forming it.
+        monkeypatch.setattr(channels, "FORMED_BYTES", 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_channel(KrausChannel(bands={0: [[1.0, 1e200, 1e200]]}), block=1)
+        assert np.isnan(report.hermiticity_defect)
+        assert not (report.hermiticity_ok or report.positivity_ok)
+
     def test_defects_reported_not_thrown(self):
         lossy = KrausChannel(0.5 * np.eye(3)[np.newaxis])
         report = verify_channel(lossy)

@@ -188,6 +188,10 @@ class TestStorage:
         formed = sum((8 - o) ** 2 for o in range(7)) * 8
         vectors = (8 * 9 // 2 - 1) * 8
         assert small.stored_bytes == vectors + formed + sum(u.nbytes for u in small._units)
+        # A channel holding a dense T forms the vectors whose multipliers fit in T's
+        # bytes: depolarizing's M_0 at any dim, here past FORMED_BYTES.
+        dep = depolarizing(0.4, 400)
+        assert dep.stored_bytes == 400 * 8 + 2 * 400 * 400 * 8
 
     def test_formed_reads_are_guarded_and_read_only(self, monkeypatch):
         ch = amplitude_damping(0.5, 300)

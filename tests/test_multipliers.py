@@ -375,6 +375,7 @@ class TestCompression:
         assert list(window.multipliers) == [o for o in ch.multipliers if abs(o) < w]
         for o, m in window.multipliers.items():
             assert np.array_equal(m, ch.multipliers[o][lo:hi - abs(o), lo:hi - abs(o)])
+            assert not m.flags.writeable
         assert np.array_equal(window.transfer, ch.transfer[lo:hi, lo:hi])
         x = _supported(dim, "window", lo, hi, 5)
         gap = apply_channel(window, x[lo:hi, lo:hi]) - apply_channel(ch, x)[lo:hi, lo:hi]
