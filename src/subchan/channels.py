@@ -47,8 +47,11 @@ whose sources a + o meet that range are visited, o < hi above 0 and
 product is cut to the rows a whose source lies in the range. A vector on offset 0 is
 formed on the window alone: it has no sign bit set and finite products, so
 outside the window M_0 * x holds the signed zeros of 1.0 * x. A square M_0
-and the transfer term stay full size. Only exact zero terms are dropped, so
-the result equals the full-size sum entry for entry.
+and the transfer term stay full size. For finite multipliers only exact zero
+terms are dropped, so the result equals the full-size sum entry for entry. A
+square M_o (o != 0) holding inf, as finite bands whose product overflows
+give, loses its inf * 0 = NaN terms outside the window, which the full-size
+sum keeps.
 ``adjoint_apply`` sums its shifted products at full size: Phi* reads x at
 the rows a themselves, so an input on a few levels still meets almost every
 offset, and the window would save little. A caller that applies
@@ -480,9 +483,9 @@ def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     Each matrix of a stack comes out as the 2-D call on it returns it. A band
     channel storing a vector or a multiplier off offset 0 cuts its products
     to the support window of x, the union over a stack, and visits only the
-    offsets whose sources meet it; the terms dropped are exact zeros. A
-    dense channel's (stack, terms, dim, dim) products go through the size
-    guard first.
+    offsets whose sources meet it; for finite multipliers the terms dropped
+    are exact zeros (see the module docstring). A dense channel's (stack,
+    terms, dim, dim) products go through the size guard first.
     """
     x = _check_dims(ch, x)
     if x.ndim > 2 and x.size == ch.dim**2:  # a stack of one matrix: see "Stacks" above

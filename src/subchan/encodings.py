@@ -16,22 +16,38 @@ start rank all Fock pairs at once from two level tables, G[a,a,c,c] and G[a,c,a,
 ``optimize_encoding`` maximizes F over qubit codes by the fixed-channel
 iteration of Reimpell & Werner, PRL 94, 080501 (2005), quant-ph/0307138:
 from the best Fock pair on the levels, then from Haar-random starts, each
-step replaces P by the projector onto the top two eigenvectors of the
-hermitian gradient of F at P, the code that maximizes F's linearization
+plain step replaces P by the projector onto the top two eigenvectors of the
+hermitian gradient H of F at P, the code that maximizes F's linearization
 there. The code words are complex. F is not concave in general, so each
-step's gain is checked rather than assumed. All starts are drawn up front and
-run in lockstep as one (R, n, 2) stack: a step is one stacked ``eigh`` over
-the starts still running, and LAPACK takes each matrix of a stack on its own,
-so every start follows the path it would follow alone. A start leaves the
-stack on the step that ends it: when the step raises F by less than
-SEESAW_TOL (converged), when it lowers F by more than ROUNDOFF (non-ascent:
-the start keeps the code before that step), or after MAX_STEPS steps (step
-cap). Any number of levels is searched whose G passes the size guard; K is
-folded into G's place.
+step's gain is checked rather than assumed.
+
+Near a fixed point a plain step shrinks a mode of coupling c by c / gap,
+gap being H's distance from its second to its third eigenvalue; on
+amplitude damping near eta = 1 that is close to 1. A shifted step takes the
+top two eigenvectors of H - mu P instead, which has the same fixed points,
+and shrinks the mode by (c - mu) / (gap - mu). Each start has its own mu >= 0.
+It is 0 until the start's gains fall slowly, gain_t / gain_{t-1} in
+(SLOW_RATIO, 1). From then on a secant on the slowest mode sets it every
+step: with r = sqrt(gain_t / gain_{t-1}) capped at 1 and the shifted
+spectrum's second gap d = gap - mu, c = mu + r d (at most gap) and the next
+mu is SHIFT_FRACTION c. A shifted step ends no start. One that lowers F by
+more than ROUNDOFF is undone, the start keeping its code and H; either way
+the next step is plain, so a start converges only on a plain step. Two
+levels have no third eigenvalue and never shift.
+
+All starts are drawn up front and run in lockstep as one (R, n, 2) stack: a
+step is one stacked ``eigh`` over the starts still running, and LAPACK takes
+each matrix of a stack on its own, so every start follows the path it would
+follow alone. A start leaves the stack on the step that ends it: when a
+plain step raises F by less than SEESAW_TOL (converged), when it lowers F by
+more than ROUNDOFF (non-ascent: the start keeps the code before that step),
+or after MAX_STEPS steps, undone ones included (step cap). Any number of
+levels is searched whose G passes the size guard; K is folded into G's place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +61,22 @@ from .tolerances import SPECTRAL_TOL, TIE_TOL
 # Seesaw starts of optimize_encoding unless the caller asks for others.
 DEFAULT_RESTARTS = 20
 
-# A start has converged once a step raises F by less than this.
+# A start has converged once a plain step raises F by less than this.
 SEESAW_TOL = 1e-13
-# A step that lowers F by more than this is not roundoff: the start stops there.
+# A step that lowers F by more than this is not roundoff: a plain one ends the
+# start there, a shifted one is undone.
 ROUNDOFF = 1e-14
-# Steps allowed per start.
+# Steps allowed per start, undone ones included.
 MAX_STEPS = 1000
+# A plain start shifts once a gain is more than SLOW_RATIO times the one before
+# it, and less. Summed over the search benchmark's jobs (seeds 0-2, 10 rounds)
+# the longest starts took 4453, 4694 and 4990 steps at 0.3, 0.5 and 0.7 (14507
+# plain) and undid 558, 302 and 79; their seesaw time was equal within noise.
+SLOW_RATIO = 0.5
+# A shifted start's next mu is SHIFT_FRACTION times the coupling of its slowest
+# mode. On the same jobs 0.8, 0.9, 0.95 and 0.98 took 5410, 4694, 4615 and 4537
+# steps and undid 88, 302, 558 and 835.
+SHIFT_FRACTION = 0.9
 
 # How a start ended (StartRecord.status).
 CONVERGED, STEP_CAP, NON_ASCENT = "converged", "step cap", "non-ascent"
@@ -127,10 +153,10 @@ def _bloch_form(g: np.ndarray) -> np.ndarray:
     return g.reshape(n * n, n * n)
 
 
-def _ascent_point(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F(P) and H = C^T + conj(C) for P = v v^dag, where C[a, b] = dF/dP[a, b].
+def _ascent_point(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F(P), H = C^T + conj(C) and P itself for P = v v^dag, where C[a, b] = dF/dP[a, b].
 
-    ``v`` is one (n, 2) isometry or a stack (..., n, 2) of them; F and H keep
+    ``v`` is one (n, 2) isometry or a stack (..., n, 2) of them; F, H and P keep
     its leading axes. Each product of a stack is the product a lone start
     makes, so a start's values do not depend on the others in its stack. For
     hermitian X, dF(P)[X] = tr(H X) / 2, so H is twice the hermitian gradient
@@ -144,44 +170,73 @@ def _ascent_point(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     k_pt = (k @ vec_pt[..., np.newaxis])[..., 0]
     c = k_pt.reshape(*lead, n, n) + (row_p @ k).reshape(*lead, n, n).swapaxes(-1, -2)
     value = (row_p @ k_pt[..., np.newaxis])[..., 0, 0].real
-    return value, c.swapaxes(-1, -2) + c.conj()
+    return value, c.swapaxes(-1, -2) + c.conj(), p
 
 
 def _seesaw(k: np.ndarray, v: np.ndarray):
     """Ascend F from the codes spanned by the columns of the isometries ``v``, in lockstep.
 
     ``v`` is a stack (R, n, 2) of starts, or one (n, 2) start. Each step takes
-    the top two eigenvectors of every running start's H in one stacked
-    ``eigh``; a start leaves the stack on the step that ends it. Returns the
-    final isometries, the steps each accepted and how each ended (for one
-    start: its isometry, steps and status).
+    the top two eigenvectors of every running start's H - mu P in one stacked
+    ``eigh``, with the start's own shift mu (see the module docstring); a
+    start leaves the stack on the step that ends it. Returns the final
+    isometries and, per start, the steps it took (undone ones included), how
+    it ended and how many of its steps were undone; for one start, its
+    isometry, steps and status.
     """
     if v.ndim == 2:
-        ends, steps, statuses = _seesaw(k, v[np.newaxis])
+        ends, steps, statuses, _ = _seesaw(k, v[np.newaxis])
         return ends[0], steps[0], statuses[0]
+    count = len(v)
     ends = v.copy()
-    steps, statuses = [MAX_STEPS] * len(v), [STEP_CAP] * len(v)
-    running = np.arange(len(v))
-    value, h = _ascent_point(k, v)
+    steps, statuses, undone = [MAX_STEPS] * count, [STEP_CAP] * count, [0] * count
+    running = np.arange(count)
+    value, h, p = _ascent_point(k, v)
+    # Per running start: mu for its next step, and its last accepted gain
+    # (inf: none since it started or last went plain). As Python floats the
+    # rule took about 5 us a step for 4 starts, as arrays about 17. Two levels
+    # have no third eigenvalue and never shift.
+    shift, last = [0.0] * count, [math.inf] * count
+    can_shift = v.shape[1] > 2
     for step in range(MAX_STEPS):
-        nxt = np.linalg.eigh(h)[1][..., -2:]
-        new_value, new_h = _ascent_point(k, nxt)
-        drop = new_value < value - ROUNDOFF
-        done = drop | (new_value - value < SEESAW_TOL)
-        if done.any():
-            for i in np.flatnonzero(done):
-                start = running[i]
-                if drop[i]:
-                    ends[start], steps[start], statuses[start] = v[i], step, NON_ASCENT
-                else:
-                    ends[start], steps[start], statuses[start] = nxt[i], step + 1, CONVERGED
-            kept = ~done
-            running, nxt, new_value, new_h = running[kept], nxt[kept], new_value[kept], new_h[kept]
-        v, value, h = nxt, new_value, new_h
+        a = h
+        if any(shift):
+            mu = np.array(shift)[:, np.newaxis, np.newaxis]
+            a = np.where(mu > 0, h - mu * p, h)
+        w, vecs = np.linalg.eigh(a)
+        nxt = vecs[..., -2:]
+        new_value, new_h, new_p = _ascent_point(k, nxt)
+        gains, ended = (new_value - value).tolist(), []
+        for i in [i for i, gain in enumerate(gains) if gain < SEESAW_TOL]:
+            start = running[i]
+            if shift[i] > 0:  # a shifted step ends no start; the next one is plain
+                if gains[i] < -ROUNDOFF:
+                    undone[start] += 1
+                    nxt[i], new_value[i], new_h[i], new_p[i] = v[i], value[i], h[i], p[i]
+                gains[i], shift[i] = math.inf, 0.0
+            elif gains[i] >= -ROUNDOFF:
+                ends[start], steps[start], statuses[start] = nxt[i], step + 1, CONVERGED
+                ended.append(i)
+            else:
+                ends[start], steps[start], statuses[start] = v[i], step, NON_ASCENT
+                ended.append(i)
+        if ended:
+            kept = np.ones(len(gains), dtype=bool)
+            kept[ended] = False
+            running, nxt, new_value, new_h, new_p, w = (
+                running[kept], nxt[kept], new_value[kept], new_h[kept], new_p[kept], w[kept])
+            gains, last, shift = ([x for x, keep in zip(xs, kept) if keep] for xs in (gains, last, shift))
+        v, value, h, p = nxt, new_value, new_h, new_p
         if not running.size:
             break
+        if can_shift:
+            for i, (g, lst) in enumerate(zip(gains, last)):
+                if shift[i] > 0 or SLOW_RATIO * lst < g < lst:
+                    r = math.sqrt(min(g / lst, 1.0))
+                    shift[i] = SHIFT_FRACTION * (shift[i] + r * (w[i, -2] - w[i, -3]))
+        last = gains
     ends[running] = v
-    return ends, steps, statuses
+    return ends, steps, statuses, undone
 
 
 def _gauge(v: np.ndarray) -> np.ndarray:
@@ -204,7 +259,8 @@ def _gauge(v: np.ndarray) -> np.ndarray:
 class StartRecord:
     """How one seesaw start ended."""
 
-    steps: int      # seesaw steps accepted
+    steps: int      # seesaw steps taken, undone ones included
+    undone: int     # shifted steps undone (see the module docstring)
     status: str     # CONVERGED | STEP_CAP | NON_ASCENT
     fidelity: float  # average_fidelity_closed of the code it ended on
 
@@ -261,11 +317,11 @@ def optimize_encoding(
 
     best_value, best_frame, best_encoding = -np.inf, None, None
     history = []
-    for v, steps, status in zip(*_seesaw(k, np.stack([warm, *haar]))):
+    for v, steps, status, undone in zip(*_seesaw(k, np.stack([warm, *haar]))):
         frame = _gauge(v)
         encoding = realize_encoding(levels, frame, ch.dim)
         value = average_fidelity_closed(ch, encoding).value
-        history.append(StartRecord(steps=steps, status=status, fidelity=value))
+        history.append(StartRecord(steps=steps, undone=undone, status=status, fidelity=value))
         if value > best_value:
             best_value, best_frame, best_encoding = value, frame, encoding
 

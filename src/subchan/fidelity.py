@@ -108,7 +108,9 @@ def _moments(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _fock_tables(ch: KrausChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``_moments(level_process_tensor(ch, range(n)))`` entry for entry, with no G: a band
     channel's transposed B_0 block and its M_0 (or zeros) with B_0's diagonal, T[i,i,i,i];
-    a dense channel's image of each matrix unit |i><k|, read at (k, k) and at (i, k)."""
+    a dense channel's image of each matrix unit |i><k|, read at (k, k) and at (i, k).
+    B_0's leading n x n corner is the B_0 of the compression onto levels [0, n), so only
+    that n x n block is built."""
     if ch._factors is None:
         populations, coherences = np.empty((2, n, n), dtype=complex)
         for i, k in np.ndindex(n, n):
@@ -117,7 +119,7 @@ def _fock_tables(ch: KrausChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
             if i == k:
                 populations[i] = image.diagonal()[:n]
     else:
-        populations = _coherence_block(ch, 0)[:n, :n].T.astype(complex)
+        populations = _coherence_block(_compress(ch, 0, n), 0).T.astype(complex)
         level = np.arange(n)
         coherences = (ch._entries(0, level[:, np.newaxis], level) if 0 in ch._ranks
                       else np.zeros((n, n))).astype(complex)

@@ -14,14 +14,16 @@ node, each state built on its own. ``design_average`` is the Haar average of
 a code of any dimension as a finite weighted sum of pure-state fidelities.
 ``pure_fidelity`` is one Bloch state's fidelity, through ``apply_channel``.
 ``identity_channel``, ``vec`` and ``unvec`` are small helpers the tests share.
-``seesaw_one_start`` is the search's seesaw run on one start alone, with its
-own products, against which the lockstep stack is checked.
+``seesaw_one_start`` is the search's shifted seesaw run on one start alone,
+with its own products and a scalar shift rule, against which the lockstep
+stack is checked.
 ``verify_one_sample_at_a_time`` is ``verify_channel`` drawing, applying and
 scoring each sample on its own, against which the stacked samples are checked.
 """
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import poisson
@@ -244,32 +246,54 @@ def pure_fidelity(ch, subspace, theta: float, phi: float) -> float:
 
 
 def _one_ascent_point(k, v):
-    """F(P) and H for P = v v^dag of one (n, 2) isometry v, as ``encodings._ascent_point``."""
+    """F(P), H and P for P = v v^dag of one (n, 2) isometry v, as ``encodings._ascent_point``."""
     n = v.shape[0]
     p = v @ v.conj().T
     vec_p, vec_pt = p.ravel(), p.T.ravel()
     k_pt = k @ vec_pt
     c = k_pt.reshape(n, n) + (vec_p @ k).reshape(n, n).T
-    return float((vec_p @ k_pt).real), c.T + c.conj()
+    return float((vec_p @ k_pt).real), c.T + c.conj(), p
+
+
+class LoneStart(NamedTuple):
+    end: np.ndarray     # the isometry the start ended on
+    steps: int          # steps taken, undone ones included
+    status: str
+    undone: int         # shifted steps undone
+    values: list        # F after the start and after each accepted step
 
 
 def seesaw_one_start(k, v):
-    """The seesaw from one start: (final isometry, steps accepted, how it ended).
+    """The shifted seesaw from one start, with its own products and scalar shift rule.
 
-    Reads MAX_STEPS and the tolerances from ``subchan.encodings`` at call time,
-    so a test that patches them patches both routes.
+    Reads MAX_STEPS, the tolerances and the shift constants from
+    ``subchan.encodings`` at call time, so a test that patches them patches
+    both routes.
     """
-    value, h = _one_ascent_point(k, v)
+    value, h, p = _one_ascent_point(k, v)
+    mu, last, undone, values = 0.0, math.inf, 0, [value]
     for step in range(encodings.MAX_STEPS):
-        nxt = np.linalg.eigh(h)[1][:, -2:]
-        new_value, new_h = _one_ascent_point(k, nxt)
-        if new_value < value - encodings.ROUNDOFF:
-            return v, step, encodings.NON_ASCENT
+        w, vecs = np.linalg.eigh(h - mu * p if mu > 0 else h)
+        nxt = vecs[:, -2:]
+        new_value, new_h, new_p = _one_ascent_point(k, nxt)
         gain = new_value - value
-        v, value, h = nxt, new_value, new_h
-        if gain < encodings.SEESAW_TOL:
-            return v, step + 1, encodings.CONVERGED
-    return v, encodings.MAX_STEPS, encodings.STEP_CAP
+        if mu > 0 and gain < -encodings.ROUNDOFF:  # undone; the next step is plain
+            undone, mu, last = undone + 1, 0.0, math.inf
+            continue
+        if gain < -encodings.ROUNDOFF:
+            return LoneStart(v, step, encodings.NON_ASCENT, undone, values)
+        values.append(new_value)
+        if mu > 0 and gain < encodings.SEESAW_TOL:  # kept, but only a plain step converges
+            mu, last = 0.0, math.inf
+        elif gain < encodings.SEESAW_TOL:
+            return LoneStart(nxt, step + 1, encodings.CONVERGED, undone, values)
+        else:
+            if v.shape[0] > 2 and (mu > 0 or encodings.SLOW_RATIO * last < gain < last):
+                r = math.sqrt(min(gain / last, 1.0))
+                mu = encodings.SHIFT_FRACTION * (mu + r * (w[-2] - w[-3]))
+            last = gain
+        v, value, h, p = nxt, new_value, new_h, new_p
+    return LoneStart(v, encodings.MAX_STEPS, encodings.STEP_CAP, undone, values)
 
 
 def _ginibre(block, rng):
