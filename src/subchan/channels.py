@@ -39,25 +39,25 @@ on it. ``multipliers`` forms M_o anew, size-guarded, on each read.
 
 Support window. An encoded state sits on a few low levels of a much larger
 truncation, so most of each shifted product multiplies zeros. When a channel
-stores a multiplier off offset 0, or a vector on it, ``apply_channel`` first
-finds [lo, hi), the smallest index range holding every nonzero row and
-column of x (one O(dim^2) pass), the union over a stack. Only the offsets
-whose sources a + o meet that range are visited, o < hi above 0 and
--o < dim - lo below it (a prefix of each, found by bisection), and each
-product is cut to the rows a whose source lies in the range. A vector on offset 0 is
-formed on the window alone: it has no sign bit set and finite products, so
-outside the window M_0 * x holds the signed zeros of 1.0 * x. A square M_0
-and the transfer term stay full size. For finite multipliers only exact zero
-terms are dropped, so the result equals the full-size sum entry for entry. A
-square M_o (o != 0) holding inf, as finite bands whose product overflows
+stores a multiplier off offset 0, or a vector on it, both kernels first find
+[lo, hi), the smallest index range holding every nonzero row and column of x
+(one O(dim^2) pass), the union over a stack. ``apply_channel`` reads x at
+the sources a + o and writes the targets a; ``adjoint_apply`` reads the
+targets and writes the sources, by conj(M_o). Only the offsets whose read
+rows meet the range are visited (a prefix of each side, found by
+bisection): for Phi, o < hi above 0 and -o < dim - lo below it; for Phi*,
+o < dim - lo above 0 and -o < hi below it. Each product is cut to the rows
+read inside the range. A vector on offset 0 is formed on the window alone:
+it has no sign bit set and finite products, so outside the window M_0 * x
+holds the signed zeros of 1.0 * x. A square M_0 and the transfer term stay
+full size. For finite multipliers only exact zero terms are dropped, so the
+result equals the full-size sum entry for entry, up to the sign of a zero.
+A square M_o (o != 0) holding inf, as finite bands whose product overflows
 give, loses its inf * 0 = NaN terms outside the window, which the full-size
-sum keeps.
-``adjoint_apply`` sums its shifted products at full size: Phi* reads x at
-the rows a themselves, so an input on a few levels still meets almost every
-offset, and the window would save little. A caller that applies
-a channel many times to inputs on one window, and reads the outputs only
-there, can instead take the channel's compression onto it once
-(``_compress``) and apply that at the window's size.
+sum keeps. A caller that applies a channel many times to inputs on one
+window, and reads the outputs only there, can instead take the channel's
+compression onto it once (``_compress``) and apply that at the window's
+size.
 
 Stacks. ``apply_channel`` and ``adjoint_apply`` take one (dim, dim) operator
 or a stack (..., dim, dim), and each matrix of the output equals the 2-D
@@ -400,7 +400,7 @@ class KrausChannel:
 def _check_dims(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     n = ch.dim
-    if x.shape != (n, n) and (x.ndim < 2 or x.shape[-2:] != (n, n)):
+    if x.ndim < 2 or x.shape[-2:] != (n, n):
         raise DimensionMismatchError(f"operator shape {x.shape} does not match channel dim {n}")
     return x
 
@@ -458,23 +458,61 @@ def _window(x: np.ndarray) -> tuple[int, int]:
     return (int(used[0]), int(used[-1]) + 1) if used.size else (0, 0)
 
 
-def _offset_zero(ch: KrausChannel, x: np.ndarray, lo: int, hi: int, adjoint: bool) -> np.ndarray:
-    """M_0 * x, or conj(M_0) * x, in C order (T's kernel writes through a reshape), for x
-    zero outside the window [lo, hi).
+def _offset_zero(e: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """M_0 * x in C order (T's kernel writes through a reshape) for M_0 stored as its vector
+    e and x zero outside the window [lo, hi); M_0 is real, so it is also conj(M_0) * x.
 
-    A vector e of M_0 has no sign bit set and finite products e[a] e[b], so M_0
-    is finite with no sign bit set, and out of the window M_0 * x holds the
-    signed zeros of 1.0 * x: the vector's block is formed on the window alone.
-    Without M_0 the product is 0.0 * x."""
-    if ch._zero is None:
-        return np.multiply(x, 0.0, order="C")
-    m, factored = ch._zero
-    if not factored:
-        return (m.conj() if adjoint else m) * x  # m is C-ordered, and so is the product
+    e has no sign bit set and finite products e[a] e[b], so M_0 is finite with
+    no sign bit set, and out of the window M_0 * x holds the signed zeros of
+    1.0 * x: the block is formed on the window alone."""
     out = np.multiply(x, 1.0, order="C")
     inside = (..., slice(lo, hi), slice(lo, hi))
-    np.multiply(_outer(m[lo:hi]), x[inside], out=out[inside])
+    np.multiply(_outer(e[lo:hi]), x[inside], out=out[inside])
     return out
+
+
+def _apply(ch: KrausChannel, x: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Phi(x), or Phi*(x) for ``adjoint``: the one kernel behind ``apply_channel`` and
+    ``adjoint_apply`` (see "Support window" and "Stacks" above).
+
+    Phi reads x at the sources a + o and writes the targets a; Phi* reads the
+    targets, writes the sources and multiplies by conj(M_o). Either way only the
+    offsets whose read rows meet the window of x are visited, cut to those rows."""
+    x = _check_dims(ch, x)
+    if x.ndim > 2 and x.size == ch.dim**2:  # a stack of one matrix: see "Stacks" above
+        return _apply(ch, x.reshape(x.shape[-2:]), adjoint).reshape(x.shape)
+    if ch._factors is None:
+        return _dense_sum(ch.kraus_ops, x, adjoint)
+    zero = ch._zero
+    # Unwindowed (at most a square M_0): the many small calls of a quadrature.
+    lo, hi = _window(x) if ch._windowed else (0, 0)
+    if zero is None:
+        out = np.multiply(x, 0.0, order="C")
+    elif zero[1]:
+        out = _offset_zero(zero[0], x, lo, hi)
+    else:  # a square M_0 stays full size; it is C-ordered, and so is the product
+        out = (zero[0].conj() if adjoint else zero[0]) * x
+    if lo < hi:
+        n, (ahead, behind) = ch.dim, ch._reach
+        reached = ch._ahead[:bisect_left(ahead, n - lo if adjoint else hi)]
+        if behind:
+            reached += ch._behind[:bisect_left(behind, hi if adjoint else n - lo)]
+            reached.sort(key=_magnitude)
+        for _, m, factored, source, target in reached:
+            read, write = (target, source) if adjoint else (source, target)
+            start, stop = max(lo, read), min(hi, n - write)
+            first, last = start - read, stop - read
+            block = _outer(m[first:last]) if factored else m[first:last, first:last]
+            # Added in place through a view: one indexing.
+            view = out[..., write + first:write + last, write + first:write + last]
+            view += (block.conj() if adjoint else block) * x[..., start:stop, start:stop]
+    if ch._moves:
+        _add_moved_populations(out, ch, x, adjoint)
+    return out
+
+
+def _magnitude(term) -> tuple[int, int]:
+    return abs(term[0]), term[0]
 
 
 def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -487,36 +525,7 @@ def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     are exact zeros (see the module docstring). A dense channel's (stack,
     terms, dim, dim) products go through the size guard first.
     """
-    x = _check_dims(ch, x)
-    if x.ndim > 2 and x.size == ch.dim**2:  # a stack of one matrix: see "Stacks" above
-        return apply_channel(ch, x.reshape(x.shape[-2:])).reshape(x.shape)
-    if ch._factors is None:
-        return _dense_sum(ch.kraus_ops, x, adjoint=False)
-    zero = ch._zero
-    if not ch._windowed:  # at most a square M_0: the many small calls of a quadrature
-        out = zero[0] * x if zero else np.multiply(x, 0.0, order="C")
-    else:
-        n = ch.dim
-        lo, hi = _window(x)
-        out = zero[0] * x if zero and not zero[1] else _offset_zero(ch, x, lo, hi, adjoint=False)
-        ahead, behind = ch._reach
-        reached = ch._ahead[:bisect_left(ahead, hi)]
-        if behind:
-            reached += ch._behind[:bisect_left(behind, n - lo)]
-            reached.sort(key=_magnitude)
-        for _, m, factored, source, target in reached if lo < hi else ():
-            start, stop = max(lo, source), min(hi, n - target)
-            first, last = start - source, stop - source
-            block = _outer(m[first:last]) if factored else m[first:last, first:last]
-            view = out[..., target + first:target + last, target + first:target + last]
-            view += block * x[..., start:stop, start:stop]  # in place: one indexing
-    if ch._moves:
-        _add_moved_populations(out, ch, x, adjoint=False)
-    return out
-
-
-def _magnitude(term) -> tuple[int, int]:
-    return abs(term[0]), term[0]
+    return _apply(ch, x, adjoint=False)
 
 
 def adjoint_apply(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -524,23 +533,10 @@ def adjoint_apply(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
 
     Satisfies tr(x1 Phi*(x2)) = tr(Phi(x1) x2); unital exactly when Phi is
     trace-preserving. Each matrix of a stack comes out as the 2-D call on it
-    returns it.
+    returns it. It takes the support window as ``apply_channel`` does, and
+    visits only the offsets whose targets meet it.
     """
-    x = _check_dims(ch, x)
-    if x.ndim > 2 and x.size == ch.dim**2:
-        return adjoint_apply(ch, x.reshape(x.shape[-2:])).reshape(x.shape)
-    if ch._factors is None:
-        return _dense_sum(ch.kraus_ops, x, adjoint=True)
-    n = ch.dim
-    lo, hi = _window(x) if ch._zero and ch._zero[1] else (0, n)
-    out = _offset_zero(ch, x, lo, hi, adjoint=True)
-    for o, m, factored in ch._bands[1:] if ch._zero else ch._bands:
-        rows, cols = slice(max(0, -o), n - max(0, o)), slice(max(0, o), n - max(0, -o))
-        view = out[..., cols, cols]
-        view += (_outer(m) if factored else m.conj()) * x[..., rows, rows]
-    if ch._moves:
-        _add_moved_populations(out, ch, x, adjoint=True)
-    return out
+    return _apply(ch, x, adjoint=True)
 
 
 def _compress(ch: KrausChannel, lo: int, hi: int) -> KrausChannel:

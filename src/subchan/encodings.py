@@ -176,17 +176,13 @@ def _ascent_point(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 def _seesaw(k: np.ndarray, v: np.ndarray):
     """Ascend F from the codes spanned by the columns of the isometries ``v``, in lockstep.
 
-    ``v`` is a stack (R, n, 2) of starts, or one (n, 2) start. Each step takes
-    the top two eigenvectors of every running start's H - mu P in one stacked
-    ``eigh``, with the start's own shift mu (see the module docstring); a
-    start leaves the stack on the step that ends it. Returns the final
-    isometries and, per start, the steps it took (undone ones included), how
-    it ended and how many of its steps were undone; for one start, its
-    isometry, steps and status.
+    ``v`` is a stack (R, n, 2) of starts. Each step takes the top two
+    eigenvectors of every running start's H - mu P in one stacked ``eigh``,
+    with the start's own shift mu (see the module docstring); a start leaves
+    the stack on the step that ends it. Returns the final isometries and, per
+    start, the steps it took (undone ones included), how it ended and how
+    many of its steps were undone.
     """
-    if v.ndim == 2:
-        ends, steps, statuses, _ = _seesaw(k, v[np.newaxis])
-        return ends[0], steps[0], statuses[0]
     count = len(v)
     ends = v.copy()
     steps, statuses, undone = [MAX_STEPS] * count, [STEP_CAP] * count, [0] * count

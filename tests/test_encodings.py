@@ -251,7 +251,7 @@ class TestSeesaw:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(encodings, "MAX_STEPS", 1)
             for _ in range(cap):
-                v, steps, status = _seesaw(k, v)
+                (v,), (steps,), (status,), _ = _seesaw(k, v[np.newaxis])
                 new_value = _ascent_point(k, v)[0]
                 assert new_value >= value - 1e-13
                 value = new_value
@@ -262,7 +262,7 @@ class TestSeesaw:
         # -F is no fidelity, and its linearized steps overshoot.
         k = -_bloch_form(level_process_tensor(amplitude_damping(0.5, 8), [0, 1, 2, 3]))
         start = _isometry(np.random.default_rng(3), 4)
-        v, steps, status = _seesaw(k, start)
+        (v,), (steps,), (status,), _ = _seesaw(k, start[np.newaxis])
         assert status == NON_ASCENT
         assert _ascent_point(k, v)[0] >= _ascent_point(k, start)[0]
         if steps == 0:

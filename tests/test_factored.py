@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kraus_reference import full_band_apply
 import subchan.channels
 from subchan.channels import (
     KrausChannel,
@@ -207,6 +208,26 @@ class TestStorage:
             ch.transfer
         with pytest.raises(KeyError):
             ch.multipliers[299]
+
+
+class TestWindowedAdjoint:
+    def test_matrix_unit_at_1024_forms_only_its_window(self, monkeypatch):
+        # Phi* of |0><1| reads x on levels 0 and 1 alone: each offset forms at most a
+        # 2 x 2 block. Summed at full size, the blocks held 357,389,827 entries in all.
+        ch = amplitude_damping(0.5, 1024)
+        x = np.zeros((1024, 1024), dtype=complex)
+        x[0, 1] = 1.0
+        formed, outer = [], subchan.channels._outer
+
+        def counting(e):
+            block = outer(e)
+            formed.append(block.size)
+            return block
+
+        monkeypatch.setattr(subchan.channels, "_outer", counting)
+        out = adjoint_apply(ch, x)
+        assert sum(formed) <= 4 * ch.dim
+        assert np.array_equal(out, full_band_apply(ch, x, adjoint=True))
 
 
 class TestTruncationIndependence:

@@ -5,12 +5,14 @@ and the population-transfer matrix T of the diagonal ones. Every kernel
 that reads them is checked here against dense Kraus sums, one operator at
 a time, and the closed-form phase damping multiplier against the Poisson
 Kraus family summed term by term. Inputs supported on a few levels check the support
-window of ``apply_channel``, and the full-size band sums of
-``adjoint_apply``, against the same sums and against the full-size
-products, and the compression of a channel onto a window of levels against
+window of ``apply_channel`` and ``adjoint_apply``, on formed and on vector
+storage, against the same sums and against the full-size products, and the
+compression of a channel onto a window of levels against
 the same sums cut to that window. A stack of inputs is checked matrix by
 matrix against the 2-D calls.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from kraus_reference import (
     poisson_phase_damping,
     span_projector,
 )
+from subchan import channels
 from subchan.channels import (
     KrausChannel,
     _compress,
@@ -146,7 +149,7 @@ class TestDepolarizingTransfer:
 
 
 @st.composite
-def multiplier_channels(draw):
+def multiplier_channels(draw, vectors=False):
     """(ops, full, units) for a random band channel on dim <= 7.
 
     ``full`` maps offsets to Kraus diagonals (terms, dim - |o|), ``units``
@@ -155,18 +158,24 @@ def multiplier_channels(draw):
     nonzero weight. Offset 0 always holds a dense term, so every column is
     covered. ``replacement`` adds a weight on every entry, as the matrix
     units of a reloaded depolarizing file do. The columns are then scaled to
-    trace preservation, or, for ``lossy`` channels, off it at random.
+    trace preservation, or, for ``lossy`` channels, off it at random. With
+    ``vectors``, some channels draw every band as one real nonnegative term,
+    which band storage keeps as its vector.
     """
     dim = draw(st.integers(min_value=1, max_value=7))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     offsets = {0} | set(draw(st.lists(st.integers(min_value=1 - dim, max_value=dim - 1),
                                       max_size=4)))
+    nonnegative = vectors and draw(st.booleans())
     full, units = {}, {}
     for o in sorted(offsets):
         m = dim - abs(o)
         if o == 0 or draw(st.booleans()):
-            terms = draw(st.integers(min_value=1, max_value=3))
-            full[o] = rng.normal(size=(terms, m)) + 1j * rng.normal(size=(terms, m))
+            if nonnegative:
+                full[o] = np.abs(rng.normal(size=(1, m)))
+            else:
+                terms = draw(st.integers(min_value=1, max_value=3))
+                full[o] = rng.normal(size=(terms, m)) + 1j * rng.normal(size=(terms, m))
         else:
             units[o] = rng.random(m) * (rng.random(m) < 0.7)
     if draw(st.booleans()):
@@ -293,14 +302,18 @@ def _check_supported(ch, ops, x):
 
 class TestSupportWindow:
     @settings(max_examples=150, deadline=None)
-    @given(multiplier_channels(), st.sampled_from(SUPPORTS), st.data())
-    def test_matches_dense_sum_and_full_products(self, case, support, data):
+    @given(multiplier_channels(vectors=True), st.sampled_from(SUPPORTS), st.booleans(),
+           st.data())
+    def test_matches_dense_sum_and_full_products(self, case, support, formed, data):
         ops, full, units = case
         dim = ops.shape[1]
         lo = data.draw(st.integers(min_value=0, max_value=dim - 1))
         hi = data.draw(st.integers(min_value=lo + 1, max_value=dim))
         x = _supported(dim, support, lo, hi, data.draw(st.integers(0, 10**6)))
-        for ch in _constructions(ops, full, units):
+        # A budget of 0 bytes keeps vectors and T's entries unformed in the kernels.
+        with mock.patch.object(channels, "FORMED_BYTES", 2**20 if formed else 0):
+            constructions = _constructions(ops, full, units)
+        for ch in constructions:
             _check_supported(ch, ops, x)
 
     @pytest.mark.parametrize("support", SUPPORTS)
