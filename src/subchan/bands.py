@@ -10,16 +10,13 @@ one-row GEMM that would form M_o, so every reader forms what it needs from e
 with the same bits: a kernel the block on its window, the coherence blocks
 and Fock-level tables their entries. Amplitude damping is such a band on
 every offset, O(dim^2) floats in all where its square multipliers took sum_o
-(dim - o)^2. Complex, signed or multi-row bands, and square multipliers
-passed in, stay square. The vectors of a channel are views of one array.
+(dim - o)^2; its one-entry band on offset dim - 1 is a vector of length 1.
+Complex, signed or multi-row bands, and square multipliers passed in, stay
+square. The vectors of a channel are views of one array.
 
-Transfer entries. Bands whose terms are single matrix units go into the
-population-transfer matrix T. Passed a ``transfer``, a channel keeps T
-dense. Without one, unit terms holding at most one entry per row and per
-column of T are kept as those entries (amplitude damping has one): a
-matrix-vector product with such a T adds one product and exact zeros per
-row, and the kernels reproduce it from the entries, zero signs included.
-Other unit terms make a dense T.
+The transfer matrix. Other bands whose terms are single matrix units go into
+the population-transfer matrix T, which is always dense: the ``transfer``
+passed in, or zeros, with the unit bands added on.
 
 Diagonal o of an n x n array is addressed as one strided slice of its
 flattening, ``_diagonal(o, n)``.
@@ -61,24 +58,20 @@ def _float_or_complex(a) -> np.ndarray:
 
 
 def _fold(bands, multipliers, transfer):
-    """(dim, vectors, square multipliers, their term counts, dense T or None, T's entries or None).
+    """(dim, vectors, square multipliers, their term counts, dense T or None).
 
-    A band whose terms each hold exactly one nonzero entry goes into T, its
-    squared entries summed per position. On each other offset, a lone
-    one-row band of float64 entries with no sign bit set is kept as its
-    vector e: M_o = e^T e is then e[a] e[b] entry for entry, the value and
-    sign of the one-row GEMM that would form it. A band with an entry past
-    _FINITE_SQUARE, whose M_o overflows, stays square. Any other band becomes
-    e^T conj(e) (one GEMM, a real one for real terms), summed per offset
-    with the square multipliers given there; a band counts its terms and a
-    square multiplier its size.
+    On each offset, a lone one-row band of float64 entries with no sign bit
+    set is kept as its vector e, even with a single nonzero: M_o = e^T e is
+    then e[a] e[b] entry for entry, the value and sign of the one-row GEMM
+    that would form it. A band with an entry past _FINITE_SQUARE, whose M_o
+    overflows, stays square. Any other band whose terms each hold exactly
+    one nonzero entry goes into T, its squared entries summed per position.
+    The rest become e^T conj(e) (one GEMM, a real one for real terms),
+    summed per offset with the square multipliers given there; a band
+    counts its terms and a square multiplier its size.
 
     T starts as a float copy of ``transfer`` (checked real and nonnegative),
-    the unit bands added on, and stays dense. Without ``transfer``, unit
-    bands whose nonzero weights hold at most one entry per row and per
-    column are kept as those entries: a matrix-vector product
-    with T then adds one product and exact zeros per entry, which the
-    kernels reproduce from the entries. Other unit bands make a dense T.
+    or as zeros, and the unit bands are added on their diagonals.
     """
     parts = [(f"band {o}", int(o), _float_or_complex(e)) for o, e in bands.items()]
     parts += [(f"multiplier {o}", int(o), _float_or_complex(m)) for o, m in multipliers.items()]
@@ -112,52 +105,40 @@ def _fold(bands, multipliers, transfer):
         unfit = np.signbit(flat.real) | (flat.real > _FINITE_SQUARE)
         unfit = np.logical_or.reduceat(unfit, starts).tolist()
     del flat  # a copy of every part: not held while the multipliers are built
-    moved, grouped = [], {}
+    grouped = {}
     for i, (_, offset, a) in enumerate(parts):
-        band = i < len(sizes)
-        if band and counts[i] == len(a) and (
-                len(a) == 1 or np.all(np.count_nonzero(a, axis=1) == 1)):
-            moved.append((offset, (np.abs(a) ** 2).sum(axis=0)))
-        else:
-            grouped.setdefault(offset, []).append((band, a, band and unfit[i]))
-    factored, blocks, ranks = [], {}, {}
+        grouped.setdefault(offset, []).append((i, a))
+    factored, blocks, ranks, moved = [], {}, {}, []
     for offset in sorted(grouped):
-        group = grouped[offset]
-        ranks[offset] = sum(len(a) for _, a, _ in group)
-        band, a, unfit_band = group[0]
-        if len(group) == 1 and band and len(a) == 1 and a.dtype == np.float64 and not unfit_band:
+        (i, a), *others = grouped[offset]
+        if not others and i < len(sizes) and len(a) == 1 and a.dtype == np.float64 and not unfit[i]:
             factored.append((offset, a[0]))
+            ranks[offset] = 1
             continue
-        square = [a.T @ a.conj() if band else a.copy() for band, a, _ in group]
-        blocks[offset] = _readonly(sum(square[1:], square[0]))
+        square, terms = [], 0
+        for i, a in grouped[offset]:
+            band = i < len(sizes)
+            if band and counts[i] == len(a) and (
+                    len(a) == 1 or np.all(np.count_nonzero(a, axis=1) == 1)):
+                moved.append((offset, (np.abs(a) ** 2).sum(axis=0)))
+            else:
+                square.append(a.T @ a.conj() if band else a.copy())
+                terms += len(a)
+        if square:
+            ranks[offset] = terms
+            blocks[offset] = _readonly(sum(square[1:], square[0]))
     factors = {}
     if factored:  # the vectors, copied into one array
         held = _readonly(np.concatenate([e for _, e in factored]))
         end = 0
         for offset, e in factored:
             factors[offset], end = held[end:end + len(e)], end + len(e)
-    t = units = None
-    if transfer is not None:
-        t = np.array(transfer, dtype=float)
+    t = None
+    if transfer is not None or moved:
+        t = np.zeros((n, n)) if transfer is None else np.array(transfer, dtype=float)
         for offset, weights in moved:
             t.reshape(-1)[_diagonal(offset, n)] += weights
-    elif moved:
-        entries = [(at + max(0, -o), at + max(0, o), w[at]) for o, w in moved
-                   for (at,) in [np.nonzero(w)]]
-        rows, cols, weights = (np.concatenate(u) for u in zip(*entries))
-        if rows.size and max(np.bincount(rows).max(), np.bincount(cols).max()) == 1:
-            units = tuple(_readonly(u) for u in (rows, cols, weights))
-        else:
-            t = _scatter((rows, cols, weights), n)
-    return n, factors, blocks, ranks, _readonly(t) if t is not None and t.any() else None, units
-
-
-def _scatter(units, n: int) -> np.ndarray:
-    """The dense (n, n) T of the entries ``units`` = (rows, cols, weights)."""
-    rows, cols, weights = units
-    t = np.zeros((n, n))
-    t[rows, cols] = weights
-    return t
+    return n, factors, blocks, ranks, _readonly(t) if t is not None and t.any() else None
 
 
 def _factor(m: np.ndarray, terms: int) -> np.ndarray:

@@ -24,15 +24,14 @@ product per offset, and Phi*(I) is diagonal, which makes the
 trace-preservation defect a maximum over its entries.
 
 Factored multipliers. A rank-one M_o = e^T e with a nonnegative float64
-factor whose products e[a] e[b] are finite is stored as the vector e (see
-:mod:`subchan.bands`, which folds the storage): amplitude damping holds
-O(dim^2) floats where its square multipliers took sum_o (dim - o)^2. A
-channel whose multipliers, and T if kept as entries, fit in FORMED_BYTES
-once formed runs its kernels on formed arrays, as before factoring: the
-multipliers formed at construction, T on first use and applied as a dense
-matrix-vector product. At small dim, forming a block, or T's product from
-its entries, on each call costs more than holding them. So does a channel
-holding a dense T whose formed multipliers fit in as many bytes
+factor whose products e[a] e[b] are finite is stored as the vector e, even
+when e holds a single nonzero (see :mod:`subchan.bands`, which folds the
+storage): amplitude damping holds O(dim^2) floats, one vector per offset,
+where its square multipliers took sum_o (dim - o)^2. A
+channel whose multipliers fit in FORMED_BYTES once formed forms them at
+construction and runs its kernels on them, as before factoring: at small
+dim, forming a block on each call costs more than holding it. So does a
+channel holding a dense T whose formed multipliers fit in as many bytes
 (depolarizing at every dim): it holds O(dim^2) floats either way, and with
 M_0 alone one full-size product beats the window pass and the block formed
 on it. ``multipliers`` forms M_o anew, size-guarded, on each read.
@@ -76,21 +75,18 @@ A diagonal multiplier only moves populations, Phi(x)[a, a] picks up
 M_o[a, a] x[a+o, a+o]. All of them, on every offset, are kept together as
 one population-transfer matrix T[a, a+o] = M_o[a, a] (``transfer``) and
 applied as one product T @ diag(x). It can be passed as ``transfer``, and
-band terms that are all single matrix units are added onto it. A T with at
-most one entry per row and column that was not passed in is stored as its
-entries (see :mod:`subchan.bands`); the kernels add each entry's product
-onto zeros, then update the whole diagonal, as the matrix-vector product
-does.
+band terms that are all single matrix units, unless stored as a vector, are
+added onto it. T is held dense, or not at all when it is zero.
 
 Every built-in family is a band channel: phase damping is the closed-form
-M_0[a, b] = eta^((a-b)^2), amplitude damping has one rank-one multiplier
-per offset, stored as its vector, and T's one entry; depolarizing is p J
-on offset 0, stored as the vector of sqrt(p), plus the dense
-T = (1-p)/dim. A dense stack passed as ``kraus_ops`` is inspected, and
-takes the band form when each operator sits on one offset (a reloaded
-channel file of a built-in family does, with complex bands). Only channels
-with an operator spanning several offsets keep the dense path of batched
-matrix products.
+M_0[a, b] = eta^((a-b)^2); amplitude damping has one rank-one multiplier
+per offset, each stored as its vector, and no T, except at eta = 0, where
+it is T[0, :] = 1 alone; depolarizing is p J on offset 0, stored as the
+vector of sqrt(p), plus the dense T = (1-p)/dim. A dense stack passed as
+``kraus_ops`` is inspected, and takes the band form when each operator sits
+on one offset (a reloaded channel file of a built-in family does, with
+complex bands). Only channels with an operator spanning several offsets
+keep the dense path of batched matrix products.
 
 The dense (terms, dim, dim) stack of a band channel is built only when asked
 for (``kraus_ops``, used by ``save_channel``) by factoring the multipliers:
@@ -119,7 +115,7 @@ from functools import cached_property
 import numpy as np
 
 from .bands import (
-    _detect_bands, _diagonal, _factor, _fold, _Multipliers, _outer, _readonly, _scatter,
+    _detect_bands, _diagonal, _factor, _fold, _Multipliers, _outer, _readonly,
 )
 from .errors import DimensionMismatchError, ResourceLimitError
 from .fock import _hermitian_from, _state_from, hermiticity_defect, operator_norm
@@ -129,11 +125,11 @@ from .tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
 MAX_SUPEROPERATOR_DIM = 64
 COMPLEX_BYTES = 16
 REAL_BYTES = 8
-# A band channel whose vectors' multipliers and entries' T, formed, fit in this many bytes
-# forms them at construction and runs its kernels on them (see "Factored multipliers"):
-# amplitude damping up to dim 70. Measured on one BLAS thread, forming made apply_channel
-# on a matrix unit 1.58x faster at dim 16, 1.27x at 64, 1.11x at 96, 1.04x at 112 and
-# 0.87x at 128; 1 MiB keeps the formed copy, which grows as dim^3 (2.5 MB at 96), small.
+# A band channel whose vectors' multipliers, formed, fit in this many bytes forms them at
+# construction and runs its kernels on them (see "Factored multipliers"): amplitude
+# damping up to dim 72. Measured on one BLAS thread, forming made apply_channel on a
+# matrix unit 1.58x faster at dim 16, 1.27x at 64, 1.11x at 96, 1.04x at 112 and 0.87x
+# at 128; 1 MiB keeps the formed copy, which grows as dim^3 (2.5 MB at 96), small.
 FORMED_BYTES = 2**20
 MAX_KRAUS_BYTES = MAX_SUPEROPERATOR_DIM**4 * COMPLEX_BYTES
 
@@ -199,14 +195,12 @@ class KrausChannel:
         (dim - |o|)^2 floats; no kernel reads it.
     transfer : ndarray or None
         Real (dim, dim) population-transfer matrix T: the given ``transfer``
-        plus the unit bands, read-only; None when it is zero. T stored as
-        its entries is scattered into a new array on each access, after the
-        size guard.
+        plus the unit bands, read-only; None when it is zero.
     stored_bytes : int
         Bytes of the arrays the channel holds from construction on: its
-        vectors, square and formed multipliers, T or its entries, and a
-        given stack. Arrays built on first use (``kraus_ops``, the complex
-        T of the kernels) are not counted.
+        vectors, square and formed multipliers, T, and a given stack.
+        Arrays built on first use (``kraus_ops``, the complex T of the
+        kernels) are not counted.
     tp_defect : float
         Operator norm of (sum_i E_i^dag E_i - I) on the full truncated
         space, computed at construction: 0 for the exact built-in families
@@ -243,31 +237,29 @@ class KrausChannel:
             stack.flags.writeable = False
             bands = _detect_bands(stack)
         if bands is None and multipliers is None and transfer is None:
-            storage = (int(stack.shape[1]), None, None, {}, None, None)
+            storage = (int(stack.shape[1]), None, None, {}, None)
         else:
             storage = _fold(bands or {}, multipliers or {}, transfer)
         self._assemble(*storage, stack=stack, family=family, eta=eta)
 
-    def _assemble(self, dim, factors, blocks, ranks, transfer, units, *, stack, family, eta):
+    def _assemble(self, dim, factors, blocks, ranks, transfer, *, stack, family, eta):
         """Set the storage: ``factors`` {offset: e} for M_o = e^T e, ``blocks`` {offset: M_o}
-        (both None for a dense channel), ``ranks`` {offset: terms}, and T as the dense
-        ``transfer`` or as ``units`` (rows, cols, weights); then the term count and tp_defect."""
+        (both None for a dense channel), ``ranks`` {offset: terms} and the dense T or None;
+        then the term count and tp_defect."""
         self.family, self.eta, self.dim = family, eta, dim
         self._stack, self._factors, self._blocks = stack, factors, blocks
-        self._ranks, self._transfer, self._units = ranks, transfer, units
-        self._moves = transfer is not None or units is not None  # T is not zero
+        self._ranks, self._transfer = ranks, transfer
         # The bands by ascending |o|, below 0 first on ties (the order the kernels sum
-        # in), as (o, e or M_o, factored). A channel whose vectors' multipliers and
-        # entries' T, formed, fit in FORMED_BYTES, or in the bytes of a dense T it holds
-        # anyway, forms them here: e[a] e[b] for each M_o.
+        # in), as (o, e or M_o, factored). A channel whose vectors' multipliers, formed,
+        # fit in FORMED_BYTES, or in the bytes of a dense T it holds anyway, forms them
+        # here: e[a] e[b] for each M_o.
         stored = [(o, e, True) for o, e in (factors or {}).items()]
         stored += [(o, m, False) for o, m in (blocks or {}).items()]
         self._stored = sorted(stored, key=_magnitude)
-        formed = sum(e.size**2 for e in (factors or {}).values()) * REAL_BYTES
-        formed += 0 if units is None else dim**2 * COMPLEX_BYTES
-        self._formed = formed <= max(FORMED_BYTES, 0 if transfer is None else transfer.nbytes)
-        self._bands = [(o, _readonly(_outer(m)) if factored and self._formed else m,
-                        factored and not self._formed) for o, m, factored in self._stored]
+        budget = max(FORMED_BYTES, 0 if transfer is None else transfer.nbytes)
+        formed = sum(e.size**2 for e in (factors or {}).values()) * REAL_BYTES <= budget
+        self._bands = [(o, _readonly(_outer(m)) if factored and formed else m,
+                        factored and not formed) for o, m, factored in self._stored]
         # The kernels' plan: the band on offset 0 as (e or M_0, factored), or None; the
         # bands above 0 and below 0, as (o, e or M_o, factored, source, target) with
         # sources a + o and targets a from max(0, o) and max(0, -o) on, and the |o| of
@@ -282,12 +274,11 @@ class KrausChannel:
         if stack is not None:
             self.kraus_truncation = int(stack.shape[0])
         else:
-            moved = (len(units[2]) if units is not None
-                     else 0 if transfer is None else int(np.count_nonzero(transfer)))
+            moved = 0 if transfer is None else int(np.count_nonzero(transfer))
             self.kraus_truncation = sum(ranks.values()) + moved
         # What a channel stored on offset 0 alone keeps there (its vector or M_0), else
         # None; the benchmark's tracing reads it to size the Kraus storage.
-        alone = not self._moves and list(ranks) == [0]
+        alone = transfer is None and list(ranks) == [0]
         self._diagonals = {**factors, **blocks}[0] if alone else None
         self.tp_defect = tp_defect_on_block(self, self.dim)
 
@@ -299,14 +290,11 @@ class KrausChannel:
 
     @property
     def transfer(self) -> np.ndarray | None:
-        if self._units is None:
-            return self._transfer
-        _check_bytes(self.dim**2 * REAL_BYTES, f"the transfer matrix at dim {self.dim}")
-        return _readonly(_scatter(self._units, self.dim))
+        return self._transfer
 
     @property
     def stored_bytes(self) -> int:
-        arrays = [self._stack, self._transfer, *(self._units or ())]
+        arrays = [self._stack, self._transfer]
         arrays += [m for _, m, _ in self._stored + self._bands]  # formed ones too
         return sum(a.nbytes for a in {id(a): a for a in arrays if a is not None}.values())
 
@@ -325,15 +313,6 @@ class KrausChannel:
             e = self._factors[offset]
             return e[rows] * e[cols]
         return self._blocks[offset][rows, cols]
-
-    def _transfer_entries(self, rows, cols) -> np.ndarray:
-        """T[rows, cols] for broadcast index arrays of a channel that ``_moves``."""
-        if self._units is None:
-            return self._transfer[rows, cols]
-        held_rows, held_cols, weights = self._units
-        col_of, weight_of = np.full(self.dim, -1), np.zeros(self.dim)
-        col_of[held_rows], weight_of[held_rows] = held_cols, weights
-        return np.where(col_of[rows] == cols, weight_of[rows], 0.0)
 
     @cached_property
     def kraus_ops(self) -> np.ndarray:
@@ -370,10 +349,8 @@ class KrausChannel:
 
     @cached_property
     def _complex_transfer(self) -> np.ndarray:
-        """T as complex, formed from its entries when ``_formed``, so the kernels'
-        matrix-vector products cast nothing per call."""
-        t = self._transfer if self._units is None else _scatter(self._units, self.dim)
-        return _readonly(t.astype(complex))
+        """T as complex, so the kernels' matrix-vector products cast nothing per call."""
+        return _readonly(self._transfer.astype(complex))
 
     @cached_property
     def _adjoint_identity(self) -> np.ndarray:
@@ -384,9 +361,6 @@ class KrausChannel:
             col[max(0, o):n - max(0, -o)] += m * m if factored else m.diagonal().real
         if self._transfer is not None:
             col += self._transfer.sum(axis=0)
-        elif self._units is not None:
-            _, cols, weights = self._units  # one entry per column: its column sum
-            col[cols] += weights
         return col
 
     def __repr__(self) -> str:
@@ -421,23 +395,10 @@ def _dense_sum(e: np.ndarray, x: np.ndarray, adjoint: bool) -> np.ndarray:
 
 def _add_moved_populations(out: np.ndarray, ch: KrausChannel, x: np.ndarray, adjoint: bool):
     """out[..., a, a] += (T @ diag(x))[a], or (diag(x) @ T)[a] for the adjoint: one
-    matrix-vector product per matrix, since one GEMM over a stack would round differently.
-
-    T kept as entries, at most one per row and per column, adds each entry's product
-    onto zeros, as the product's accumulator does, and then every diagonal entry; a
-    ``_formed`` channel makes the product with T formed, which costs less at its size."""
+    matrix-vector product per matrix, since one GEMM over a stack would round differently."""
     n = ch.dim
     d = x.diagonal(0, -2, -1)
     diagonal = out.reshape(*x.shape[:-2], n * n)[..., ::n + 1]
-    if ch._units is not None and not ch._formed:
-        rows, cols, weights = ch._units
-        moved = np.zeros(d.shape, dtype=complex)
-        if adjoint:
-            moved[..., cols] += d[..., rows] * weights
-        else:
-            moved[..., rows] += weights * d[..., cols]
-        diagonal += moved
-        return
     t = ch._complex_transfer
     if x.ndim == 2:
         diagonal += d @ t if adjoint else t @ d
@@ -506,7 +467,7 @@ def _apply(ch: KrausChannel, x: np.ndarray, adjoint: bool) -> np.ndarray:
             # Added in place through a view: one indexing.
             view = out[..., write + first:write + last, write + first:write + last]
             view += (block.conj() if adjoint else block) * x[..., start:stop, start:stop]
-    if ch._moves:
+    if ch._transfer is not None:
         _add_moved_populations(out, ch, x, adjoint)
     return out
 
@@ -544,9 +505,9 @@ def _compress(ch: KrausChannel, lo: int, hi: int) -> KrausChannel:
 
     A band channel keeps, for |o| < hi - lo, the entries [lo, hi - |o|) of
     its vectors and the blocks M_o[lo:hi-|o|, lo:hi-|o|] of its square
-    multipliers (each counting its size in terms), and the entries of T
-    inside [lo, hi)^2, kept as T is. A dense channel keeps the blocks
-    E_i[lo:hi, lo:hi]. The full range is the channel itself.
+    multipliers (each counting its size in terms), and T[lo:hi, lo:hi]. A
+    dense channel keeps the blocks E_i[lo:hi, lo:hi]. The full range is the
+    channel itself.
     """
     if (lo, hi) == (0, ch.dim):
         return ch
@@ -558,16 +519,12 @@ def _compress(ch: KrausChannel, lo: int, hi: int) -> KrausChannel:
     blocks = {o: _readonly(m[lo:hi - abs(o), lo:hi - abs(o)].copy())
               for o, m in ch._blocks.items() if abs(o) < w}
     ranks = {o: ch._ranks[o] if o in factors else w - abs(o) for o in {**factors, **blocks}}
-    transfer = units = None
+    transfer = None
     if ch._transfer is not None:
         transfer = ch._transfer[lo:hi, lo:hi]
         transfer = transfer if transfer.any() else None
-    elif ch._units is not None:
-        rows, cols, weights = ch._units
-        inside = (rows >= lo) & (rows < hi) & (cols >= lo) & (cols < hi)
-        units = (rows[inside] - lo, cols[inside] - lo, weights[inside]) if inside.any() else None
     window = KrausChannel.__new__(KrausChannel)
-    window._assemble(w, factors, blocks, ranks, transfer, units, stack=None, **meta)
+    window._assemble(w, factors, blocks, ranks, transfer, stack=None, **meta)
     return window
 
 
@@ -691,8 +648,7 @@ def _coherence_block(ch: KrausChannel, q: int) -> np.ndarray:
     """A band channel's superoperator B_q on diagonal q of x: x[a, a+q] reads x[a+o, a+q+o]
     times M_o[a, a+q], and T adds to B_0, so B_0[c, a] is what |a><a| puts on |c><c|.
 
-    Diagonal q of a vector's M_o is e[a] e[a+|q|] (a formed M_o is read as a square one).
-    T's entries are added as the dense T adds them: with 0.0 everywhere else."""
+    Diagonal q of a vector's M_o is e[a] e[a+|q|] (a formed M_o is read as a square one)."""
     size = ch.dim - abs(q)
     block = np.zeros((size, size), dtype=np.result_type(float, *ch._blocks.values()))
     for offset, m, factored in ch._bands:
@@ -702,8 +658,4 @@ def _coherence_block(ch: KrausChannel, q: int) -> np.ndarray:
                 m[:length] * m[abs(q):] if factored else np.diagonal(m, q))
     if q == 0 and ch._transfer is not None:
         block += ch._transfer
-    elif q == 0 and ch._units is not None:
-        rows, cols, weights = ch._units
-        block += 0.0
-        block[rows, cols] += weights
     return block

@@ -89,18 +89,20 @@ def amplitude_damping(eta: float, dim: int) -> KrausChannel:
 
     Operator i lies on offset i: its diagonal holds the values at k = i + j
     for j < dim - i, all computed in one dim x dim table. Each diagonal is a
-    real nonnegative band, stored as its vector; the one-entry band on
-    offset dim - 1 is T's one entry.
+    real nonnegative band, stored as its vector, the one-entry band on
+    offset dim - 1 too. At eta = 0 every operator is a matrix unit, and the
+    channel is the transfer matrix T with T[0, :] = 1 alone.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"amplitude damping requires 0 <= eta <= 1, got {eta}")
     _check_dim("amplitude damping", dim, vectors=True)
     vals = np.zeros((dim, dim))
+    if eta == 0.0:
+        # Continuous limit: E_i = |0><i|, everything damps to the vacuum.
+        vals[0] = 1.0
+        return KrausChannel(transfer=vals, family="amplitude-damping", eta=0.0)
     if eta == 1.0:
         vals[0] = 1.0
-    elif eta == 0.0:
-        # Continuous limit: E_i = |0><i|, everything damps to the vacuum.
-        vals[:, 0] = 1.0
     else:
         # vals[i, j] at k = i + j, in place: lf[k] - lf[i] - lf[j] + j ln(eta) + i ln(1-eta),
         # halved, exponentiated. A sliding view of lf reads lf[i + j] with no index array.

@@ -149,9 +149,9 @@ def level_process_tensor(ch: KrausChannel, levels) -> np.ndarray:
         i, k = np.nonzero(shift == o)
         source = at[k, np.newaxis] - max(0, -o)
         g[i[:, np.newaxis], i, k[:, np.newaxis], k] = ch._entries(o, source, source.T)
-    if ch._moves:
+    if ch._transfer is not None:
         i = np.arange(n)[:, np.newaxis]
-        g[i, i, i.T, i.T] += ch._transfer_entries(at, at[:, np.newaxis])
+        g[i, i, i.T, i.T] += ch._transfer[at, at[:, np.newaxis]]
     return g
 
 

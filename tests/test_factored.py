@@ -1,14 +1,15 @@
 """Factored band storage against the same bands folded into dense multipliers.
 
-A one-row band of nonnegative float64 entries is stored as its vector e, and
-its multiplier M_o = e^T e is formed only on the window a kernel reads (or
-once, for a channel small enough to form them all). A transfer matrix with at
-most one nonzero per row and column is stored as its entries. Every reader
-must return what the dense multipliers and the dense T give, bit for bit and
-sign of zero included: the kernels in both their factored and their formed
-form, the coherence blocks, the Fock-level tables, the Kraus stack and the
-trace-preservation defect. The storage then holds O(dim^2) bytes, and code
-values of amplitude and phase damping do not depend on the truncation.
+A lone one-row band of nonnegative float64 entries is stored as its vector e,
+one with a single nonzero included, and its multiplier M_o = e^T e is formed
+only on the window a kernel reads (or once, for a channel small enough to
+form them all). Other bands of single matrix units go into a dense transfer
+matrix T. Every reader must return what the dense multipliers and the dense
+T give, bit for bit and sign of zero included: the kernels in both their
+factored and their formed form, the coherence blocks, the Fock-level
+tables, the Kraus stack and the trace-preservation defect. The storage then
+holds O(dim^2) bytes, and code values of amplitude and phase damping do not
+depend on the truncation.
 """
 
 import tracemalloc
@@ -77,18 +78,48 @@ def band_cases(draw):
     return bands, multipliers, rng
 
 
-def _dense_reference(bands, multipliers, dim):
+def _dense_reference(bands, multipliers, dim, transfer=None):
     """The same channel from dense multipliers e^T conj(e) (summed with the given ones)
-    and a dense T of the unit bands."""
-    square, t = {}, np.zeros((dim, dim))
+    and a dense T: ``transfer`` or zeros, plus the unit bands. A lone one-row band of
+    nonnegative floats is a multiplier even when it holds one entry, as in storage."""
+    square = {}
+    t = np.zeros((dim, dim)) if transfer is None else np.array(transfer, dtype=float)
     for o, a in bands.items():
-        if np.all(np.count_nonzero(a, axis=1) == 1):
+        vector = len(a) == 1 and a.dtype == float and not np.signbit(a).any()
+        if np.all(np.count_nonzero(a, axis=1) == 1) and not (vector and o not in multipliers):
             t.reshape(-1)[subchan.channels._diagonal(o, dim)] += (np.abs(a) ** 2).sum(axis=0)
         else:
             square[o] = a.T @ a.conj()
     for o, m in multipliers.items():
         square[o] = square[o] + m if o in square else m
     return KrausChannel(multipliers=square or None, transfer=t)  # an all-zero T is dropped
+
+
+def _assert_readers_equal(ch, ref, rng):
+    """Every reader of ``ch`` returns what it returns for ``ref``, bit for bit."""
+    dim = ch.dim
+    assert ch.tp_defect == ref.tp_defect
+    x = _inputs(dim, rng)
+    for kernel in (apply_channel, adjoint_apply):
+        assert _same(kernel(ch, x), kernel(ref, x))
+        assert _same(kernel(ch, x[0]), kernel(ref, x[0]))
+        f = np.asfortranarray(x[1])
+        assert _same(kernel(ch, f), kernel(ref, f))
+    for q in range(1 - dim, dim):
+        assert _same(_coherence_block(ch, q), _coherence_block(ref, q))
+    for n in range(1, dim + 1):
+        assert all(map(_same, _fock_tables(ch, n), _fock_tables(ref, n)))
+    levels = sorted(rng.choice(dim, size=int(rng.integers(1, min(dim, 4) + 1)),
+                               replace=False).tolist())
+    assert _same(level_process_tensor(ch, levels), level_process_tensor(ref, levels))
+    assert list(ch.multipliers) == list(ref.multipliers)
+    for o in ch.multipliers:
+        assert _same(ch.multipliers[o], ref.multipliers[o])
+    assert _same(0 if ch.transfer is None else ch.transfer,
+                 0 if ref.transfer is None else ref.transfer)
+    # Both factor the same M_o into the same number of rows.
+    ref._ranks, ref.kraus_truncation = ch._ranks, ch.kraus_truncation
+    assert _same(ch.kraus_ops, ref.kraus_ops)
 
 
 def _same(a, b):
@@ -123,43 +154,29 @@ class TestFactoredEqualsDense:
         # A budget of 0 bytes keeps the vectors factored in the kernels.
         with mock.patch.object(subchan.channels, "FORMED_BYTES", 2**20 if formed else 0):
             ch = KrausChannel(bands=bands, multipliers=multipliers)
-        ref = _dense_reference(bands, multipliers, dim)
-        assert ch.tp_defect == ref.tp_defect
-        x = _inputs(dim, rng)
-        for kernel in (apply_channel, adjoint_apply):
-            assert _same(kernel(ch, x), kernel(ref, x))
-            assert _same(kernel(ch, x[0]), kernel(ref, x[0]))
-            f = np.asfortranarray(x[1])
-            assert _same(kernel(ch, f), kernel(ref, f))
-        for q in range(1 - dim, dim):
-            assert _same(_coherence_block(ch, q), _coherence_block(ref, q))
-        for n in range(1, dim + 1):
-            assert all(map(_same, _fock_tables(ch, n), _fock_tables(ref, n)))
-        levels = sorted(rng.choice(dim, size=int(rng.integers(1, min(dim, 4) + 1)),
-                                   replace=False).tolist())
-        assert _same(level_process_tensor(ch, levels), level_process_tensor(ref, levels))
-        assert list(ch.multipliers) == list(ref.multipliers)
-        for o in ch.multipliers:
-            assert _same(ch.multipliers[o], ref.multipliers[o])
-        assert _same(0 if ch.transfer is None else ch.transfer,
-                     0 if ref.transfer is None else ref.transfer)
-        # Both factor the same M_o into the same number of rows.
-        ref._ranks, ref.kraus_truncation = ch._ranks, ch.kraus_truncation
-        assert _same(ch.kraus_ops, ref.kraus_ops)
+        _assert_readers_equal(ch, _dense_reference(bands, multipliers, dim), rng)
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
     def test_families_store_vectors_and_entries(self, eta):
-        ch = amplitude_damping(eta, 40)
-        assert ch._blocks == {} if eta else ch._factors == {}
-        assert ch.kraus_truncation == 40
-        assert len(ch._factors) == (0 if eta == 0.0 else 39 if eta < 1.0 else 40)
-        if 0.0 < eta < 1.0:
-            rows, cols, weights = ch._units
-            assert (rows.tolist(), cols.tolist()) == ([0], [39])
-            assert weights[0] == ch.transfer[0, 39] == pytest.approx((1 - eta) ** 39)
+        # Amplitude damping forms its multipliers up to dim 72 (FORMED_BYTES) and keeps
+        # its vectors unformed from dim 73 on.
+        for dim in (40, 70, 71, 72, 73):
+            ch = amplitude_damping(eta, dim)
+            assert ch._blocks == {} and ch.kraus_truncation == dim
+            if eta == 0.0:  # every operator a matrix unit: T[0, :] = 1 alone
+                collapse = np.zeros((dim, dim))
+                collapse[0] = 1.0
+                assert ch._factors == {} and _same(ch.transfer, collapse)
+                bands = {}
+            else:  # one vector per offset, the one-entry band on offset dim - 1 too, no T
+                assert len(ch._factors) == dim and ch.transfer is None
+                assert ch._factors[dim - 1][0] ** 2 == pytest.approx((1 - eta) ** (dim - 1))
+                bands = {o: e[np.newaxis] for o, e in ch._factors.items()}
+            ref = _dense_reference(bands, {}, dim, transfer=ch.transfer)
+            _assert_readers_equal(ch, ref, np.random.default_rng(dim))
         # dep keeps its dense T; its identity band is a vector.
         dep = depolarizing(0.4, 12)
-        assert dep._transfer is not None and dep._units is None and list(dep._factors) == [0]
+        assert dep.transfer is not None and list(dep._factors) == [0]
 
 
 class TestStorage:
@@ -178,36 +195,49 @@ class TestStorage:
 
     def test_stored_bytes_counts_what_is_held(self):
         ad = amplitude_damping(0.5, 256)
-        vectors = (256 * 257 // 2 - 1) * 8  # offsets 0..254; offset 255 is T's one entry
-        assert ad.stored_bytes == vectors + sum(u.nbytes for u in ad._units)
+        assert ad.stored_bytes == 256 * 257 // 2 * 8  # one vector per offset, no T
         pd = phase_damping(0.5, 64)
         assert pd.stored_bytes == 64 * 64 * 8
         dense = KrausChannel(np.eye(3)[np.newaxis] + np.eye(3, k=1))
         assert dense.stored_bytes == 3 * 3 * 16
         # A small channel forms its multipliers at construction and holds them too.
         small = amplitude_damping(0.5, 8)
-        formed = sum((8 - o) ** 2 for o in range(7)) * 8
-        vectors = (8 * 9 // 2 - 1) * 8
-        assert small.stored_bytes == vectors + formed + sum(u.nbytes for u in small._units)
+        formed = sum((8 - o) ** 2 for o in range(8)) * 8
+        assert small.stored_bytes == 8 * 9 // 2 * 8 + formed
         # A channel holding a dense T forms the vectors whose multipliers fit in T's
         # bytes: depolarizing's M_0 at any dim, here past FORMED_BYTES.
         dep = depolarizing(0.4, 400)
         assert dep.stored_bytes == 400 * 8 + 2 * 400 * 400 * 8
 
+    def test_amplitude_damping_holds_no_transfer_matrix(self):
+        ad = amplitude_damping(0.5, 256)
+        assert ad.transfer is None and ad.stored_bytes == 256 * 257 // 2 * 8
+        x = np.random.default_rng(8).normal(size=(256, 256)) + 0j  # full support
+        moved = mock.Mock(wraps=subchan.channels._add_moved_populations)
+        with mock.patch.object(subchan.channels, "_add_moved_populations", moved):
+            apply_channel(ad, x)
+            assert moved.call_count == 0
+            apply_channel(depolarizing(0.5, 256), x)  # a channel holding T adds through it
+            assert moved.call_count == 1
+
     def test_formed_reads_are_guarded_and_read_only(self, monkeypatch):
         ch = amplitude_damping(0.5, 300)
         m = ch.multipliers[1]
         assert m.shape == (299, 299) and not m.flags.writeable
-        assert not ch.transfer.flags.writeable
+        dep = depolarizing(0.5, 300)
+        assert dep.transfer.shape == (300, 300) and not dep.transfer.flags.writeable
         monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 299**2 * 8 - 1)
         with pytest.raises(ResourceLimitError, match="multiplier 1 at dim 300 needs"):
             ch.multipliers[1]
         assert ch.multipliers[2].shape == (298, 298)
+        # T is held, not formed on a read: its guard is the family's, before it is built.
         monkeypatch.setattr(subchan.channels, "MAX_KRAUS_BYTES", 300**2 * 8 - 1)
-        with pytest.raises(ResourceLimitError, match="the transfer matrix at dim 300 needs"):
-            ch.transfer
+        assert dep.transfer.shape == (300, 300)
+        with pytest.raises(ResourceLimitError, match="depolarizing at dim 300 needs"):
+            depolarizing(0.5, 300)
+        assert ch.multipliers[299].shape == (1, 1)  # the one-entry band is a vector
         with pytest.raises(KeyError):
-            ch.multipliers[299]
+            ch.multipliers[300]
 
 
 class TestWindowedAdjoint:

@@ -128,7 +128,8 @@ class TestDepolarizingTransfer:
             KrausChannel(multipliers={0: np.eye(3)}, transfer=np.ones((2, 2)))
 
     def test_unit_bands_and_diagonals_add_on_shared_entries(self):
-        ch = KrausChannel(bands={1: [[0.0, 2.0]]},
+        # A signed one-entry band goes into T; a nonnegative one would be kept as a vector.
+        ch = KrausChannel(bands={1: [[0.0, -2.0]]},
                           transfer=[[1.0, 0.5, 0.0], [0.0, 0.0, 0.25], [0.0, 0.0, 0.0]])
         expect = np.zeros((3, 3))
         expect[0, 0], expect[0, 1], expect[1, 2] = 1.0, 0.5, 4.0 + 0.25
@@ -310,7 +311,7 @@ class TestSupportWindow:
         lo = data.draw(st.integers(min_value=0, max_value=dim - 1))
         hi = data.draw(st.integers(min_value=lo + 1, max_value=dim))
         x = _supported(dim, support, lo, hi, data.draw(st.integers(0, 10**6)))
-        # A budget of 0 bytes keeps vectors and T's entries unformed in the kernels.
+        # A budget of 0 bytes keeps vectors unformed in the kernels.
         with mock.patch.object(channels, "FORMED_BYTES", 2**20 if formed else 0):
             constructions = _constructions(ops, full, units)
         for ch in constructions:
