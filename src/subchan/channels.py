@@ -68,8 +68,13 @@ A dense channel makes two GEMMs per term and matrix, and their
 (stack, terms, dim, dim) temporaries go through the size guard first. A
 stack of one matrix is applied as that matrix: numpy rounds a complex
 product of one element differently when it broadcasts. ``verify_channel``
-draws and applies its samples in stacks of at most VERIFY_STACK_BYTES of
-inputs.
+applies its samples in stacks of at most VERIFY_STACK_BYTES of inputs. They
+depend on the truncation alone, dim and block, not on the channel, so
+``_verify_inputs`` draws them once and keeps them read-only, under the
+VERIFY_ constants they were drawn with, while the inputs of every kept
+truncation fit VERIFY_CACHE_BYTES together (least recently used dropped
+first). A truncation whose inputs alone exceed it draws them stack by
+stack on each call.
 
 A diagonal multiplier only moves populations, Phi(x)[a, a] picks up
 M_o[a, a] x[a+o, a+o]. All of them, on every offset, are kept together as
@@ -138,6 +143,12 @@ VERIFY_SAMPLES = 20
 VERIFY_SEED = 1234
 # Bytes of the (dim, dim) inputs that verify_channel applies in one stack.
 VERIFY_STACK_BYTES = 2**18
+# Bytes of verify_channel's inputs kept between calls, all truncations together (see
+# "Stacks"). They hold 2 * 20 * dim^2 * 16 bytes. Measured on one BLAS thread, drawing them
+# took 0.7 of a 1.9 ms call on amplitude damping at dim 16, 3.5 of 8.1 ms at 32, 9.2 of
+# 36 ms at 64 and 16 of 85 ms at 80. 4 MiB keeps one truncation up to dim 80 (4.1 MB), or
+# 16, 32 and 64 together (3.4 MB, against a 45 MB peak RSS for a process verifying them).
+VERIFY_CACHE_BYTES = 2**22
 
 KNOWN_FAMILIES = ("phase-damping", "amplitude-damping", "depolarizing", "custom")
 
@@ -565,7 +576,8 @@ def verify_channel(ch: KrausChannel, block: int | None = None) -> ChannelVerific
     VERIFY_SAMPLES random hermitian operators and as many density matrices,
     supported on the leading ``block`` levels, are drawn from a generator
     seeded with VERIFY_SEED (recorded in the report), in the order of one
-    ``random_hermitian`` and one ``random_density_matrix`` call per sample.
+    ``random_hermitian`` and one ``random_density_matrix`` call per sample,
+    once per truncation while they fit VERIFY_CACHE_BYTES (see "Stacks").
     They go through ``apply_channel`` in stacks of at most VERIFY_STACK_BYTES
     of (dim, dim) inputs, one stack of each kind at a time, and the report
     is the one that applying each sample on its own gives. Trace
@@ -575,23 +587,16 @@ def verify_channel(ch: KrausChannel, block: int | None = None) -> ChannelVerific
     """
     block = ch.dim if block is None else block
     tp = tp_defect_on_block(ch, block)  # checks the block
-    rng = np.random.default_rng(VERIFY_SEED)
-    stack = max(1, VERIFY_STACK_BYTES // (ch.dim**2 * COMPLEX_BYTES))
     herms, eigs = [], []
-    for first in range(0, VERIFY_SAMPLES, stack):
-        # Per sample: a hermitian operator's real and imaginary parts, then a state's.
-        g = rng.normal(size=(min(stack, VERIFY_SAMPLES - first), 2, 2, block, block))
-        x = np.zeros((len(g), ch.dim, ch.dim), dtype=complex)
-        x[:, :block, :block] = _hermitian_from(g[:, 0])
-        herms.append(hermiticity_defect(apply_channel(ch, x)))
-        x[:, :block, :block] = _state_from(g[:, 1])
-        del g
-        out = apply_channel(ch, x)
-        # (out + out^dag) / 2, written over the inputs.
-        np.add(out, out.conj().swapaxes(-1, -2), out=x)
-        x /= 2
+    inputs = _verify_inputs(ch.dim, block)
+    for hermitians in inputs:  # each stack followed by one of as many states
+        herms.append(hermiticity_defect(apply_channel(ch, hermitians)))
+        out = apply_channel(ch, next(inputs))
+        # (out + out^dag) / 2, written over the output.
+        out += out.conj().swapaxes(-1, -2)
+        out /= 2
         # LAPACK may fail to converge on a NaN or inf entry: the output is then reported NaN.
-        eigs.append(np.linalg.eigvalsh(x).min() if np.isfinite(x).all() else np.nan)
+        eigs.append(np.linalg.eigvalsh(out).min() if np.isfinite(out).all() else np.nan)
     # np.max and np.min propagate NaN, which Python's max and min would drop.
     herm, min_eig = float(np.max(herms)), float(np.min(eigs))
 
@@ -606,6 +611,50 @@ def verify_channel(ch: KrausChannel, block: int | None = None) -> ChannelVerific
         hermiticity_ok=herm <= STRUCTURAL_TOL,
         positivity_ok=min_eig >= -SPECTRAL_TOL,
     )
+
+
+# verify_channel's inputs by key, least recently used first.
+_VERIFY_INPUTS: dict[tuple[int, ...], np.ndarray] = {}
+
+
+def _verify_inputs(dim: int, block: int):
+    """Yield verify_channel's inputs stack by stack, (n, dim, dim) arrays on the leading
+    ``block`` levels taking at most VERIFY_STACK_BYTES: n hermitian operators, then n states.
+
+    The inputs depend on the truncation alone. When all 2 * VERIFY_SAMPLES of them fit
+    VERIFY_CACHE_BYTES they are kept, read-only, under the values of the four VERIFY_
+    constants read at this call, and the least recently used are dropped until everything
+    kept fits it together. Larger ones are drawn on each call, each state stack written
+    over the hermitian stack before it, as verify_channel has applied that one."""
+    key = (dim, block, VERIFY_SEED, VERIFY_SAMPLES, VERIFY_STACK_BYTES)
+    stack = max(1, VERIFY_STACK_BYTES // (dim**2 * COMPLEX_BYTES))
+    spans = [(a, min(a + stack, VERIFY_SAMPLES)) for a in range(0, VERIFY_SAMPLES, stack)]
+    held = _VERIFY_INPUTS.pop(key, None)
+    if held is not None:
+        _VERIFY_INPUTS[key] = held  # now the most recently used
+        for a, b in spans:
+            yield held[0, a:b]
+            yield held[1, a:b]
+        return
+    kept = 2 * VERIFY_SAMPLES * dim**2 * COMPLEX_BYTES <= VERIFY_CACHE_BYTES
+    if kept:
+        held = np.zeros((2, VERIFY_SAMPLES, dim, dim), dtype=complex)
+    rng = np.random.default_rng(VERIFY_SEED)
+    for a, b in spans:
+        # Per sample: a hermitian operator's real and imaginary parts, then a state's.
+        g = rng.normal(size=(b - a, 2, 2, block, block))
+        x = held[0, a:b] if kept else np.zeros((b - a, dim, dim), dtype=complex)
+        x[:, :block, :block] = _hermitian_from(g[:, 0])
+        yield x
+        if kept:
+            x = held[1, a:b]
+        x[:, :block, :block] = _state_from(g[:, 1])
+        del g
+        yield x
+    if kept:
+        _VERIFY_INPUTS[key] = _readonly(held)
+        while sum(h.nbytes for h in _VERIFY_INPUTS.values()) > VERIFY_CACHE_BYTES:
+            del _VERIFY_INPUTS[next(iter(_VERIFY_INPUTS))]
 
 
 # ---------------------------------------------------------------------------

@@ -51,12 +51,12 @@ def _is_int(token: str) -> bool:
     return True
 
 
-def _parse_complex_row(line: str, expected: int | None, context: str) -> np.ndarray:
+def _complex_row(line: str, expected: int | None, context: str) -> list[complex]:
     tokens = line.split()
     if expected is not None and len(tokens) != expected:
         raise ValueError(f"{context}: expected {expected} entries, got {len(tokens)}")
     try:
-        return np.array([complex(tok) for tok in tokens])
+        return [complex(tok) for tok in tokens]
     except ValueError as exc:
         raise ValueError(f"{context}: bad complex literal ({exc})") from None
 
@@ -72,27 +72,27 @@ def parse_channel_text(text: str) -> KrausChannel:
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
 
-    ops = []
+    # Every entry of every operator, row by row, made into one array at the end.
+    entries: list[complex] = []
+    terms = 0
     pos = 1
     while pos < len(lines):
         header = lines[pos].split()
         if header[0] != "kraus" or len(header) != 2 or not _is_int(header[1]):
             raise ValueError(f"expected 'kraus i' header, got {lines[pos]!r}")
         index = int(header[1])
-        if index != len(ops):
-            raise ValueError(f"kraus headers out of order: expected {len(ops)}, got {index}")
+        if index != terms:
+            raise ValueError(f"kraus headers out of order: expected {terms}, got {index}")
         pos += 1
         if len(lines) - pos < dim:
             raise ValueError(f"kraus {index}: expected {dim} rows, file ended early")
-        rows = [
-            _parse_complex_row(lines[pos + r], dim, f"kraus {index} row {r}")
-            for r in range(dim)
-        ]
-        ops.append(np.stack(rows))
+        for r in range(dim):
+            entries += _complex_row(lines[pos + r], dim, f"kraus {index} row {r}")
+        terms += 1
         pos += dim
-    if not ops:
+    if not terms:
         raise ValueError("channel file contains no Kraus operators")
-    return KrausChannel(np.stack(ops), family="custom")
+    return KrausChannel(np.array(entries).reshape(terms, dim, dim), family="custom")
 
 
 def load_channel(path: str | Path) -> KrausChannel:
@@ -122,7 +122,7 @@ def parse_coefficient_rows(text: str) -> list[np.ndarray]:
     lines = _content_lines(text)
     if not lines:
         raise ValueError("encoding file holds no coefficient rows")
-    return [_parse_complex_row(line, None, f"row {r}") for r, line in enumerate(lines)]
+    return [np.array(_complex_row(line, None, f"row {r}")) for r, line in enumerate(lines)]
 
 
 def load_coefficient_rows(path: str | Path) -> list[np.ndarray]:

@@ -104,8 +104,10 @@ def hermiticity_defect(op: np.ndarray) -> float:
 
 
 def operator_norm(op: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(op), 2))
+    """Largest singular value; 0.0 without an SVD when ``op`` has no nonzero entry (NaN
+    and inf are nonzero)."""
+    op = np.asarray(op)
+    return float(np.linalg.norm(op, 2)) if op.any() else 0.0
 
 
 def hs_norm(op: np.ndarray) -> float:

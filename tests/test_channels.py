@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kraus_reference
 import subchan.channels as channels
 from kraus_reference import (
     dense_adjoint,
@@ -302,19 +303,87 @@ class TestVerify:
             assert max(n for n, _, _ in sizes) * dim**2 * 16 <= channels.VERIFY_STACK_BYTES
             sizes.clear()
 
-    def test_traced_peak_at_dim_64(self):
-        # A first call also traces numpy's lazy imports (about 0.8 MB), so
-        # one small call comes first; the parent's per-sample loop peaked at
-        # 0.46 MB, and the stacks of 4 inputs here at about 2 MB.
-        verify_channel(amplitude_damping(0.5, 2))
-        ch = amplitude_damping(0.5, 64)
+    @staticmethod
+    def _traced(call):
+        """Run ``call`` under tracemalloc: (peak, current) bytes traced."""
         tracemalloc.start()
         try:
-            verify_channel(ch)
-            peak = tracemalloc.get_traced_memory()[1]
+            call()
+            return tracemalloc.get_traced_memory()[::-1]
         finally:
             tracemalloc.stop()
+
+    def test_traced_peak_at_dim_64_cold(self):
+        # A first call also traces numpy's lazy imports (about 0.8 MB), so one
+        # small call comes first. A cold call draws the 40 inputs into the
+        # array it keeps, and leaves just that array held.
+        verify_channel(amplitude_damping(0.5, 2))
+        ch = amplitude_damping(0.5, 64)
+        channels._VERIFY_INPUTS.clear()
+        peak, current = self._traced(lambda: verify_channel(ch))
+        held = 2 * 20 * 64**2 * 16
+        assert [h.nbytes for h in channels._VERIFY_INPUTS.values()] == [held]
+        assert held <= current <= held + 2e4
+        assert peak <= 2.5e6 + held
+
+    def test_traced_peak_at_dim_64_warm(self):
+        verify_channel(amplitude_damping(0.5, 2))
+        ch = amplitude_damping(0.5, 64)
+        verify_channel(ch)
+        peak, _ = self._traced(lambda: verify_channel(ch))
         assert peak <= 2.5e6
+
+    def test_kept_inputs_report_what_single_samples_do(self):
+        # Cold and warm calls with interleaved (dim, block) keys; channels of
+        # one truncation share one entry.
+        channels._VERIFY_INPUTS.clear()
+        rng = np.random.default_rng(5)
+        calls = [("pd", 16, 16), ("ad", 33, 17), ("ad", 16, 16), ("dep", 16, 8),
+                 ("ad", 33, 17), ("dep", 16, 16), ("pd", 16, 8), ("pd", 33, 17)]
+        families = {"pd": phase_damping, "ad": amplitude_damping, "dep": depolarizing}
+        for family, dim, block in calls:
+            ch = families[family](float(rng.uniform(0.1, 0.9)), dim)
+            assert verify_channel(ch, block) == verify_one_sample_at_a_time(ch, block)
+        assert sorted(key[:2] for key in channels._VERIFY_INPUTS) == [(16, 8), (16, 16), (33, 17)]
+
+    def test_kept_inputs_are_read_only(self):
+        verify_channel(phase_damping(0.5, 8), block=3)
+        held = channels._VERIFY_INPUTS[(8, 3, VERIFY_SEED, 20, channels.VERIFY_STACK_BYTES)]
+        assert held.shape == (2, 20, 8, 8) and not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("name, value", [
+        ("VERIFY_SEED", 99), ("VERIFY_SAMPLES", 5), ("VERIFY_STACK_BYTES", 4 * 12**2 * 16)])
+    def test_patched_constants_draw_afresh(self, monkeypatch, name, value):
+        ch = amplitude_damping(0.4, 12)
+        verify_channel(ch)
+        monkeypatch.setattr(channels, name, value)
+        if hasattr(kraus_reference, name):
+            monkeypatch.setattr(kraus_reference, name, value)
+        assert verify_channel(ch) == verify_one_sample_at_a_time(ch)
+        key = (12, 12, channels.VERIFY_SEED, channels.VERIFY_SAMPLES, channels.VERIFY_STACK_BYTES)
+        assert key in channels._VERIFY_INPUTS
+        assert channels._VERIFY_INPUTS[key].shape == (2, channels.VERIFY_SAMPLES, 12, 12)
+        assert (12, 12, VERIFY_SEED, 20, 2**18) in channels._VERIFY_INPUTS
+
+    def test_kept_inputs_fit_the_budget(self, monkeypatch):
+        # 96 needs 5.9 MB, past the 4 MiB budget, and is drawn on each call;
+        # 16, 32 and 64 fit together (3.4 MB), and 80 (4.1 MB) fits alone.
+        channels._VERIFY_INPUTS.clear()
+        verify_channel(phase_damping(0.5, 96))
+        assert channels._VERIFY_INPUTS == {}
+        for dim in (16, 32, 64):
+            verify_channel(phase_damping(0.5, dim))
+        assert [key[0] for key in channels._VERIFY_INPUTS] == [16, 32, 64]
+        verify_channel(phase_damping(0.5, 80))
+        assert [key[0] for key in channels._VERIFY_INPUTS] == [80]
+        # The least recently used go first: with room for 16 and 32, 24 drops 32.
+        monkeypatch.setattr(channels, "VERIFY_CACHE_BYTES", 2 * 20 * (16**2 + 32**2) * 16)
+        channels._VERIFY_INPUTS.clear()
+        for dim in (16, 32, 16, 24):
+            verify_channel(phase_damping(0.5, dim))
+        assert [key[0] for key in channels._VERIFY_INPUTS] == [16, 24]
 
     def test_partial_block_of_truncated_family(self):
         # Only the top level of the truncated amplitude-damping sum is exact;

@@ -72,6 +72,30 @@ class TestParse:
         with pytest.raises(ValueError, match="out of order"):
             parse_channel_text("dim 2\nkraus 1\n1 0\n0 1\n")
 
+    def test_entries_are_the_literals_bits(self):
+        # Signed zeros, subnormals and 17-digit values, as complex() reads each one.
+        rng = np.random.default_rng(4)
+        ops = rng.normal(size=(3, 5, 5)) * 10.0 ** rng.integers(-320, 150, size=(3, 5, 5))
+        ops = ops + 1j * rng.normal(size=(3, 5, 5))
+        ops[0, 1, 2], ops[1, 0, 0], ops[2, 4, 4] = -0.0, complex(-0.0, -0.0), 5e-324
+        text = "dim 5\n" + "".join(
+            f"kraus {i}\n" + "".join(" ".join(format_complex(z) for z in row) + "\n" for row in op)
+            for i, op in enumerate(ops))
+        parsed = parse_channel_text(text).kraus_ops
+        assert parsed.shape == (3, 5, 5)
+        assert parsed.tobytes() == ops.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("dim 2\nkraus 0\n1 0\n0 1\nkraus 1\n1 0\n0\n",
+         "kraus 1 row 1: expected 2 entries, got 1"),
+        ("dim 2\nkraus 0\n1 0\n0 spam\n",
+         "kraus 0 row 1: bad complex literal (complex() arg is a malformed string)"),
+    ])
+    def test_row_errors_name_the_operator_and_row(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_channel_text(text)
+        assert str(info.value) == message
+
     def test_short_row(self):
         with pytest.raises(ValueError, match="expected 2 entries"):
             parse_channel_text("dim 2\nkraus 0\n1\n0 1\n")

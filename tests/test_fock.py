@@ -176,3 +176,41 @@ class TestValidators:
         assert hs_norm(p) == pytest.approx(1.0, abs=1e-14)
         assert operator_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-14)
         assert hs_norm(np.eye(5)) == pytest.approx(math.sqrt(5), abs=1e-14)
+
+    @staticmethod
+    def _svds(monkeypatch):
+        """The shapes np.linalg.norm takes a spectral norm (an SVD) of, as they come."""
+        norm, shapes = np.linalg.norm, []
+
+        def counted(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                shapes.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        return shapes
+
+    def test_zero_operator_norm_takes_no_svd(self, monkeypatch):
+        svds = self._svds(monkeypatch)
+        for zero in (np.zeros((4, 4), dtype=complex), -np.zeros((3, 3)), np.zeros((0, 0))):
+            assert operator_norm(zero) == 0.0
+            assert not np.signbit(operator_norm(zero))
+        assert svds == []
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        x[1:] = 0
+        assert operator_norm(x) == float(np.linalg.norm(x, 2))
+        assert svds == [(5, 5)] * 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operators_take_the_svd(self, monkeypatch, bad):
+        # inf gives NaN; on NaN, LAPACK may also refuse to converge.
+        svds = self._svds(monkeypatch)
+        op = np.zeros((3, 3), dtype=complex)
+        op[1, 2] = bad
+        try:
+            value = operator_norm(op)
+        except np.linalg.LinAlgError:
+            value = np.nan
+        assert np.isnan(value)
+        assert svds == [(3, 3)]

@@ -301,6 +301,24 @@ class TestInvariantHull:
         assert report.is_invariant_hull
         assert not report.is_unital_subchannel  # trace-preserving but not unital
 
+    def test_invariant_fock_code_takes_no_full_size_svd(self, monkeypatch):
+        # Every leakage of levels 0, 1 under amplitude damping is exactly zero,
+        # so its norm is 0.0 without an SVD of a 1024 x 1024 matrix; only the
+        # two 2 x 2 restriction defects, which are not zero, take one.
+        norm, svds = np.linalg.norm, []
+
+        def counted(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                svds.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        ch = amplitude_damping(0.5, 1024)
+        report = invariant_hull_check(ch, Subspace.from_levels([0, 1], 1024))
+        assert report.is_invariant_hull
+        assert report.max_leakage == 0.0 and report.max_leakage_hs == 0.0
+        assert svds == [(2, 2)] * 2
+
     def test_amplitude_damping_shifted_pair_leaks(self):
         eta = 0.4
         ch = amplitude_damping(eta, 16)
