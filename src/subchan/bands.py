@@ -29,6 +29,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .errors import ConstraintError
+
 
 # The largest float whose square is finite: a vector of entries at most this has finite
 # products e[a] e[b], so a kernel that skips its zero terms skips no inf * 0 = NaN.
@@ -150,7 +152,9 @@ def _factor(m: np.ndarray, terms: int) -> np.ndarray:
     damping multiplier through: it is positive definite but numerically
     singular for eta near 1, where a plain Cholesky fails. A row is scaled
     as (column / pivot) * sqrt(pivot), so a multiplier c J, J all ones,
-    yields sqrt(c) exactly.
+    yields sqrt(c) exactly. A PSD ``m`` leaves a residual of about 0; one whose largest
+    |entry| exceeds 1e-12 times m's plus the smallest normal float is no such m, and
+    raises ConstraintError rather than factor a different multiplier.
     """
     size = m.shape[0]
     rows = np.zeros((terms, size), dtype=m.dtype)
@@ -163,6 +167,10 @@ def _factor(m: np.ndarray, terms: int) -> np.ndarray:
             break
         row[:] = residual[:, pivot] / diag[pivot] * np.sqrt(diag[pivot])
         residual -= np.outer(row, row.conj())
+    left = float(np.abs(residual).max())
+    if left > 1e-12 * float(np.abs(m).max()) + np.finfo(float).tiny:
+        raise ConstraintError(f"multiplier is not positive semidefinite: its factor leaves "
+                              f"a residual entry of {left:.3e}", residual=left)
     return rows
 
 

@@ -575,8 +575,8 @@ def verify_channel(ch: KrausChannel, block: int | None = None) -> ChannelVerific
 
     VERIFY_SAMPLES random hermitian operators and as many density matrices,
     supported on the leading ``block`` levels, are drawn from a generator
-    seeded with VERIFY_SEED (recorded in the report), in the order of one
-    ``random_hermitian`` and one ``random_density_matrix`` call per sample,
+    seeded with VERIFY_SEED (recorded in the report), in the order of the
+    tests' reference ``kraus_reference.verify_one_sample_at_a_time``,
     once per truncation while they fit VERIFY_CACHE_BYTES (see "Stacks").
     They go through ``apply_channel`` in stacks of at most VERIFY_STACK_BYTES
     of (dim, dim) inputs, one stack of each kind at a time, and the report

@@ -18,7 +18,8 @@ class PrecisionLossError(ValueError):
 
 
 class ConstraintError(ValueError):
-    """A code's words are not orthonormal; ``residual`` is their Gram defect."""
+    """A code's words are not orthonormal, or a multiplier is not positive semidefinite;
+    ``residual`` is the Gram defect or what the multiplier's factor leaves."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

@@ -25,6 +25,11 @@ compression: one channel application per node, to the plain density matrix.
 The contraction builds T_K at the full truncation, so the two routes share
 nothing beyond the channel, and a compression error would show as a gap
 between them.
+
+A third route, for amplitude damping alone, needs no channel and no
+truncation: ``damping_fidelity_series`` applies the same Haar formula one
+damping order at a time, to that order's Kraus operator compressed to the
+code, for any d.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from .channels import COMPLEX_BYTES, KrausChannel, _check_bytes, _coherence_block, _compress
 from .channels import apply_channel
 from .errors import DimensionMismatchError
-from .fock import basis_operator, log_binomial
+from .fock import basis_operator, log_factorials
 from .subspaces import Subspace, _fock_levels, restrict
 from .tolerances import SPECTRAL_TOL
 
@@ -236,24 +241,17 @@ def average_fidelity_quadrature(
 # ---------------------------------------------------------------------------
 
 
-def damping_fidelity_series(
-    eta: float,
-    c,
-    d,
-    loss_exponent: str = "k",
-) -> float:
-    """Bloch-averaged fidelity of the encoding (c_n, d_n) through amplitude damping,
-    as an explicit series over damping order k:
+def damping_fidelity_series(eta: float, *words, loss_exponent: str = "k") -> float:
+    """Haar-averaged fidelity of the code spanned by ``words`` through amplitude damping
+    on the untruncated Fock space, as a series over the damping order k.
 
-        F = (1/6) sum_k (1-eta)^k sum_{n,m >= k} sqrt(C(n,k) C(m,k))
-            eta^((n+m-2k)/2) * B_{knm}
+    The words, padded with zeros to the longest, must pass ``Subspace``'s
+    orthonormality check. Damping order k compresses to the code as
+    (1-eta)^(k/2) A_k, with A_k[l, i] = sum_{n>=k} b_n conj(w_l[n-k]) w_i[n]
+    and b_n = sqrt(C(n,k)) eta^((n-k)/2); the Haar average over the code's
+    pure states (see the module docstring) is then
 
-    with the bracket
-
-        B = c_n conj(c_m) (d_{m-k} conj(d_{n-k}) + 2 c_{m-k} conj(c_{n-k}))
-          + d_n conj(d_m) (c_{m-k} conj(c_{n-k}) + 2 d_{m-k} conj(d_{n-k}))
-          + d_n conj(d_{n-k}) conj(c_m) c_{m-k}
-          + c_n conj(c_{n-k}) conj(d_m) d_{m-k}.
+        F = sum_k (1-eta)^k (|tr A_k|^2 + ||A_k||_F^2) / (d(d+1)).
 
     ``loss_exponent`` selects the power of (1 - eta) attached to order k:
     "k" is the algebraically consistent weight, since the damping order
@@ -266,30 +264,20 @@ def damping_fidelity_series(
         raise ValueError(f"amplitude damping requires 0 <= eta <= 1, got {eta}")
     if loss_exponent not in ("k", "k/2"):
         raise ValueError(f"loss_exponent must be 'k' or 'k/2', got {loss_exponent!r}")
-    c = np.asarray(c, dtype=complex)
-    d = np.asarray(d, dtype=complex)
-    n_max = max(c.size, d.size)
-    c = np.pad(c, (0, n_max - c.size))
-    d = np.pad(d, (0, n_max - d.size))
-
-    total = 0.0 + 0.0j
-    for k in range(n_max):
+    words = [np.asarray(w, dtype=complex) for w in words]
+    padded = np.zeros((len(words), max((w.size for w in words), default=0)), dtype=complex)
+    for row, w in zip(padded, words):
+        row[:w.size] = w
+    d, size = padded.shape
+    Subspace(dim=size, basis=padded)  # ConstraintError unless the words are orthonormal
+    log_fact = log_factorials(size)
+    total = 0.0
+    for k in range(size):
         loss = (1.0 - eta) ** (k if loss_exponent == "k" else k / 2)
         if loss == 0.0:
             break
-        for n in range(k, n_max):
-            for m in range(k, n_max):
-                w = np.exp(0.5 * (log_binomial(n, k) + log_binomial(m, k)))
-                w *= eta ** ((n + m - 2 * k) / 2)
-                bracket = (
-                    c[n] * np.conj(c[m]) * (d[m - k] * np.conj(d[n - k])
-                                            + 2 * c[m - k] * np.conj(c[n - k]))
-                    + d[n] * np.conj(d[m]) * (c[m - k] * np.conj(c[n - k])
-                                              + 2 * d[m - k] * np.conj(d[n - k]))
-                    + d[n] * np.conj(d[n - k]) * np.conj(c[m]) * c[m - k]
-                    + c[n] * np.conj(c[n - k]) * np.conj(d[m]) * d[m - k]
-                )
-                total += loss * w * bracket
-    if abs(total.imag) > SPECTRAL_TOL:
-        raise ArithmeticError(f"series fidelity came out non-real: {total}")
-    return float(total.real) / 6.0
+        m = np.arange(size - k)  # n - k for each level n >= k: b_n = sqrt(C(n,k)) eta^(m/2)
+        b = np.exp(0.5 * (log_fact[k:] - log_fact[k] - log_fact[m])) * eta ** (m / 2)
+        a = padded[:, :size - k].conj() @ (b * padded[:, k:]).T
+        total += loss * (abs(np.trace(a)) ** 2 + np.vdot(a, a).real)
+    return float(total) / (d * (d + 1))

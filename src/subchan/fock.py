@@ -116,22 +116,13 @@ def hs_norm(op: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Random test inputs (seeded by the caller)
+# Random operators from standard normals (verify_channel's samples)
 # ---------------------------------------------------------------------------
 
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank mixed state from a square Ginibre factor G: rho = G G^dag / tr."""
-    return _state_from(rng.normal(size=(2, dim, dim)))
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return _hermitian_from(rng.normal(size=(2, dim, dim)))
-
-
-# Both take standard normals g of shape (..., 2, dim, dim), real parts then
-# imaginary parts, and build one operator per leading index: a stack of draws
-# gives the operators that drawing them one at a time in that order gives.
+# _state_from and _hermitian_from take standard normals g of shape
+# (..., 2, dim, dim), real parts then imaginary parts, and build one operator
+# per leading index: a stack of draws gives the operators that drawing them one
+# at a time in that order gives.
 # Sums and quotients are formed in place, which keeps verify_channel's stacks
 # from holding extra temporaries; the terms of a sum commute bit for bit.
 

@@ -146,11 +146,14 @@ class RestrictedChannel:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P Phi(x) P = V (sum_ij c_ij T[i,j]) V^dag with c = V^dag x V, which holds
-        for x = P x P; SupportError when ||x - P x P|| exceeds SPECTRAL_TOL."""
+        for x = P x P; SupportError when x holds NaN or inf (checked before any product
+        or SVD), or when ||x - P x P|| exceeds SPECTRAL_TOL."""
         x = np.asarray(x, dtype=complex)
         dim = self.subspace.dim
         if x.shape != (dim, dim):
             raise DimensionMismatchError(f"operator shape {x.shape} does not match dim {dim}")
+        if not np.isfinite(x).all():
+            raise SupportError("input holds a NaN or inf entry")
         basis = self.subspace.basis
         c = basis.conj() @ x @ basis.T
         off = operator_norm(x - basis.T @ c @ basis.conj())

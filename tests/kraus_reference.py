@@ -18,7 +18,12 @@ a code of any dimension as a finite weighted sum of pure-state fidelities.
 with its own products and a scalar shift rule, against which the lockstep
 stack is checked.
 ``verify_one_sample_at_a_time`` is ``verify_channel`` drawing, applying and
-scoring each sample on its own, against which the stacked samples are checked.
+scoring each sample on its own, against which the stacked samples are checked;
+its draws, ``random_hermitian`` and ``random_density_matrix``, are the seeded
+random inputs the tests share.
+``damping_series_bracket`` is the amplitude-damping series of a qubit code
+transcribed term by term, a four-term bracket summed over every damping order
+and level pair, against which the library's matrix form is checked at d = 2.
 """
 
 import itertools
@@ -39,7 +44,7 @@ from subchan.channels import (
 )
 from subchan.errors import DimensionMismatchError
 from subchan.fidelity import _clip_unit
-from subchan.fock import outer
+from subchan.fock import log_binomial, outer
 from subchan.tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
 
 
@@ -296,32 +301,41 @@ def seesaw_one_start(k, v):
     return LoneStart(v, encodings.MAX_STEPS, encodings.STEP_CAP, undone, values)
 
 
-def _ginibre(block, rng):
-    return rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+def _ginibre(dim, rng):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def random_hermitian(dim, rng):
+    """(A + A^dag) / 2 for a Ginibre A drawn real part first."""
+    a = _ginibre(dim, rng)
+    return (a + a.conj().T) / 2
+
+
+def random_density_matrix(dim, rng):
+    """Random full-rank mixed state G G^dag / tr for a Ginibre G drawn real part first."""
+    g = _ginibre(dim, rng)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 def verify_one_sample_at_a_time(ch, block=None):
     """``verify_channel``'s report from one 2-D ``apply_channel`` per sample.
 
-    Per sample, in this order: a hermitian (A + A^dag) / 2 and a state
-    G G^dag / tr from Ginibre factors drawn real part first, each supported
-    on the leading ``block`` levels.
+    Per sample, in this order: a ``random_hermitian`` and a
+    ``random_density_matrix``, each supported on the leading ``block`` levels.
     """
     block = ch.dim if block is None else block
     tp = tp_defect_on_block(ch, block)
     rng = np.random.default_rng(VERIFY_SEED)
     herms, eigs = [], []
     for _ in range(VERIFY_SAMPLES):
-        a = _ginibre(block, rng)
         h = np.zeros((ch.dim, ch.dim), dtype=complex)
-        h[:block, :block] = (a + a.conj().T) / 2
+        h[:block, :block] = random_hermitian(block, rng)
         out = apply_channel(ch, h)
         herms.append(np.max(np.abs(out - out.conj().T)))
 
-        g = _ginibre(block, rng)
-        rho = g @ g.conj().T
         x = np.zeros((ch.dim, ch.dim), dtype=complex)
-        x[:block, :block] = rho / np.trace(rho).real
+        x[:block, :block] = random_density_matrix(block, rng)
         out = apply_channel(ch, x)
         eigs.append(np.linalg.eigvalsh((out + out.conj().T) / 2).min())
     herm, min_eig = float(np.max(herms)), float(np.min(eigs))
@@ -329,3 +343,48 @@ def verify_one_sample_at_a_time(ch, block=None):
         block=block, tp_defect=tp, hermiticity_defect=herm, min_eigenvalue=min_eig,
         samples=VERIFY_SAMPLES, seed=VERIFY_SEED, tp_ok=tp <= SPECTRAL_TOL,
         hermiticity_ok=herm <= STRUCTURAL_TOL, positivity_ok=min_eig >= -SPECTRAL_TOL)
+
+
+def damping_series_bracket(eta, c, d, loss_exponent="k"):
+    """The amplitude-damping series of a qubit code (c_n, d_n) as its term-by-term
+    transcription, summed over the damping order k and every level pair (n, m):
+
+        F = (1/6) sum_k (1-eta)^k sum_{n,m >= k} sqrt(C(n,k) C(m,k))
+            eta^((n+m-2k)/2) * B_{knm}
+
+    with the bracket
+
+        B = c_n conj(c_m) (d_{m-k} conj(d_{n-k}) + 2 c_{m-k} conj(c_{n-k}))
+          + d_n conj(d_m) (c_{m-k} conj(c_{n-k}) + 2 d_{m-k} conj(d_{n-k}))
+          + d_n conj(d_{n-k}) conj(c_m) c_{m-k}
+          + c_n conj(c_{n-k}) conj(d_m) d_{m-k}.
+
+    "k/2" weighs order k by (1-eta)^(k/2) instead.
+    """
+    c = np.asarray(c, dtype=complex)
+    d = np.asarray(d, dtype=complex)
+    n_max = max(c.size, d.size)
+    c = np.pad(c, (0, n_max - c.size))
+    d = np.pad(d, (0, n_max - d.size))
+
+    total = 0.0 + 0.0j
+    for k in range(n_max):
+        loss = (1.0 - eta) ** (k if loss_exponent == "k" else k / 2)
+        if loss == 0.0:
+            break
+        for n in range(k, n_max):
+            for m in range(k, n_max):
+                w = np.exp(0.5 * (log_binomial(n, k) + log_binomial(m, k)))
+                w *= eta ** ((n + m - 2 * k) / 2)
+                bracket = (
+                    c[n] * np.conj(c[m]) * (d[m - k] * np.conj(d[n - k])
+                                            + 2 * c[m - k] * np.conj(c[n - k]))
+                    + d[n] * np.conj(d[m]) * (c[m - k] * np.conj(c[n - k])
+                                              + 2 * d[m - k] * np.conj(d[n - k]))
+                    + d[n] * np.conj(d[n - k]) * np.conj(c[m]) * c[m - k]
+                    + c[n] * np.conj(c[n - k]) * np.conj(d[m]) * d[m - k]
+                )
+                total += loss * w * bracket
+    if abs(total.imag) > SPECTRAL_TOL:
+        raise ArithmeticError(f"series fidelity came out non-real: {total}")
+    return float(total.real) / 6.0

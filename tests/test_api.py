@@ -66,7 +66,10 @@ def test_walk_sees_the_library():
     assert "subchan.channels.verify_channel" in names
     assert "subchan.subspaces.RestrictedChannel.apply" in names
     assert "subchan.channels.KrausChannel.__init__" in names
-    assert len(names) > 50
+    exported = {f"{obj.__module__}.{obj.__qualname__}" for obj in vars(subchan).values()
+                if inspect.isfunction(obj)}
+    assert exported <= names.keys()
+    assert len(names) >= 50
 
 
 def test_only_fixed_point_space_takes_a_tolerance():
@@ -94,6 +97,15 @@ def test_kernels_and_quadrature_keep_their_parameters():
         "channels.adjoint_apply": ["ch", "x"],
         "fidelity.average_fidelity_quadrature": ["ch", "subspace", "n_theta", "n_phi"],
     }
+
+
+def test_damping_series_takes_the_code_words():
+    # The series scores a code of any dimension from its words alone; the one
+    # option after them is keyword-only.
+    sig = _public_signatures()["subchan.fidelity.damping_fidelity_series"]
+    assert list(sig.parameters) == ["eta", "words", "loss_exponent"]
+    assert sig.parameters["words"].kind is inspect.Parameter.VAR_POSITIONAL
+    assert sig.parameters["loss_exponent"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_phase_damping_has_no_truncation_option():

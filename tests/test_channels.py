@@ -12,6 +12,8 @@ from kraus_reference import (
     dense_superoperator,
     dense_tp_defect,
     identity_channel,
+    random_density_matrix,
+    random_hermitian,
     unvec,
     vec,
     verify_one_sample_at_a_time,
@@ -33,8 +35,6 @@ from subchan.fock import (
     basis_operator,
     hermiticity_defect,
     operator_norm,
-    random_density_matrix,
-    random_hermitian,
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import poisson
 
 import subchan.channels
-from kraus_reference import dense_apply
+from kraus_reference import dense_apply, random_density_matrix, random_hermitian
 from subchan.channels import MAX_KRAUS_BYTES, apply_channel
 from subchan.errors import PrecisionLossError, ResourceLimitError
 from subchan.families import (
@@ -22,8 +22,6 @@ from subchan.fock import (
     basis_operator,
     coherent_state,
     outer,
-    random_density_matrix,
-    random_hermitian,
 )
 
 ETAS = (0.1, 0.5, 0.9)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import subchan.fidelity
 from kraus_reference import (
     bloch_state,
+    damping_series_bracket,
     design_average,
     identity_channel,
     node_quadrature,
@@ -17,7 +18,7 @@ from kraus_reference import (
     reference_formula,
 )
 from subchan.channels import KrausChannel, _compress, apply_channel
-from subchan.errors import DimensionMismatchError, ResourceLimitError
+from subchan.errors import ConstraintError, DimensionMismatchError, ResourceLimitError
 from subchan.families import amplitude_damping, depolarizing, phase_damping
 from subchan.fock import outer
 from subchan.fidelity import (
@@ -506,3 +507,43 @@ class TestSeriesAudit:
     def test_exponent_argument_validated(self):
         with pytest.raises(ValueError):
             damping_fidelity_series(0.5, [1, 0], [0, 1], loss_exponent="2k")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**32 - 1),
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+           st.sampled_from(["k", "k/2"]))
+    def test_matches_the_bracket_on_random_qubit_codes(self, length, seed, eta, exponent):
+        code = _random_code(length, np.random.default_rng(seed)).basis
+        series = damping_fidelity_series(eta, *code, loss_exponent=exponent)
+        oracle = damping_series_bracket(eta, *code, loss_exponent=exponent)
+        assert abs(series - oracle) <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_the_contraction_at_every_truncation(self, d):
+        # ad keeps the levels [0, hi) invariant, so no truncation from the code's
+        # support up changes the average, and the series needs none.
+        rng = np.random.default_rng(d)
+        for support in (d, d + 2, 7):
+            g = rng.normal(size=(support, d)) + 1j * rng.normal(size=(support, d))
+            words = np.linalg.qr(g)[0].T
+            for eta in (0.0, 0.37, 0.8, 1.0):
+                series = damping_fidelity_series(eta, *words)
+                for dim in [*range(support, support + 4), 256]:
+                    basis = np.pad(words, ((0, 0), (0, dim - support)))
+                    closed = average_fidelity_closed(amplitude_damping(eta, dim),
+                                                     Subspace(dim=dim, basis=basis)).value
+                    assert abs(series - closed) <= 1e-12, (support, eta, dim)
+
+    def test_words_of_different_lengths_are_padded(self):
+        assert damping_fidelity_series(0.4, [1], [0, 1], [0, 0, 1]) == (
+            damping_fidelity_series(0.4, [1, 0, 0], [0, 1, 0], [0, 0, 1]))
+
+    @pytest.mark.parametrize("words, defect", [
+        (([1, 0], [1, 0]), 1.0),
+        (([1, 0], [0, 2]), 3.0),
+        (([0.6, 0.8], [1, 0]), 0.6),
+    ])
+    def test_non_orthonormal_words_are_refused(self, words, defect):
+        with pytest.raises(ConstraintError, match="not orthonormal") as refused:
+            damping_fidelity_series(0.5, *words)
+        assert refused.value.residual == pytest.approx(defect, abs=1e-15)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kraus_reference import random_hermitian
 from subchan.channels import apply_channel
 from subchan.families import amplitude_damping
 from subchan.fileio import (
@@ -10,7 +11,6 @@ from subchan.fileio import (
     parse_coefficient_rows,
     save_channel,
 )
-from subchan.fock import random_hermitian
 
 SAMPLE = """
 # single-qubit amplitude damping at eta = 0.75

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import poisson
 
+from kraus_reference import random_density_matrix
 from subchan.fock import (
     coherent_state,
     fock_state,
@@ -15,7 +16,6 @@ from subchan.fock import (
     log_factorials,
     operator_norm,
     outer,
-    random_density_matrix,
 )
 from subchan.tolerances import SPECTRAL_TOL, STRUCTURAL_TOL
 

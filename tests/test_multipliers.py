@@ -28,6 +28,7 @@ from kraus_reference import (
     diagonal_kraus_apply,
     full_band_apply,
     poisson_phase_damping,
+    random_hermitian,
     span_projector,
 )
 from subchan import channels
@@ -39,9 +40,9 @@ from subchan.channels import (
     superoperator_of,
     tp_defect_on_block,
 )
-from subchan.errors import DimensionMismatchError
+from subchan.errors import ConstraintError, DimensionMismatchError, ResourceLimitError
+from subchan.fileio import save_channel
 from subchan.families import amplitude_damping, depolarizing, phase_damping
-from subchan.fock import random_hermitian
 from subchan.subspaces import fixed_point_space
 from subchan.tolerances import FIXED_POINT_TOL
 
@@ -88,6 +89,40 @@ class TestPhaseDampingMultiplier:
         # and about 90 MB of dense bands (depolarizing).
         assert _stored_bytes(phase_damping(0.5, 256)) * 10 <= 189e6
         assert _stored_bytes(depolarizing(0.5, 256)) * 10 <= 90e6
+
+
+class TestKrausFactor:
+    @pytest.mark.parametrize("m, left", [
+        ([[1, 2], [2, 1]], 3.0),
+        ([[0, 1], [1, 0]], 1.0),  # a zero diagonal: only the off-diagonal residual shows it
+        (np.diag([1, -1e-3]), 1e-3),
+    ])
+    def test_a_multiplier_that_is_not_psd_is_refused(self, m, left, tmp_path):
+        ch = KrausChannel(multipliers={0: np.array(m, dtype=float)})
+        with pytest.raises(ConstraintError, match="not positive semidefinite") as refused:
+            ch.kraus_ops
+        assert refused.value.residual == left
+        path = tmp_path / "channel.txt"
+        with pytest.raises(ConstraintError):
+            save_channel(ch, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("family", [amplitude_damping, phase_damping, depolarizing])
+    def test_every_family_factors(self, family):
+        # Amplitude damping at dims 64 and 128 near eta 1 has multipliers of
+        # subnormal entries alone; their factors leave residual entries of
+        # 4.9e-324, which the absolute floor lets through.
+        etas = (0, 0.01, 0.3, 0.5, 0.9, 0.99, 0.999, 0.9999, 1 - 1e-8, 1)
+        for dim in [*range(1, 40), 64, 128]:
+            for eta in etas:
+                if family is phase_damping and eta == 0:
+                    continue  # phase damping needs eta > 0
+                try:
+                    ops = family(eta, dim).kraus_ops
+                except ResourceLimitError:  # depolarizing's stack past dim 39
+                    assert family is depolarizing and dim >= 64
+                    continue
+                assert ops.shape[1:] == (dim, dim)
 
 
 class TestDepolarizingTransfer:

@@ -163,6 +163,15 @@ class TestRestrict:
         with pytest.raises(SupportError):
             handle.apply(basis_operator(3, 3, 8))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_input_before_any_svd(self, value, monkeypatch):
+        handle = restrict(phase_damping(0.5, 8), Subspace.from_levels((0, 1), 8))
+        x = np.zeros((8, 8))
+        x[0, 0] = value
+        monkeypatch.setattr(np.linalg, "norm", None)  # any norm call would fail
+        with pytest.raises(SupportError, match="NaN or inf"):
+            handle.apply(x)
+
     @pytest.mark.parametrize("k, s", [(0, 3), (3, 1)])
     def test_rejects_off_block_input(self, k, s):
         # |0><3| has no weight on (I-P) x (I-P), yet it lies outside the block P x P.
