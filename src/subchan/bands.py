@@ -6,13 +6,14 @@ Factored multipliers. When a lone one-row band of float64 entries with no
 sign bit set, none so large that its square overflows, is all there is on an
 offset, M_o = e^T e is stored as the vector e: dim - |o| floats instead of
 (dim - |o|)^2. Its entries e[a] e[b] carry the value and the sign of the
-one-row GEMM that would form M_o, so every reader forms what it needs from e
-with the same bits: a kernel the block on its window, the coherence blocks
-and Fock-level tables their entries. Amplitude damping is such a band on
-every offset, O(dim^2) floats in all where its square multipliers took sum_o
-(dim - o)^2; its one-entry band on offset dim - 1 is a vector of length 1.
-Complex, signed or multi-row bands, and square multipliers passed in, stay
-square. The vectors of a channel are views of one array.
+one-row GEMM that would form M_o, and every reader forms what it needs from
+e as those products: ``multipliers`` and a kernel a block (``_outer``),
+whole or on the window, the coherence blocks and Fock-level tables their
+entries. Amplitude damping is such a band on every offset, O(dim^2) floats
+in all where its square multipliers took sum_o (dim - o)^2; its one-entry
+band on offset dim - 1 is a vector of length 1. Complex, signed or
+multi-row bands, and square multipliers passed in, stay square. The
+vectors of a channel are views of one array.
 
 The transfer matrix. Other bands whose terms are single matrix units go into
 the population-transfer matrix T, which is always dense: the ``transfer``

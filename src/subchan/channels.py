@@ -27,46 +27,49 @@ Factored multipliers. A rank-one M_o = e^T e with a nonnegative float64
 factor whose products e[a] e[b] are finite is stored as the vector e, even
 when e holds a single nonzero (see :mod:`subchan.bands`, which folds the
 storage): amplitude damping holds O(dim^2) floats, one vector per offset,
-where its square multipliers took sum_o (dim - o)^2. A
-channel whose multipliers fit in FORMED_BYTES once formed forms them at
+where its square multipliers took sum_o (dim - o)^2. Every reader forms
+the entries of M_o it needs as e[a] e[b] (``_outer`` for a block): the
+kernels on their window, ``multipliers`` whole on each read. A channel
+whose multipliers fit in FORMED_BYTES once formed forms them at
 construction and runs its kernels on them, as before factoring: at small
 dim, forming a block on each call costs more than holding it. So does a
 channel holding a dense T whose formed multipliers fit in as many bytes
 (depolarizing at every dim): it holds O(dim^2) floats either way, and with
 M_0 alone one full-size product beats the window pass and the block formed
-on it. ``multipliers`` forms M_o anew, size-guarded, on each read.
+on it.
 
 Support window. An encoded state sits on a few low levels of a much larger
-truncation, so most of each shifted product multiplies zeros. When a channel
-stores a multiplier off offset 0, or a vector on it, both kernels first find
-[lo, hi), the smallest index range holding every nonzero row and column of x
-(one O(dim^2) pass), the union over a stack. ``apply_channel`` reads x at
-the sources a + o and writes the targets a; ``adjoint_apply`` reads the
-targets and writes the sources, by conj(M_o). Only the offsets whose read
-rows meet the range are visited (a prefix of each side, found by
-bisection): for Phi, o < hi above 0 and -o < dim - lo below it; for Phi*,
-o < dim - lo above 0 and -o < hi below it. Each product is cut to the rows
-read inside the range. A vector on offset 0 is formed on the window alone:
-it has no sign bit set and finite products, so outside the window M_0 * x
-holds the signed zeros of 1.0 * x. A square M_0 and the transfer term stay
-full size. For finite multipliers only exact zero terms are dropped, so the
-result equals the full-size sum entry for entry, up to the sign of a zero.
-A square M_o (o != 0) holding inf, as finite bands whose product overflows
-give, loses its inf * 0 = NaN terms outside the window, which the full-size
-sum keeps. A caller that applies a channel many times to inputs on one
-window, and reads the outputs only there, can instead take the channel's
-compression onto it once (``_compress``) and apply that at the window's
-size.
+truncation, so most of each band product multiplies zeros. Both kernels
+take one loop over the unformed vectors and the multipliers off offset 0:
+when a channel holds any, they first find [lo, hi), the smallest index
+range holding every nonzero row and column of x (one O(dim^2) pass), the
+union over a stack. ``apply_channel`` reads x at the sources a + o and
+writes the targets a; ``adjoint_apply`` reads the targets and writes the
+sources, by conj(M_o). Only the offsets whose read rows meet the range are
+visited (a prefix of each side, found by bisection): for Phi, 0 <= o < hi
+and -o < dim - lo below 0; for Phi*, 0 <= o < dim - lo and -o < hi below
+0. Each product is cut to the rows read inside the range and added onto
+0.0 * x, or onto M_0 * x for a square M_0, given or formed: the one band
+term at full size, beside the transfer term. For finite inputs and
+multipliers only exact zero terms are dropped, so the result equals the
+full-size sum entry for entry, up to the sign of a zero. Non-finite
+outputs sit where the full-size sum has them, though an inf read on
+offset 0 by an unformed vector comes out NaN (from 0.0 * inf). A square
+M_o (o != 0) holding inf, as finite bands whose product overflows give,
+loses its inf * 0 = NaN terms outside the window, which the full-size sum
+keeps. A caller applying a channel many times to inputs on one window, and
+reading the outputs only there, can take its compression onto it once
+(``_compress``) and apply that at the window's size.
 
 Stacks. ``apply_channel`` and ``adjoint_apply`` take one (dim, dim) operator
 or a stack (..., dim, dim), and each matrix of the output equals the 2-D
 call on that matrix, entry for entry. Each band product broadcasts over the
 leading axes, under the stack's union window: a matrix whose own window is
-smaller only gains added exact zeros. The transfer term is one matrix-vector
-product per matrix, since one GEMM over the stack would round differently.
-A dense channel makes two GEMMs per term and matrix, and their
-(stack, terms, dim, dim) temporaries go through the size guard first. A
-stack of one matrix is applied as that matrix: numpy rounds a complex
+smaller only gains added exact zeros. The transfer term is one product of T
+by a column per matrix, a 2-D x's too, since one GEMM over the stack would
+round differently. A dense channel makes two GEMMs per term and matrix, and
+their (stack, terms, dim, dim) temporaries go through the size guard first.
+A stack of one matrix is applied as that matrix: numpy rounds a complex
 product of one element differently when it broadcasts. ``verify_channel``
 applies its samples in stacks of at most VERIFY_STACK_BYTES of inputs. They
 depend on the truncation alone, dim and block, not on the channel, so
@@ -175,8 +178,10 @@ class KrausChannel:
         row i holds the diagonal ``np.diagonal(E_i, offset)`` of an operator
         whose other entries are zero. Real terms stay real.
     multipliers : dict, optional
-        ``{offset: M_o}``: a positive semidefinite (dim - |offset|) square
-        matrix, taken as it is (PSD is not checked).
+        ``{offset: M_o}``: a (dim - |offset|) square matrix, taken as it is.
+        Construction does not check that it is PSD; ``kraus_ops`` and
+        ``save_channel`` raise ConstraintError on one that is not, and the
+        kernels apply it as given, a map that is not completely positive.
     transfer : array_like, optional
         Real nonnegative (dim, dim) population-transfer matrix T, kept
         dense. ``bands``, ``multipliers`` and ``transfer`` may be given
@@ -264,24 +269,24 @@ class KrausChannel:
         # in), as (o, e or M_o, factored). A channel whose vectors' multipliers, formed,
         # fit in FORMED_BYTES, or in the bytes of a dense T it holds anyway, forms them
         # here: e[a] e[b] for each M_o.
-        stored = [(o, e, True) for o, e in (factors or {}).items()]
-        stored += [(o, m, False) for o, m in (blocks or {}).items()]
-        self._stored = sorted(stored, key=_magnitude)
         budget = max(FORMED_BYTES, 0 if transfer is None else transfer.nbytes)
         formed = sum(e.size**2 for e in (factors or {}).values()) * REAL_BYTES <= budget
-        self._bands = [(o, _readonly(_outer(m)) if factored and formed else m,
-                        factored and not formed) for o, m, factored in self._stored]
-        # The kernels' plan: the band on offset 0 as (e or M_0, factored), or None; the
-        # bands above 0 and below 0, as (o, e or M_o, factored, source, target) with
+        bands = [(o, _readonly(_outer(e)) if formed else e, not formed)
+                 for o, e in (factors or {}).items()]
+        self._bands = sorted(bands + [(o, m, False) for o, m in (blocks or {}).items()],
+                             key=_magnitude)
+        # The kernels' plan: a square M_0, the one full-size band term, or None; the other
+        # bands on o >= 0 and o < 0, as (o, e or M_o, factored, source, target) with
         # sources a + o and targets a from max(0, o) and max(0, -o) on, and the |o| of
-        # each. A window of sources [lo, hi) meets o > 0 when o < hi and o < 0 when
+        # each. A window of sources [lo, hi) meets o >= 0 when o < hi and o < 0 when
         # -o < dim - lo: a prefix of each.
-        self._zero = self._bands[0][1:] if self._bands and self._bands[0][0] == 0 else None
-        shifted = [(o, m, factored, max(0, o), max(0, -o)) for o, m, factored in self._bands if o]
-        self._ahead = [t for t in shifted if t[0] > 0]
-        self._behind = [t for t in shifted if t[0] < 0]
+        self._zero = next((m for o, m, factored in self._bands if o == 0 and not factored), None)
+        looped = [(o, m, factored, max(0, o), max(0, -o))
+                  for o, m, factored in self._bands if o or factored]
+        self._ahead = [t for t in looped if t[0] >= 0]
+        self._behind = [t for t in looped if t[0] < 0]
         self._reach = [t[0] for t in self._ahead], [-t[0] for t in self._behind]
-        self._windowed = bool(self._ahead or self._behind or self._zero and self._zero[1])
+        self._windowed = bool(self._ahead or self._behind)
         if stack is not None:
             self.kraus_truncation = int(stack.shape[0])
         else:
@@ -305,18 +310,17 @@ class KrausChannel:
 
     @property
     def stored_bytes(self) -> int:
-        arrays = [self._stack, self._transfer]
-        arrays += [m for _, m, _ in self._stored + self._bands]  # formed ones too
+        arrays = [self._stack, self._transfer, *(self._factors or {}).values()]
+        arrays += [m for _, m, _ in self._bands]  # the square and formed multipliers
         return sum(a.nbytes for a in {id(a): a for a in arrays if a is not None}.values())
 
     def _multiplier(self, offset: int) -> np.ndarray:
-        """M_o, formed from its vector e as the one-row product e^T e that folding the band
-        made, after the size guard."""
+        """M_o, formed from its vector e as the kernels form it, after the size guard."""
         if offset in self._blocks:
             return self._blocks[offset]
-        e = self._factors[offset][np.newaxis]
+        e = self._factors[offset]
         _check_bytes(e.size**2 * REAL_BYTES, f"multiplier {offset} at dim {self.dim}")
-        return _readonly(e.T @ e.conj())
+        return _readonly(_outer(e))
 
     def _entries(self, offset: int, rows, cols) -> np.ndarray:
         """M_o[rows, cols] for broadcast index arrays; e[rows] e[cols] from a vector."""
@@ -368,7 +372,7 @@ class KrausChannel:
         """Diagonal of Phi*(I) = sum_i E_i^dag E_i, which is diagonal for band channels."""
         n = self.dim
         col = np.zeros(n)
-        for o, m, factored in self._stored:
+        for o, m, factored in self._bands:  # a formed block's diagonal is e * e
             col[max(0, o):n - max(0, -o)] += m * m if factored else m.diagonal().real
         if self._transfer is not None:
             col += self._transfer.sum(axis=0)
@@ -380,14 +384,6 @@ class KrausChannel:
             f"KrausChannel({self.family}{eta}, dim={self.dim}, "
             f"terms={self.kraus_truncation}, tp_defect={self.tp_defect:.3e})"
         )
-
-
-def _check_dims(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    n = ch.dim
-    if x.ndim < 2 or x.shape[-2:] != (n, n):
-        raise DimensionMismatchError(f"operator shape {x.shape} does not match channel dim {n}")
-    return x
 
 
 def _dense_sum(e: np.ndarray, x: np.ndarray, adjoint: bool) -> np.ndarray:
@@ -405,15 +401,11 @@ def _dense_sum(e: np.ndarray, x: np.ndarray, adjoint: bool) -> np.ndarray:
 
 
 def _add_moved_populations(out: np.ndarray, ch: KrausChannel, x: np.ndarray, adjoint: bool):
-    """out[..., a, a] += (T @ diag(x))[a], or (diag(x) @ T)[a] for the adjoint: one
-    matrix-vector product per matrix, since one GEMM over a stack would round differently."""
-    n = ch.dim
-    d = x.diagonal(0, -2, -1)
+    """out[..., a, a] += (T @ diag(x))[a], or (diag(x) @ T)[a] for the adjoint: T by one
+    column, or one row by T, per matrix, since one GEMM over a stack would round differently."""
+    n, t, d = ch.dim, ch._complex_transfer, x.diagonal(0, -2, -1)
     diagonal = out.reshape(*x.shape[:-2], n * n)[..., ::n + 1]
-    t = ch._complex_transfer
-    if x.ndim == 2:
-        diagonal += d @ t if adjoint else t @ d
-    elif adjoint:
+    if adjoint:
         diagonal += (d[..., np.newaxis, :] @ t)[..., 0, :]
     else:
         diagonal += (t @ d[..., np.newaxis])[..., 0]
@@ -430,19 +422,6 @@ def _window(x: np.ndarray) -> tuple[int, int]:
     return (int(used[0]), int(used[-1]) + 1) if used.size else (0, 0)
 
 
-def _offset_zero(e: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """M_0 * x in C order (T's kernel writes through a reshape) for M_0 stored as its vector
-    e and x zero outside the window [lo, hi); M_0 is real, so it is also conj(M_0) * x.
-
-    e has no sign bit set and finite products e[a] e[b], so M_0 is finite with
-    no sign bit set, and out of the window M_0 * x holds the signed zeros of
-    1.0 * x: the block is formed on the window alone."""
-    out = np.multiply(x, 1.0, order="C")
-    inside = (..., slice(lo, hi), slice(lo, hi))
-    np.multiply(_outer(e[lo:hi]), x[inside], out=out[inside])
-    return out
-
-
 def _apply(ch: KrausChannel, x: np.ndarray, adjoint: bool) -> np.ndarray:
     """Phi(x), or Phi*(x) for ``adjoint``: the one kernel behind ``apply_channel`` and
     ``adjoint_apply`` (see "Support window" and "Stacks" above).
@@ -450,22 +429,21 @@ def _apply(ch: KrausChannel, x: np.ndarray, adjoint: bool) -> np.ndarray:
     Phi reads x at the sources a + o and writes the targets a; Phi* reads the
     targets, writes the sources and multiplies by conj(M_o). Either way only the
     offsets whose read rows meet the window of x are visited, cut to those rows."""
-    x = _check_dims(ch, x)
-    if x.ndim > 2 and x.size == ch.dim**2:  # a stack of one matrix: see "Stacks" above
+    x, n = np.asarray(x, dtype=complex), ch.dim
+    if x.ndim < 2 or x.shape[-2:] != (n, n):
+        raise DimensionMismatchError(f"operator shape {x.shape} does not match channel dim {n}")
+    if x.ndim > 2 and x.size == n**2:  # a stack of one matrix: see "Stacks" above
         return _apply(ch, x.reshape(x.shape[-2:]), adjoint).reshape(x.shape)
     if ch._factors is None:
         return _dense_sum(ch.kraus_ops, x, adjoint)
-    zero = ch._zero
     # Unwindowed (at most a square M_0): the many small calls of a quadrature.
     lo, hi = _window(x) if ch._windowed else (0, 0)
-    if zero is None:
+    if ch._zero is None:  # in C order: T's kernel writes through a reshape
         out = np.multiply(x, 0.0, order="C")
-    elif zero[1]:
-        out = _offset_zero(zero[0], x, lo, hi)
-    else:  # a square M_0 stays full size; it is C-ordered, and so is the product
-        out = (zero[0].conj() if adjoint else zero[0]) * x
+    else:  # the one full-size band term; M_0 is C-ordered, and so is its product
+        out = (ch._zero.conj() if adjoint else ch._zero) * x
     if lo < hi:
-        n, (ahead, behind) = ch.dim, ch._reach
+        ahead, behind = ch._reach
         reached = ch._ahead[:bisect_left(ahead, n - lo if adjoint else hi)]
         if behind:
             reached += ch._behind[:bisect_left(behind, hi if adjoint else n - lo)]
@@ -491,11 +469,11 @@ def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     """Phi(x) = sum_i E_i x E_i^dag, for one (dim, dim) operator or a stack (..., dim, dim).
 
     Each matrix of a stack comes out as the 2-D call on it returns it. A band
-    channel storing a vector or a multiplier off offset 0 cuts its products
-    to the support window of x, the union over a stack, and visits only the
-    offsets whose sources meet it; for finite multipliers the terms dropped
-    are exact zeros (see the module docstring). A dense channel's (stack,
-    terms, dim, dim) products go through the size guard first.
+    channel holding a vector unformed or a multiplier off offset 0 cuts those
+    products to the support window of x, the union over a stack, and visits
+    only the offsets whose sources meet it; for finite inputs and multipliers
+    the terms dropped are exact zeros (see the module docstring). A dense
+    channel's (stack, terms, dim, dim) products go through the size guard first.
     """
     return _apply(ch, x, adjoint=False)
 
@@ -554,9 +532,11 @@ def tp_defect_on_block(ch: KrausChannel, block: int) -> float:
 class ChannelVerification:
     """Outcome of the randomized channel self-checks.
 
-    Defects above tolerance are reported here, never raised: the Kraus form
-    already guarantees complete positivity, so this guards implementation
-    bugs rather than proving anything.
+    Defects above tolerance are reported here, never raised. A Kraus stack,
+    or PSD multipliers, make the channel completely positive, so for them
+    this guards implementation bugs. A multiplier that is not PSD, such as
+    ``multipliers={0: [[1, 2], [2, 1]]}``, is applied as a map that is not
+    CP, and nothing here checks complete positivity.
     """
 
     block: int

@@ -414,8 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(p_sweep)
     _add_code_flags(p_sweep, "Fock pair, e.g. 0,1 (the quadrature needs two)",
                     "two coefficient rows, a qubit code")
-    p_sweep.add_argument("--eta-start", type=float, default=None)
-    p_sweep.add_argument("--eta-end", type=float, default=None)
+    p_sweep.add_argument("--eta-start", type=float, default=None,
+                         help="first eta of the grid, 0 <= eta-start <= eta-end")
+    p_sweep.add_argument("--eta-end", type=float, default=None,
+                         help="last eta of the grid, eta-start <= eta-end <= 1")
     p_sweep.add_argument("--steps", type=int, default=None,
                          help=f"grid points (default {DEFAULT_STEPS})")
     p_sweep.add_argument("--out", default=None, help="CSV output path")
@@ -429,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pairs = sub.add_parser("pairs", help="fidelity sweep over Fock-pair encodings")
     _add_channel_flags(p_pairs)
-    p_pairs.add_argument("--max-level", type=int, default=None)
+    p_pairs.add_argument("--max-level", type=int, default=None,
+                         help="highest Fock level of the pairs, in (0, dim) (default dim - 1)")
     p_pairs.set_defaults(func=_cmd_pairs)
 
     return parser

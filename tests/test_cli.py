@@ -38,6 +38,18 @@ class TestHelp:
         out = capsys.readouterr().out
         assert out.startswith(" ".join(["usage: subchan", *command]))
 
+    @pytest.mark.parametrize("command, rules", [
+        ("pairs", ["--max-level MAX_LEVEL highest Fock level of the pairs, in (0, dim) "
+                   "(default dim - 1)"]),
+        ("sweep", ["--eta-start ETA_START first eta of the grid, 0 <= eta-start <= eta-end",
+                   "--eta-end ETA_END last eta of the grid, eta-start <= eta-end <= 1"])])
+    def test_help_states_the_rules_the_flags_are_held_to(self, capsys, command, rules):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+        for rule in rules:
+            assert rule in out
+
     def test_no_function_assigns_to_args(self):
         # Subcommands read their flags; the config merge's setattr calls are
         # the only writes to the namespace.

@@ -365,6 +365,45 @@ class TestSupportWindow:
                 _check_supported(ch, ops, _supported(dim, support, lo, hi, 10 * lo + hi))
 
 
+def _dense_qr_stack(dim=6, terms=3, seed=4):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(terms * dim, dim)) + 1j * rng.normal(size=(terms * dim, dim))
+    return np.linalg.qr(g)[0].reshape(terms, dim, dim)
+
+
+# One of each kind of storage the kernels read.
+STORAGE_KINDS = {
+    "dense stack": lambda: KrausChannel(_dense_qr_stack()),
+    "square M_0": lambda: phase_damping(0.5, 8),
+    "formed vectors": lambda: amplitude_damping(0.5, 16),
+    "unformed vectors, offset 0 included": lambda: amplitude_damping(0.5, 128),
+    "T alone": lambda: amplitude_damping(0.0, 8),
+    "formed M_0 and T": lambda: depolarizing(0.5, 8),
+}
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("entry", [(2, 3), (1, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", STORAGE_KINDS)
+    def test_outputs_are_non_finite_where_the_full_sums_are(self, kind, bad, entry):
+        # An inf may come out NaN where the full sum keeps it inf (see "Support window"
+        # in subchan.channels), so only where the outputs are finite is compared.
+        ch = STORAGE_KINDS[kind]()
+        x = np.zeros((ch.dim, ch.dim), dtype=complex)
+        x[entry] = bad
+        with np.errstate(invalid="ignore"):
+            for adjoint, kernel, dense in ((False, apply_channel, dense_apply),
+                                           (True, adjoint_apply, dense_adjoint)):
+                out = kernel(ch, x)
+                if ch.multipliers is None:
+                    expected = dense(ch.kraus_ops, x)
+                else:
+                    expected = full_band_apply(ch, x, adjoint)
+                assert not np.isfinite(out).all()
+                assert np.array_equal(np.isfinite(out), np.isfinite(expected))
+
+
 # ---------------------------------------------------------------------------
 # Compression onto a window of levels
 # ---------------------------------------------------------------------------
