@@ -2,18 +2,18 @@
 transfer matrix into, and how a dense stack is read back as bands or a multiplier as
 Kraus rows. The kernels that read the storage are in :mod:`subchan.channels`.
 
-Factored multipliers. When a lone one-row band of float64 entries with no
-sign bit set, none so large that its square overflows, is all there is on an
-offset, M_o = e^T e is stored as the vector e: dim - |o| floats instead of
-(dim - |o|)^2. Its entries e[a] e[b] carry the value and the sign of the
+One map. The storage is {offset: band} by ascending offset, a band being
+its vector e for M_o = e^T e or its square M_o, told apart by ``m.ndim``.
+A lone one-row band of float64 entries with no sign bit set, none so large
+that its square overflows, is kept as its vector: dim - |o| floats instead
+of (dim - |o|)^2. Its entries e[a] e[b] carry the value and the sign of the
 one-row GEMM that would form M_o, and every reader forms what it needs from
 e as those products: ``multipliers`` and a kernel a block (``_outer``),
 whole or on the window, the coherence blocks and Fock-level tables their
 entries. Amplitude damping is such a band on every offset, O(dim^2) floats
-in all where its square multipliers took sum_o (dim - o)^2; its one-entry
-band on offset dim - 1 is a vector of length 1. Complex, signed or
-multi-row bands, and square multipliers passed in, stay square. The
-vectors of a channel are views of one array.
+in all; its one-entry band on offset dim - 1 is a vector of length 1.
+Complex, signed or multi-row bands, and square multipliers passed in, stay
+square. A channel's vectors view one array.
 
 The transfer matrix. Other bands whose terms are single matrix units go into
 the population-transfer matrix T, which is always dense: the ``transfer``
@@ -61,7 +61,7 @@ def _float_or_complex(a) -> np.ndarray:
 
 
 def _fold(bands, multipliers, transfer):
-    """(dim, vectors, square multipliers, their term counts, dense T or None).
+    """(dim, {offset: vector or square M_o} by ascending offset, term counts, dense T or None).
 
     On each offset, a lone one-row band of float64 entries with no sign bit
     set is kept as its vector e, even with a single nonzero: M_o = e^T e is
@@ -111,12 +111,11 @@ def _fold(bands, multipliers, transfer):
     grouped = {}
     for i, (_, offset, a) in enumerate(parts):
         grouped.setdefault(offset, []).append((i, a))
-    factored, blocks, ranks, moved = [], {}, {}, []
+    stored, ranks, moved = {}, {}, []
     for offset in sorted(grouped):
         (i, a), *others = grouped[offset]
         if not others and i < len(sizes) and len(a) == 1 and a.dtype == np.float64 and not unfit[i]:
-            factored.append((offset, a[0]))
-            ranks[offset] = 1
+            stored[offset], ranks[offset] = a[0], 1
             continue
         square, terms = [], 0
         for i, a in grouped[offset]:
@@ -128,20 +127,20 @@ def _fold(bands, multipliers, transfer):
                 square.append(a.T @ a.conj() if band else a.copy())
                 terms += len(a)
         if square:
-            ranks[offset] = terms
-            blocks[offset] = _readonly(sum(square[1:], square[0]))
-    factors = {}
-    if factored:  # the vectors, copied into one array
-        held = _readonly(np.concatenate([e for _, e in factored]))
-        end = 0
-        for offset, e in factored:
-            factors[offset], end = held[end:end + len(e)], end + len(e)
+            stored[offset], ranks[offset] = _readonly(sum(square[1:], square[0])), terms
+    vectors = [offset for offset, m in stored.items() if m.ndim == 1]
+    if vectors:  # copied into one array, whose views take their places in the map
+        held = _readonly(np.concatenate([stored[offset] for offset in vectors]))
+        start = 0
+        for offset in vectors:
+            end = start + len(stored[offset])
+            stored[offset], start = held[start:end], end
     t = None
     if transfer is not None or moved:
         t = np.zeros((n, n)) if transfer is None else np.array(transfer, dtype=float)
         for offset, weights in moved:
             t.reshape(-1)[_diagonal(offset, n)] += weights
-    return n, factors, blocks, ranks, _readonly(t) if t is not None and t.any() else None
+    return n, stored, ranks, _readonly(t) if t is not None and t.any() else None
 
 
 def _factor(m: np.ndarray, terms: int) -> np.ndarray:
@@ -205,7 +204,7 @@ class _Multipliers(Mapping):
         return self._channel._multiplier(offset)  # KeyError for an offset it does not hold
 
     def __iter__(self):
-        return iter(sorted(self._channel._ranks))
+        return iter(self._channel._stored)
 
     def __len__(self) -> int:
-        return len(self._channel._ranks)
+        return len(self._channel._stored)

@@ -23,32 +23,33 @@ stores the M_o, and every kernel reads them: applying it is one elementwise
 product per offset, and Phi*(I) is diagonal, which makes the
 trace-preservation defect a maximum over its entries.
 
-Factored multipliers. A rank-one M_o = e^T e with a nonnegative float64
-factor whose products e[a] e[b] are finite is stored as the vector e, even
-when e holds a single nonzero (see :mod:`subchan.bands`, which folds the
-storage): amplitude damping holds O(dim^2) floats, one vector per offset,
-where its square multipliers took sum_o (dim - o)^2. Every reader forms
-the entries of M_o it needs as e[a] e[b] (``_outer`` for a block): the
-kernels on their window, ``multipliers`` whole on each read. A channel
-whose multipliers fit in FORMED_BYTES once formed forms them at
-construction and runs its kernels on them, as before factoring: at small
-dim, forming a block on each call costs more than holding it. So does a
-channel holding a dense T whose formed multipliers fit in as many bytes
-(depolarizing at every dim): it holds O(dim^2) floats either way, and with
-M_0 alone one full-size product beats the window pass and the block formed
-on it.
+One map of bands. A band channel keeps {offset: band} by ascending
+offset (see :mod:`subchan.bands`, which folds it), and a band is a vector
+or a square, told apart by shape (``m.ndim``). A rank-one M_o = e^T e with
+a nonnegative float64 factor whose products e[a] e[b] are finite is the
+vector e, even when e holds a single nonzero: amplitude damping holds
+O(dim^2) floats, one vector per offset, where its square multipliers took
+sum_o (dim - o)^2. Any other band is its square M_o. Readers form the
+entries of M_o they need from a vector as e[a] e[b] (``_outer`` for a
+block): the kernels on their window, ``multipliers`` whole on each read. A
+channel whose vectors fit in FORMED_BYTES once formed forms them at
+construction and runs its kernels on the squares: at small dim, forming a
+block on each call costs more than holding it. So does a channel holding a
+dense T whose formed multipliers fit in as many bytes (depolarizing at
+every dim): it holds O(dim^2) floats either way, and with M_0 alone one
+full-size product beats the window pass and the block formed on it.
 
 Support window. An encoded state sits on a few low levels of a much larger
 truncation, so most of each band product multiplies zeros. Both kernels
-take one loop over the unformed vectors and the multipliers off offset 0:
-when a channel holds any, they first find [lo, hi), the smallest index
-range holding every nonzero row and column of x (one O(dim^2) pass), the
-union over a stack. ``apply_channel`` reads x at the sources a + o and
-writes the targets a; ``adjoint_apply`` reads the targets and writes the
-sources, by conj(M_o). Only the offsets whose read rows meet the range are
-visited (a prefix of each side, found by bisection): for Phi, 0 <= o < hi
-and -o < dim - lo below 0; for Phi*, 0 <= o < dim - lo and -o < hi below
-0. Each product is cut to the rows read inside the range and added onto
+take one loop over every band but a square M_0: when a channel holds any
+such band, they first find [lo, hi), the smallest index range holding
+every nonzero row and column of x (one O(dim^2) pass), the union over a
+stack. ``apply_channel`` reads x at the sources a + o and writes the
+targets a; ``adjoint_apply`` reads the targets and writes the sources, by
+conj(M_o). Only the offsets whose read rows meet the range are visited (a
+prefix of each side, found by bisection): for Phi, 0 <= o < hi and
+-o < dim - lo below 0; for Phi*, 0 <= o < dim - lo and -o < hi below 0.
+Each product is cut to the rows read inside the range and added onto
 0.0 * x, or onto M_0 * x for a square M_0, given or formed: the one band
 term at full size, beside the transfer term. For finite inputs and
 multipliers only exact zero terms are dropped, so the result equals the
@@ -166,7 +167,7 @@ def _check_bytes(nbytes: int, what: str) -> None:
 
 
 class KrausChannel:
-    """Immutable channel with family metadata; a band channel keeps only its band storage.
+    """Immutable channel with family metadata; a band channel keeps only its map of bands.
 
     Parameters
     ----------
@@ -205,10 +206,9 @@ class KrausChannel:
         ``transfer`` (unit terms on one entry merge).
     multipliers : Mapping or None
         Read-only view {offset: M_o} by ascending offset; None when some
-        operator spans several offsets. A multiplier stored as its vector e
-        (see :mod:`subchan.bands`) is formed as
-        e^T e on each read, after the size guard, so each read allocates
-        (dim - |o|)^2 floats; no kernel reads it.
+        operator spans several offsets. A band held as its vector e (see
+        :mod:`subchan.bands`) is formed as e^T e on each read, after the size
+        guard, so each read allocates (dim - |o|)^2 floats; no kernel reads it.
     transfer : ndarray or None
         Real (dim, dim) population-transfer matrix T: the given ``transfer``
         plus the unit bands, read-only; None when it is zero.
@@ -253,40 +253,36 @@ class KrausChannel:
             stack.flags.writeable = False
             bands = _detect_bands(stack)
         if bands is None and multipliers is None and transfer is None:
-            storage = (int(stack.shape[1]), None, None, {}, None)
+            storage = (int(stack.shape[1]), None, {}, None)
         else:
             storage = _fold(bands or {}, multipliers or {}, transfer)
         self._assemble(*storage, stack=stack, family=family, eta=eta)
 
-    def _assemble(self, dim, factors, blocks, ranks, transfer, *, stack, family, eta):
-        """Set the storage: ``factors`` {offset: e} for M_o = e^T e, ``blocks`` {offset: M_o}
-        (both None for a dense channel), ``ranks`` {offset: terms} and the dense T or None;
-        then the term count and tp_defect."""
+    def _assemble(self, dim, stored, ranks, transfer, *, stack, family, eta):
+        """Set the storage: ``stored`` {offset: vector e for M_o = e^T e, or square M_o} by
+        ascending offset (None for a dense channel), ``ranks`` {offset: terms} and the dense
+        T or None; then the term count and tp_defect."""
         self.family, self.eta, self.dim = family, eta, dim
-        self._stack, self._factors, self._blocks = stack, factors, blocks
-        self._ranks, self._transfer = ranks, transfer
+        self._stack, self._stored, self._ranks, self._transfer = stack, stored, ranks, transfer
         # The bands by ascending |o|, below 0 first on ties (the order the kernels sum
-        # in), as (o, e or M_o, factored). A channel whose vectors' multipliers, formed,
-        # fit in FORMED_BYTES, or in the bytes of a dense T it holds anyway, forms them
-        # here: e[a] e[b] for each M_o.
+        # in), as (o, e or M_o). A channel whose vectors' multipliers, formed, fit in
+        # FORMED_BYTES, or in the bytes of a dense T it holds anyway, forms them here:
+        # e[a] e[b] for each M_o.
+        stored = stored or {}
         budget = max(FORMED_BYTES, 0 if transfer is None else transfer.nbytes)
-        formed = sum(e.size**2 for e in (factors or {}).values()) * REAL_BYTES <= budget
-        bands = [(o, _readonly(_outer(e)) if formed else e, not formed)
-                 for o, e in (factors or {}).items()]
-        self._bands = sorted(bands + [(o, m, False) for o, m in (blocks or {}).items()],
-                             key=_magnitude)
+        formed = sum(m.size**2 for m in stored.values() if m.ndim == 1) * REAL_BYTES <= budget
+        self._bands = sorted([(o, _readonly(_outer(m)) if formed and m.ndim == 1 else m)
+                              for o, m in stored.items()], key=_magnitude)
         # The kernels' plan: a square M_0, the one full-size band term, or None; the other
-        # bands on o >= 0 and o < 0, as (o, e or M_o, factored, source, target) with
-        # sources a + o and targets a from max(0, o) and max(0, -o) on, and the |o| of
-        # each. A window of sources [lo, hi) meets o >= 0 when o < hi and o < 0 when
-        # -o < dim - lo: a prefix of each.
-        self._zero = next((m for o, m, factored in self._bands if o == 0 and not factored), None)
-        looped = [(o, m, factored, max(0, o), max(0, -o))
-                  for o, m, factored in self._bands if o or factored]
+        # bands on o >= 0 and o < 0, as (o, e or M_o, source, target) with sources a + o
+        # and targets a from max(0, o) and max(0, -o) on, and the |o| of each. A window of
+        # sources [lo, hi) meets o >= 0 when o < hi and o < 0 when -o < dim - lo: a prefix
+        # of each.
+        self._zero = next((m for o, m in self._bands if o == 0 and m.ndim == 2), None)
+        looped = [(o, m, max(0, o), max(0, -o)) for o, m in self._bands if o or m.ndim == 1]
         self._ahead = [t for t in looped if t[0] >= 0]
         self._behind = [t for t in looped if t[0] < 0]
         self._reach = [t[0] for t in self._ahead], [-t[0] for t in self._behind]
-        self._windowed = bool(self._ahead or self._behind)
         if stack is not None:
             self.kraus_truncation = int(stack.shape[0])
         else:
@@ -294,15 +290,15 @@ class KrausChannel:
             self.kraus_truncation = sum(ranks.values()) + moved
         # What a channel stored on offset 0 alone keeps there (its vector or M_0), else
         # None; the benchmark's tracing reads it to size the Kraus storage.
-        alone = transfer is None and list(ranks) == [0]
-        self._diagonals = {**factors, **blocks}[0] if alone else None
+        alone = transfer is None and list(stored) == [0]
+        self._diagonals = stored[0] if alone else None
         self.tp_defect = tp_defect_on_block(self, self.dim)
 
     # -- storage ------------------------------------------------------------
 
     @property
     def multipliers(self) -> _Multipliers | None:
-        return None if self._factors is None else _Multipliers(self)
+        return None if self._stored is None else _Multipliers(self)
 
     @property
     def transfer(self) -> np.ndarray | None:
@@ -310,24 +306,22 @@ class KrausChannel:
 
     @property
     def stored_bytes(self) -> int:
-        arrays = [self._stack, self._transfer, *(self._factors or {}).values()]
-        arrays += [m for _, m, _ in self._bands]  # the square and formed multipliers
+        arrays = [self._stack, self._transfer, *(self._stored or {}).values()]
+        arrays += [m for _, m in self._bands]  # the formed multipliers
         return sum(a.nbytes for a in {id(a): a for a in arrays if a is not None}.values())
 
     def _multiplier(self, offset: int) -> np.ndarray:
         """M_o, formed from its vector e as the kernels form it, after the size guard."""
-        if offset in self._blocks:
-            return self._blocks[offset]
-        e = self._factors[offset]
-        _check_bytes(e.size**2 * REAL_BYTES, f"multiplier {offset} at dim {self.dim}")
-        return _readonly(_outer(e))
+        m = self._stored[offset]
+        if m.ndim == 2:
+            return m
+        _check_bytes(m.size**2 * REAL_BYTES, f"multiplier {offset} at dim {self.dim}")
+        return _readonly(_outer(m))
 
     def _entries(self, offset: int, rows, cols) -> np.ndarray:
         """M_o[rows, cols] for broadcast index arrays; e[rows] e[cols] from a vector."""
-        if offset in self._factors:
-            e = self._factors[offset]
-            return e[rows] * e[cols]
-        return self._blocks[offset][rows, cols]
+        m = self._stored[offset]
+        return m[rows] * m[cols] if m.ndim == 1 else m[rows, cols]
 
     @cached_property
     def kraus_ops(self) -> np.ndarray:
@@ -372,8 +366,8 @@ class KrausChannel:
         """Diagonal of Phi*(I) = sum_i E_i^dag E_i, which is diagonal for band channels."""
         n = self.dim
         col = np.zeros(n)
-        for o, m, factored in self._bands:  # a formed block's diagonal is e * e
-            col[max(0, o):n - max(0, -o)] += m * m if factored else m.diagonal().real
+        for o, m in self._bands:  # a formed block's diagonal is e * e
+            col[max(0, o):n - max(0, -o)] += m * m if m.ndim == 1 else m.diagonal().real
         if self._transfer is not None:
             col += self._transfer.sum(axis=0)
         return col
@@ -434,10 +428,10 @@ def _apply(ch: KrausChannel, x: np.ndarray, adjoint: bool) -> np.ndarray:
         raise DimensionMismatchError(f"operator shape {x.shape} does not match channel dim {n}")
     if x.ndim > 2 and x.size == n**2:  # a stack of one matrix: see "Stacks" above
         return _apply(ch, x.reshape(x.shape[-2:]), adjoint).reshape(x.shape)
-    if ch._factors is None:
+    if ch._stored is None:
         return _dense_sum(ch.kraus_ops, x, adjoint)
     # Unwindowed (at most a square M_0): the many small calls of a quadrature.
-    lo, hi = _window(x) if ch._windowed else (0, 0)
+    lo, hi = _window(x) if ch._ahead or ch._behind else (0, 0)
     if ch._zero is None:  # in C order: T's kernel writes through a reshape
         out = np.multiply(x, 0.0, order="C")
     else:  # the one full-size band term; M_0 is C-ordered, and so is its product
@@ -448,11 +442,11 @@ def _apply(ch: KrausChannel, x: np.ndarray, adjoint: bool) -> np.ndarray:
         if behind:
             reached += ch._behind[:bisect_left(behind, hi if adjoint else n - lo)]
             reached.sort(key=_magnitude)
-        for _, m, factored, source, target in reached:
+        for _, m, source, target in reached:
             read, write = (target, source) if adjoint else (source, target)
             start, stop = max(lo, read), min(hi, n - write)
             first, last = start - read, stop - read
-            block = _outer(m[first:last]) if factored else m[first:last, first:last]
+            block = _outer(m[first:last]) if m.ndim == 1 else m[first:last, first:last]
             # Added in place through a view: one indexing.
             view = out[..., write + first:write + last, write + first:write + last]
             view += (block.conj() if adjoint else block) * x[..., start:stop, start:stop]
@@ -501,19 +495,19 @@ def _compress(ch: KrausChannel, lo: int, hi: int) -> KrausChannel:
     if (lo, hi) == (0, ch.dim):
         return ch
     meta = {"family": ch.family, "eta": ch.eta}
-    if ch._factors is None:
+    if ch._stored is None:
         return KrausChannel(ch.kraus_ops[:, lo:hi, lo:hi], **meta)
     w = hi - lo
-    factors = {o: e[lo:hi - abs(o)] for o, e in ch._factors.items() if abs(o) < w}
-    blocks = {o: _readonly(m[lo:hi - abs(o), lo:hi - abs(o)].copy())
-              for o, m in ch._blocks.items() if abs(o) < w}
-    ranks = {o: ch._ranks[o] if o in factors else w - abs(o) for o in {**factors, **blocks}}
+    stored = {o: m[lo:hi - abs(o)] if m.ndim == 1
+              else _readonly(m[lo:hi - abs(o), lo:hi - abs(o)].copy())
+              for o, m in ch._stored.items() if abs(o) < w}
+    ranks = {o: 1 if m.ndim == 1 else w - abs(o) for o, m in stored.items()}
     transfer = None
     if ch._transfer is not None:
         transfer = ch._transfer[lo:hi, lo:hi]
         transfer = transfer if transfer.any() else None
     window = KrausChannel.__new__(KrausChannel)
-    window._assemble(w, factors, blocks, ranks, transfer, stack=None, **meta)
+    window._assemble(w, stored, ranks, transfer, stack=None, **meta)
     return window
 
 
@@ -521,7 +515,7 @@ def tp_defect_on_block(ch: KrausChannel, block: int) -> float:
     """Operator norm of (sum_i E_i^dag E_i - I) restricted to the leading block."""
     if not 1 <= block <= ch.dim:
         raise ValueError(f"block must be in [1, {ch.dim}], got {block}")
-    if ch._factors is not None:
+    if ch._stored is not None:
         return float(np.max(np.abs(ch._adjoint_identity[:block] - 1.0)))
     flat = ch.kraus_ops[:, :, :block].reshape(-1, block)
     gram = flat.conj().T @ flat
@@ -649,7 +643,7 @@ def superoperator_of(ch: KrausChannel) -> np.ndarray:
     """
     n = ch.dim
     _check_bytes(n**4 * COMPLEX_BYTES, f"the superoperator at dim {n}")
-    if ch._factors is not None:
+    if ch._stored is not None:
         s = np.zeros((n * n, n * n), dtype=complex)
         for positions, block in _coherence_blocks(ch):
             s[positions, positions] = block
@@ -666,7 +660,7 @@ def superoperator_of(ch: KrausChannel) -> np.ndarray:
 def _coherence_blocks(ch: KrausChannel):
     """Yield (positions, block) per coherence order q, built when reached, at the vec positions
     of diagonal -q (vec flattens x^T); a channel with no band form is one whole block."""
-    if ch._factors is None:
+    if ch._stored is None:
         yield slice(None), superoperator_of(ch)
         return
     for q in range(1 - ch.dim, ch.dim):
@@ -679,12 +673,12 @@ def _coherence_block(ch: KrausChannel, q: int) -> np.ndarray:
 
     Diagonal q of a vector's M_o is e[a] e[a+|q|] (a formed M_o is read as a square one)."""
     size = ch.dim - abs(q)
-    block = np.zeros((size, size), dtype=np.result_type(float, *ch._blocks.values()))
-    for offset, m, factored in ch._bands:
+    block = np.zeros((size, size), dtype=np.result_type(float, *ch._stored.values()))
+    for offset, m in ch._bands:
         if abs(offset) < size:
             length = size - abs(offset)
             block.reshape(-1)[_diagonal(offset, size)] = (
-                m[:length] * m[abs(q):] if factored else np.diagonal(m, q))
+                m[:length] * m[abs(q):] if m.ndim == 1 else np.diagonal(m, q))
     if q == 0 and ch._transfer is not None:
         block += ch._transfer
     return block

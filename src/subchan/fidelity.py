@@ -116,7 +116,7 @@ def _fock_tables(ch: KrausChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
     a dense channel's image of each matrix unit |i><k|, read at (k, k) and at (i, k).
     B_0's leading n x n corner is the B_0 of the compression onto levels [0, n), so only
     that n x n block is built."""
-    if ch._factors is None:
+    if ch._stored is None:
         populations, coherences = np.empty((2, n, n), dtype=complex)
         for i, k in np.ndindex(n, n):
             image = apply_channel(ch, basis_operator(i, k, ch.dim))
@@ -126,7 +126,7 @@ def _fock_tables(ch: KrausChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         populations = _coherence_block(_compress(ch, 0, n), 0).T.astype(complex)
         level = np.arange(n)
-        coherences = (ch._entries(0, level[:, np.newaxis], level) if 0 in ch._ranks
+        coherences = (ch._entries(0, level[:, np.newaxis], level) if 0 in ch._stored
                       else np.zeros((n, n))).astype(complex)
         np.fill_diagonal(coherences, populations.diagonal())
     return populations, coherences
@@ -143,14 +143,14 @@ def level_process_tensor(ch: KrausChannel, levels) -> np.ndarray:
     ``apply_channel``), else 0. Pair sweeps read only two tables of G (``_fock_tables``).
     """
     levels = _fock_levels(levels, ch.dim)
-    if ch._factors is None:
+    if ch._stored is None:
         return restrict(ch, Subspace.from_levels(levels, ch.dim)).tensor
     n = len(levels)
     _check_bytes(n**4 * COMPLEX_BYTES, f"the restriction to a {n}-dimensional subspace")
     at = np.array(levels)
     g = np.zeros((n,) * 4, dtype=complex)
     shift = at[:, np.newaxis] - at  # shift[i, k] = L_i - L_k
-    for o in ch._ranks.keys() & shift.ravel().tolist():
+    for o in ch._stored.keys() & shift.ravel().tolist():
         i, k = np.nonzero(shift == o)
         source = at[k, np.newaxis] - max(0, -o)
         g[i[:, np.newaxis], i, k[:, np.newaxis], k] = ch._entries(o, source, source.T)

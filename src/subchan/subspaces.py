@@ -319,7 +319,7 @@ def fixed_point_space(ch: KrausChannel, tol: float = FIXED_POINT_TOL) -> list[np
     if not 0.0 < tol < np.inf:
         raise ValueError(f"fixed-point cutoff must be positive and finite, got {tol}")
     n = ch.dim
-    largest = n if ch._factors is not None else n * n
+    largest = n if ch._stored is not None else n * n
     _check_bytes(3 * largest**2 * COMPLEX_BYTES,
                  f"the SVD of a {largest} x {largest} superoperator block")
     found = []

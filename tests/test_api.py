@@ -3,7 +3,8 @@ constants, not per-call options, so no caller can loosen a check. Beside
 them, guards on the source: one size limit read by one size guard, which
 every allocation estimate goes through, no unused imports, no private
 helper that nothing reads, and no run-time import beyond the declared
-dependencies (numpy)."""
+dependencies (numpy). Last, the validation paths that no other test reaches,
+each refusing with its own error and message."""
 
 import ast
 import dataclasses
@@ -25,10 +26,25 @@ import subchan
 import subchan.channels as channels
 from subchan.cli import build_parser
 from subchan.encodings import _bloch_form, encoding_from_coefficients, optimize_encoding
-from subchan.errors import ResourceLimitError
-from subchan.families import _check_dim, amplitude_damping, phase_damping
-from subchan.fidelity import average_fidelity_quadrature, level_process_tensor
-from subchan.subspaces import Subspace, fixed_point_space, restrict
+from subchan.channels import KrausChannel
+from subchan.errors import DimensionMismatchError, ResourceLimitError
+from subchan.families import (
+    _check_dim,
+    _dim_for_deficit,
+    amplitude_damping,
+    amplitude_damping_closed,
+    coherent_action_closed,
+    phase_damping,
+)
+from subchan.fidelity import (
+    average_fidelity_closed,
+    average_fidelity_quadrature,
+    damping_fidelity_series,
+    level_process_tensor,
+)
+from subchan.fileio import parse_channel_text
+from subchan.fock import fock_state
+from subchan.subspaces import Subspace, fixed_point_space, restrict, subspace_overlap
 
 SOURCES = sorted(Path(subchan.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
@@ -366,3 +382,52 @@ def test_import_and_a_command_load_no_scipy():
     assert done.returncode == 0, done.stderr
     assert "fidelity" in done.stdout
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def _refused_calls():
+    """{case: (call, error, message)} of validation paths no other test reaches."""
+    ad4, two = amplitude_damping(0.5, 4), Subspace.from_levels([0, 1], 4)
+    eta = "amplitude damping requires 0 <= eta <= 1, got 1.5"
+    # A multiplier that is not hermitian makes the Haar average non-real.
+    skew = KrausChannel(multipliers={0: [[1, 1j], [1j, 1]]})
+    return {
+        "short basis": (partial(Subspace, dim=3, basis=[[1, 0]]), DimensionMismatchError,
+                        "basis vectors have length 2, expected 3"),
+        "overlap across dims": (partial(subspace_overlap, Subspace.from_levels([0], 3),
+                                        Subspace.from_levels([0], 4)),
+                                DimensionMismatchError, "ambient dims differ: 3 vs 4"),
+        "overlap across codes": (partial(subspace_overlap, Subspace.from_levels([0], 4), two),
+                                 ValueError, "subspace dims differ: 1 vs 2"),
+        "restricted input shape": (partial(restrict(ad4, two).apply, np.eye(3)),
+                                   DimensionMismatchError,
+                                   "operator shape (3, 3) does not match dim 4"),
+        "quadrature dims": (partial(average_fidelity_quadrature, ad4,
+                                    Subspace.from_levels([0, 1], 5)),
+                            DimensionMismatchError,
+                            "channel dim 4 does not match encoding dim 5"),
+        "channel file dim 0": (partial(parse_channel_text, "dim 0\n"), ValueError,
+                               "dim must be positive, got 0"),
+        "fock state dim 0": (partial(fock_state, 0, 0), ValueError,
+                             "dim must be positive, got 0"),
+        "family dim 0": (partial(amplitude_damping, 0.5, 0), ValueError,
+                         "dim must be positive, got 0"),
+        "closed form eta": (partial(amplitude_damping_closed, 1.5, 0, 1, 4), ValueError, eta),
+        "coherent eta": (partial(coherent_action_closed, 1.5, 0.1, 0.1, 8), ValueError, eta),
+        "series eta": (partial(damping_fidelity_series, 1.5, [1, 0], [0, 1]), ValueError, eta),
+        "non-real average": (partial(average_fidelity_closed, skew,
+                                     Subspace.from_levels([0, 1], 2)),
+                             ArithmeticError, "average fidelity came out non-real: "),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refused_calls()))
+def test_each_validation_refuses_with_its_message(case):
+    call, error, message = _refused_calls()[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        call()
+
+
+def test_small_reads_of_the_families():
+    assert _dim_for_deficit(0, 1e-8) == 1  # the vacuum needs one level
+    assert re.fullmatch(r"KrausChannel\(amplitude-damping, eta=0\.5, dim=4, terms=4, "
+                        r"tp_defect=\d\.\d{3}e[+-]\d\d\)", repr(amplitude_damping(0.5, 4)))

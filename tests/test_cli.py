@@ -597,6 +597,48 @@ class TestConfigFile:
             code, out, err = run(capsys, "fidelity", "--config", str(cfg))
             assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_quadrature_key_prints_the_quadrature(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("channel=ad\neta=0.5\ndim=8\nlevels=0,1\nquadrature=yes\n")
+        code, out, err = run(capsys, "fidelity", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert "average fidelity (quadrature):  0.819035593729\n" in out
+        assert "cross-check gap: " in out
+
+    def test_key_of_another_subcommand_is_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("channel=ad\neta=0.5\ndim=8\nlevels=0,1\nrestarts=3\n")
+        code, out, err = run(capsys, "fidelity", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert out.endswith("average fidelity (closed form): 0.819035593729\n")
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("argv, config, message", [
+        (["fidelity", "--levels", "0,1"], None, "--channel is required"),
+        # argparse's choices stop an unknown --channel; a config value gets past them.
+        (["fidelity"], "channel=xyz\neta=0.5\nlevels=0,1\n",
+         "unknown channel 'xyz'; choose from ['ad', 'amplitude-damping', 'custom', 'dep', "
+         "'depolarizing', 'pd', 'phase-damping']"),
+        (["fidelity", "--channel", "ad", "--eta", "0.5", "--levels", "0,a"], None,
+         "bad --levels value '0,a'; expected e.g. 0,1"),
+        (["fidelity", "--channel", "ad", "--eta", "0.5", "--levels", "0,1",
+          "--encoding-file", "ENCODING"], None, "give --levels or --encoding-file, not both"),
+        (["optimize", "--channel", "ad", "--eta", "0.5"], None,
+         "--levels is required for optimize"),
+        (["sweep", "--channel", "ad", "--levels", "0,1"], None,
+         "sweep needs --eta-start and --eta-end"),
+        (["sweep", "--channel", "custom", "--levels", "0,1", "--eta-start", "0.1",
+          "--eta-end", "0.5"], None, "sweep needs a parametric family (pd, ad, or dep)"),
+    ])
+    def test_exits_1_with_one_error_line(self, capsys, tmp_path, argv, config, message):
+        argv = [qutrit_file(tmp_path) if a == "ENCODING" else a for a in argv]
+        if config is not None:
+            cfg = tmp_path / "cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
 
 class TestVerifyCommand:
     def test_amplitude_damping(self, capsys):

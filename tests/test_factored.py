@@ -162,21 +162,22 @@ class TestFactoredEqualsDense:
         # its vectors unformed from dim 73 on.
         for dim in (40, 70, 71, 72, 73):
             ch = amplitude_damping(eta, dim)
-            assert ch._blocks == {} and ch.kraus_truncation == dim
+            assert ch.kraus_truncation == dim
             if eta == 0.0:  # every operator a matrix unit: T[0, :] = 1 alone
                 collapse = np.zeros((dim, dim))
                 collapse[0] = 1.0
-                assert ch._factors == {} and _same(ch.transfer, collapse)
+                assert ch._stored == {} and _same(ch.transfer, collapse)
                 bands = {}
             else:  # one vector per offset, the one-entry band on offset dim - 1 too, no T
-                assert len(ch._factors) == dim and ch.transfer is None
-                assert ch._factors[dim - 1][0] ** 2 == pytest.approx((1 - eta) ** (dim - 1))
-                bands = {o: e[np.newaxis] for o, e in ch._factors.items()}
+                assert [e.ndim for e in ch._stored.values()] == [1] * dim
+                assert ch.transfer is None
+                assert ch._stored[dim - 1][0] ** 2 == pytest.approx((1 - eta) ** (dim - 1))
+                bands = {o: e[np.newaxis] for o, e in ch._stored.items()}
             ref = _dense_reference(bands, {}, dim, transfer=ch.transfer)
             _assert_readers_equal(ch, ref, np.random.default_rng(dim))
         # dep keeps its dense T; its identity band is a vector.
         dep = depolarizing(0.4, 12)
-        assert dep.transfer is not None and list(dep._factors) == [0]
+        assert dep.transfer is not None and {o: e.ndim for o, e in dep._stored.items()} == {0: 1}
 
 
 class TestStorage:
